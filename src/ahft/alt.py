@@ -178,11 +178,29 @@ class GllWeibullModel:
 # Design matrix and likelihood internals
 # ---------------------------------------------------------------------------
 
-def _design(dataset: Dataset, factors: tuple[FactorSpec, ...]) -> np.ndarray:
-    cols = [np.ones(dataset.n_rows)]
+def _design(data, factors: tuple[FactorSpec, ...]) -> np.ndarray:
+    """The design matrix z = [1, g_1(x_1), ...], one row per point.
+
+    ``data`` is a :class:`Dataset` or a mapping from factor name to one
+    value or to an array of values.  Names are matched after
+    :func:`normalize_name`; single values broadcast against arrays, so
+    ``{"stress": 5.0}`` gives one row.  A factor without values raises
+    :class:`MissingFactor`.
+    """
+    if isinstance(data, Dataset):
+        data = data.columns
+    values = {normalize_name(k): np.asarray(v, dtype=float) for k, v in data.items()}
+    columns = []
     for f in factors:
-        cols.append(f.apply(dataset.column(f.name)))
-    return np.column_stack(cols)
+        if f.name not in values:
+            raise MissingFactor(f"no value supplied for factor {f.name!r}")
+        columns.append(f.apply(values[f.name]))
+    shape = np.broadcast_shapes(*(v.shape for v in values.values()))
+    z = np.empty((shape[0] if shape else 1, len(factors) + 1))
+    z[:, 0] = 1.0
+    for j, column in enumerate(columns, start=1):
+        z[:, j] = column
+    return z
 
 
 def _response(dataset: Dataset, response: str) -> np.ndarray:
@@ -421,20 +439,19 @@ class Prediction:
             raise InputError("prediction bounds must bracket the value")
 
 
-def _factor_row(model: GllWeibullModel, x: dict) -> np.ndarray:
-    """Design row (with leading 1) for a single factor-value map."""
-    values = {normalize_name(k): float(v) for k, v in x.items()}
-    row = [1.0]
-    for spec in model.factors:
-        if spec.name not in values:
-            raise MissingFactor(f"no value supplied for factor {spec.name!r}")
-        row.append(float(spec.apply(np.array([values[spec.name]]))[0]))
-    return np.array(row)
+def _log_eta(z: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """z.alpha for every design row.
+
+    ``np.vecdot`` takes each row's dot product with the same kernel as
+    ``row @ alpha``, so batched and pointwise predictions agree bit for
+    bit; a matrix-vector product (BLAS gemv) may round differently.
+    """
+    return np.vecdot(z, alpha)
 
 
 def life_characteristic(model: GllWeibullModel, x: dict) -> float:
     """eta(x) = exp(a0 + sum_j aj * g_j(x_j))."""
-    return float(np.exp(_factor_row(model, x) @ model.alpha))
+    return float(np.exp(_design(x, model.factors)[0] @ model.alpha))
 
 
 def weibull_quantile(eta: float, shape: float, p: float) -> float:
@@ -456,6 +473,15 @@ def predict_percentile(model: GllWeibullModel, x: dict, p: float = DEFAULT_PERCE
     return weibull_quantile(life_characteristic(model, x), model.shape, p)
 
 
+def _percentiles(model: GllWeibullModel, data, p: float) -> np.ndarray:
+    """:func:`predict_percentile` at every point of ``data`` at once.
+
+    ``data`` is anything :func:`_design` accepts.
+    """
+    scale = weibull_quantile(1.0, model.shape, p)
+    return np.exp(_log_eta(_design(data, model.factors), model.alpha)) * scale
+
+
 def predict_with_interval(
     model: GllWeibullModel,
     x: dict,
@@ -470,8 +496,18 @@ def predict_with_interval(
     """
     if not (0.0 < p < 1.0):
         raise InputError(f"percentile must lie in (0, 1), got {p!r}")
-    row = _factor_row(model, x)
-    value = weibull_quantile(float(np.exp(row @ model.alpha)), model.shape, p)
+    row = _design(x, model.factors)[0]
+    with np.errstate(over="ignore"):
+        value = weibull_quantile(float(np.exp(row @ model.alpha)), model.shape, p)
+    if not (value > 0.0 and math.isfinite(value)):
+        # exp(z.alpha) overflowed or underflowed: name its largest term.
+        terms = row * model.alpha
+        j = int(np.argmax(np.abs(terms)))
+        source = "the intercept" if j == 0 else f"factor {model.factors[j - 1].name!r}"
+        raise NonPositiveValue(
+            f"predicted value {value!r} is out of range: {source} contributes "
+            f"{terms[j]:.6g} to ln(eta)"
+        )
     w = -math.log1p(-p)
     grad = value * np.concatenate([row, [-math.log(w) / model.shape]])
     if not np.all(np.isfinite(model.covariance)):
@@ -502,13 +538,9 @@ def sweep_curve(
         raise InputError("grid must be nonempty")
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise InputError("grid must be sorted ascending")
-    varying = normalize_name(varying)
-    points = []
-    for g in grid:
-        x = dict(fixed)
-        x[varying] = g
-        points.append((g, predict_percentile(model, x, p)))
-    return points
+    x = dict(fixed)
+    x[normalize_name(varying)] = np.array(grid)
+    return list(zip(grid, _percentiles(model, x, p).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -565,15 +597,50 @@ def model_from_json(text: str) -> GllWeibullModel:
                 iterations=int(meta["iterations"]),
                 converged=bool(meta["converged"]),
             )
-        return GllWeibullModel(
+        model = GllWeibullModel(
             factors=factors,
-            alpha=np.array(doc["alpha"], dtype=float),
-            shape=float(doc["shape"]),
-            covariance=np.array(doc["covariance"], dtype=float),
+            alpha=_numbers(doc, "alpha"),
+            shape=float(_numbers(doc, "shape")),
+            covariance=_numbers(doc, "covariance"),
             fit_meta=fit_meta,
         )
+    except InputError:
+        raise
     except (KeyError, TypeError) as exc:
         raise InputError(f"model document is missing or mistypes a field: {exc}") from None
+    except (ValueError, OverflowError) as exc:
+        raise InputError(f"model field 'fit_meta' is malformed: {exc}") from None
+    _check_covariance(model.covariance)
+    return model
+
+
+def _numbers(doc: dict, field: str) -> np.ndarray:
+    """A numeric model field as a float array; InputError names the field."""
+    try:
+        values = np.array(doc[field], dtype=float)
+    except ValueError:
+        raise InputError(f"model field {field!r} must hold numbers only") from None
+    if not np.all(np.isfinite(values)):
+        raise InputError(f"model field {field!r} has non-finite entries")
+    return values
+
+
+def _check_covariance(covariance: np.ndarray) -> None:
+    """Reject a covariance that cannot be one: a negative variance, or an
+    eigenvalue below zero by more than about 1e-10 of the largest variance,
+    which makes the Cholesky factorization of covariance + that shift fail.
+    """
+    variances = covariance.diagonal().tolist()
+    for i, variance in enumerate(variances):
+        if variance < 0.0:
+            raise InputError(
+                f"model field 'covariance' has a negative variance {variance!r} at [{i}][{i}]"
+            )
+    shift = 1e-10 * max(variances) + 1e-300  # the floor keeps a zero matrix valid
+    try:
+        np.linalg.cholesky(covariance + shift * np.eye(len(variances)))
+    except np.linalg.LinAlgError:
+        raise InputError("model field 'covariance' is not positive semidefinite") from None
 
 
 def save_model(model: GllWeibullModel, path) -> None:

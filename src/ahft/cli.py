@@ -65,6 +65,20 @@ def _parse_factors(text: str) -> list[alt.FactorSpec]:
     return [alt.parse_factor(piece) for piece in items]
 
 
+def _is_finite(value: float) -> bool:
+    return abs(value) <= sys.float_info.max  # False for inf and nan
+
+
+def _finite(text: str, piece: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise InputError(f"cannot parse {text!r} as a number in {piece!r}") from None
+    if not _is_finite(value):
+        raise InputError(f"{text!r} in {piece!r} is not a finite number")
+    return value
+
+
 def _parse_assignments(text: str) -> dict[str, float]:
     values: dict[str, float] = {}
     for piece in text.split(","):
@@ -74,10 +88,7 @@ def _parse_assignments(text: str) -> dict[str, float]:
         name, sep, value = piece.partition("=")
         if not sep:
             raise InputError(f"expected name=value, got {piece!r}")
-        try:
-            values[ds.normalize_name(name)] = float(value)
-        except ValueError:
-            raise InputError(f"cannot parse {value!r} as a number in {piece!r}") from None
+        values[ds.normalize_name(name)] = _finite(value, piece)
     if not values:
         raise InputError("no name=value assignments supplied")
     return values
@@ -89,8 +100,9 @@ def _parse_grid(text: str) -> list[float]:
         parts = text.split(":")
         if len(parts) != 3:
             raise InputError(f"grid range must be start:stop:count, got {text!r}")
+        start, stop = _finite(parts[0], text), _finite(parts[1], text)
         try:
-            start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+            count = int(parts[2])
         except ValueError:
             raise InputError(f"cannot parse grid range {text!r}") from None
         if count < 1:
@@ -98,11 +110,10 @@ def _parse_grid(text: str) -> list[float]:
         if count == 1:
             return [start]
         step = (stop - start) / (count - 1)
+        if not _is_finite(step):
+            raise InputError(f"grid range {text!r} is too wide to step through")
         return [start + i * step for i in range(count)]
-    try:
-        grid = [float(piece) for piece in text.split(",") if piece.strip()]
-    except ValueError:
-        raise InputError(f"cannot parse grid {text!r}") from None
+    grid = [_finite(piece, text) for piece in text.split(",") if piece.strip()]
     if not grid:
         raise InputError("grid is empty")
     return grid
@@ -119,12 +130,12 @@ def _write(path: Path, text: str) -> None:
         fh.write(text)
 
 
-def _csv_cell(value) -> str:
-    return repr(float(value)) if isinstance(value, float) else str(value)
-
-
 def _csv_lines(rows) -> str:
-    return "".join(",".join(_csv_cell(c) for c in row) + "\n" for row in rows)
+    """CSV text of rows whose cells are str, int or Python float.
+
+    ``str`` of a Python float is its shortest exact ``repr``.
+    """
+    return "".join([",".join(map(str, row)) + "\n" for row in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -246,10 +257,11 @@ def cmd_validate(args) -> int:
 
     report = validation.evaluate(model, holdout, percentile)
     psf_names = list(holdout.psf_names)
+    columns = holdout.columns
     rows = [["instance"] + psf_names + ["fatigue", "predicted_fatigue", "relative_error"]]
-    for (instance, observed, predicted, error), obs in zip(report.rows, holdout.rows):
-        rows.append([instance] + [obs.psf_values[c] for c in psf_names]
-                    + [observed, predicted, error])
+    rows += [[instance, *values, observed, predicted, error]
+             for (instance, observed, predicted, error), *values
+             in zip(report.rows, *(columns[c].tolist() for c in psf_names))]
     rows.append(["mean_relative_error", report.mean_relative_error])
     rows.append(["max_relative_error", report.max_relative_error])
     _write(out / "validation.csv", _csv_lines(rows))
@@ -272,7 +284,7 @@ def cmd_curves(args) -> int:
     for factor in [ds.normalize_name(f) for f in args.factor]:
         curve = alt.sweep_curve(model, factor, grid, fixed, percentile)
         _write(out / f"curve_{factor}.csv",
-               _csv_lines([[factor, "fatigue"]] + [list(p) for p in curve]))
+               _csv_lines([(factor, "fatigue"), *curve]))
         _write(out / f"curve_{factor}.svg",
                svg.line_chart(curve, f"Fatigue vs {factor}", factor, "fatigue"))
         lo, hi = curve[0][1], curve[-1][1]

@@ -4,6 +4,8 @@ The package works on small tabular datasets: one row per observed work
 instance, one numeric column per PSF (the value is the factor's level
 multiplier, e.g. stress "extreme" = 5), a required ``fatigue`` response in
 (0, 1), and an optional exposure ``duration_hours`` (default 1 hour).
+A :class:`Dataset` stores each column as one float64 array; CSV
+ingestion parses and checks whole columns at once.
 
 Two reference datasets from a lathing-workshop case study ship with the
 package: :func:`builtin_table3` (15 fitting instances over 8 PSFs) and
@@ -20,7 +22,7 @@ import csv
 import io
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -186,18 +188,66 @@ class Observation:
             )
 
 
-@dataclass(frozen=True)
 class Dataset:
-    """An ordered collection of observations sharing one PSF name set."""
+    """An ordered table of observations sharing one PSF name set.
 
-    column_names: tuple[str, ...]   # PSF columns in order, then "fatigue"
-    rows: tuple[Observation, ...]
+    Stored column-wise: one read-only float64 array per PSF and for
+    ``fatigue``, plus the ``durations`` array.  ``Dataset(column_names,
+    rows)`` builds one from :class:`Observation` rows; :meth:`from_columns`
+    builds one from arrays.  Either way every row obeys the
+    :class:`Observation` rules, and a violation raises the error that
+    ``Observation`` raises for the first offending row.
+    """
 
-    def __post_init__(self):
-        psf_names = set(self.psf_names)
-        for i, row in enumerate(self.rows):
-            if set(row.psf_values) != psf_names:
+    __slots__ = ("column_names", "durations", "_columns")
+
+    def __init__(self, column_names, rows):
+        column_names = tuple(column_names)
+        rows = tuple(rows)
+        psf_names = tuple(c for c in column_names if c != FATIGUE)
+        expected = set(psf_names)
+        for i, row in enumerate(rows):
+            if set(row.psf_values) != expected:
                 raise InputError(f"row {i + 1} does not share the dataset's PSF name set")
+        columns = {c: [r.psf_values[c] for r in rows] for c in psf_names}
+        columns[FATIGUE] = [r.fatigue for r in rows]
+        self._store(column_names, columns, [r.duration_hours for r in rows])
+
+    @classmethod
+    def from_columns(cls, column_names, columns, durations=None) -> Dataset:
+        """Build a dataset from one value sequence per column name.
+
+        ``columns`` maps every PSF name and ``fatigue`` to equally long
+        sequences; ``durations`` defaults to one hour per row.
+        """
+        dataset = cls.__new__(cls)
+        if durations is None:
+            durations = np.ones(len(columns[FATIGUE]))
+        dataset._store(tuple(column_names), columns, durations)
+        return dataset
+
+    def _store(self, column_names, columns, durations) -> None:
+        arrays = {c: np.array(columns[c], dtype=float) for c in column_names if c != FATIGUE}
+        arrays[FATIGUE] = np.array(columns[FATIGUE], dtype=float)
+        durations = np.array(durations, dtype=float)
+        if any(a.shape != durations.shape for a in arrays.values()) or durations.ndim != 1:
+            raise InputError("dataset columns must be one-dimensional and of equal length")
+        fatigue = arrays[FATIGUE]
+        bad = ~((fatigue > 0.0) & np.isfinite(fatigue))
+        bad |= ~((durations > 0.0) & np.isfinite(durations))
+        for name, values in arrays.items():
+            if name != FATIGUE:
+                bad |= ~np.isfinite(values)
+        if bad.any():
+            i = int(np.flatnonzero(bad)[0])
+            # Raises the error a row-by-row construction would raise first.
+            Observation({c: float(arrays[c][i]) for c in arrays if c != FATIGUE},
+                        float(fatigue[i]), float(durations[i]))
+        for values in (*arrays.values(), durations):
+            values.setflags(write=False)
+        self.column_names = column_names
+        self.durations = durations
+        self._columns = arrays
 
     @property
     def psf_names(self) -> tuple[str, ...]:
@@ -205,24 +255,49 @@ class Dataset:
 
     @property
     def n_rows(self) -> int:
-        return len(self.rows)
+        return len(self.durations)
+
+    @property
+    def columns(self):
+        """Every column name (``fatigue`` included) mapped to its read-only array."""
+        return dict(self._columns)
 
     def column(self, name: str) -> np.ndarray:
-        """Return one column as a float array (``fatigue`` included)."""
+        """Return one column as a read-only float array (``fatigue`` included)."""
         key = normalize_name(name)
-        if key == FATIGUE:
-            return np.array([r.fatigue for r in self.rows], dtype=float)
-        if key not in self.column_names:
+        if key != FATIGUE and key not in self.column_names:
             raise MissingColumn(f"no column named {name!r}")
-        return np.array([r.psf_values[key] for r in self.rows], dtype=float)
+        return self._columns[key]
 
     def matrix(self, columns: list[str] | tuple[str, ...]) -> np.ndarray:
         """Stack the named columns into an (n_rows, len(columns)) array."""
         return np.column_stack([self.column(c) for c in columns])
 
     @property
-    def durations(self) -> np.ndarray:
-        return np.array([r.duration_hours for r in self.rows], dtype=float)
+    def rows(self) -> tuple[Observation, ...]:
+        """The observations, one per row, built from the columns on each access."""
+        names = self.psf_names
+        values = {c: self._columns[c].tolist() for c in names}
+        fatigue = self._columns[FATIGUE].tolist()
+        durations = self.durations.tolist()
+        return tuple(
+            Observation({c: values[c][i] for c in names}, fatigue[i], durations[i])
+            for i in range(self.n_rows)
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return (
+            self.column_names == other.column_names
+            and np.array_equal(self.durations, other.durations)
+            and all(np.array_equal(v, other._columns[c]) for c, v in self._columns.items())
+        )
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Dataset(column_names={self.column_names!r}, n_rows={self.n_rows})"
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +314,87 @@ def _parse_cell(text: str, row: int, column: str) -> float:
     if not math.isfinite(value):
         raise NonNumericCell(f"row {row}, column {column!r}: value {text!r} is not finite")
     return value
+
+
+def _decode(source) -> str:
+    if isinstance(source, str):
+        return source
+    raw = source if isinstance(source, bytes) else source.read()
+    if isinstance(raw, str):
+        return raw
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(
+            f"input is not UTF-8: byte {exc.start} ({raw[exc.start:exc.start + 1]!r}) "
+            f"cannot be decoded"
+        ) from None
+
+
+def _raise_first_error(records, names, psf_cols, catalog) -> None:
+    """Check ``records`` row by row and raise for the first bad cell.
+
+    The reference for every ingestion rule and its message; ``load_csv``
+    runs it only after its column-wise checks have found a fault.  Per
+    row: cell count, then fatigue, then ``duration_hours``, then the
+    PSFs in column order, then their catalog levels.
+    """
+    for i, record in enumerate(records, start=1):
+        if not record or all(cell.strip() == "" for cell in record):
+            continue
+        if len(record) != len(names):
+            raise InputError(
+                f"row {i}: expected {len(names)} cells, got {len(record)}"
+            )
+        cells = dict(zip(names, record))
+        fatigue = _parse_cell(cells[FATIGUE], i, FATIGUE)
+        if not (0.0 < fatigue < 1.0):
+            raise FatigueOutOfRange(
+                f"row {i}: fatigue must lie strictly in (0, 1), got {fatigue}"
+            )
+        if DURATION in cells:
+            duration = _parse_cell(cells[DURATION], i, DURATION)
+            if duration <= 0:
+                raise InputError(f"row {i}: duration_hours must be positive")
+        values = {c: _parse_cell(cells[c], i, c) for c in psf_cols}
+        if catalog is not None:
+            for c, v in values.items():
+                definition = catalog.get(c)
+                if definition is not None and v not in definition.multipliers:
+                    raise InputError(
+                        f"row {i}, column {c!r}: {v} is not a defined level "
+                        f"multiplier {sorted(definition.multipliers)}"
+                    )
+
+
+def _parse_columns(records, names) -> dict[str, np.ndarray] | None:
+    """Every cell parsed with ``float``, column by column; None if any fails."""
+    if set(map(len, records)) != {len(names)}:
+        return None
+    try:
+        return {
+            name: np.fromiter(map(float, cells), dtype=float, count=len(records))
+            for name, cells in zip(names, zip(*records))
+        }
+    except ValueError:
+        return None
+
+
+def _columns_valid(columns, psf_cols, catalog) -> bool:
+    fatigue = columns[FATIGUE]
+    if not np.all((fatigue > 0.0) & (fatigue < 1.0)):
+        return False
+    if DURATION in columns:
+        duration = columns[DURATION]
+        if not np.all((duration > 0.0) & np.isfinite(duration)):
+            return False
+    for c in psf_cols:
+        if not np.all(np.isfinite(columns[c])):
+            return False
+        definition = catalog.get(c) if catalog is not None else None
+        if definition is not None and not np.all(np.isin(columns[c], definition.multipliers)):
+            return False
+    return True
 
 
 def load_csv(source, catalog: PsfCatalog | None = None) -> Dataset:
@@ -262,21 +418,16 @@ def load_csv(source, catalog: PsfCatalog | None = None) -> Dataset:
     ------
     MissingColumn, NonNumericCell, FatigueOutOfRange, EmptyDataset
         With the offending row (1-based, counting data rows) and column
-        named in the message.
+        named in the message; input that is not UTF-8 raises
+        :class:`InputError` naming the first bad byte offset.
     """
-    if isinstance(source, bytes):
-        text = source.decode("utf-8")
-    elif isinstance(source, str):
-        text = source
-    else:
-        raw = source.read()
-        text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
-
-    reader = csv.reader(io.StringIO(text))
     try:
-        header = next(reader)
-    except StopIteration:
-        raise EmptyDataset("input has no header row") from None
+        records = list(csv.reader(io.StringIO(_decode(source))))
+    except csv.Error as exc:
+        raise InputError(f"malformed CSV: {exc}") from None
+    if not records:
+        raise EmptyDataset("input has no header row")
+    header, records = records[0], records[1:]
 
     names = [normalize_name(h) for h in header]
     if len(set(names)) != len(names):
@@ -285,39 +436,13 @@ def load_csv(source, catalog: PsfCatalog | None = None) -> Dataset:
         raise MissingColumn("required column 'fatigue' is absent")
 
     psf_cols = [n for n in names if n not in (FATIGUE, DURATION)]
-    rows: list[Observation] = []
-    for i, record in enumerate(reader, start=1):
-        if not record or all(cell.strip() == "" for cell in record):
-            continue
-        if len(record) != len(names):
-            raise InputError(
-                f"row {i}: expected {len(names)} cells, got {len(record)}"
-            )
-        cells = dict(zip(names, record))
-        fatigue = _parse_cell(cells[FATIGUE], i, FATIGUE)
-        if not (0.0 < fatigue < 1.0):
-            raise FatigueOutOfRange(
-                f"row {i}: fatigue must lie strictly in (0, 1), got {fatigue}"
-            )
-        duration = 1.0
-        if DURATION in cells:
-            duration = _parse_cell(cells[DURATION], i, DURATION)
-            if duration <= 0:
-                raise InputError(f"row {i}: duration_hours must be positive")
-        values = {c: _parse_cell(cells[c], i, c) for c in psf_cols}
-        if catalog is not None:
-            for c, v in values.items():
-                definition = catalog.get(c)
-                if definition is not None and v not in definition.multipliers:
-                    raise InputError(
-                        f"row {i}, column {c!r}: {v} is not a defined level "
-                        f"multiplier {sorted(definition.multipliers)}"
-                    )
-        rows.append(Observation(values, fatigue, duration))
-
-    if not rows:
+    data_records = [r for r in records if "".join(r).strip()]  # blank rows are skipped
+    if not data_records:
         raise EmptyDataset("input has a header but no data rows")
-    return Dataset(tuple(psf_cols) + (FATIGUE,), tuple(rows))
+    columns = _parse_columns(data_records, names)
+    if columns is None or not _columns_valid(columns, psf_cols, catalog):
+        _raise_first_error(records, names, psf_cols, catalog)
+    return Dataset.from_columns(tuple(psf_cols) + (FATIGUE,), columns, columns.get(DURATION))
 
 
 def serialize(dataset: Dataset) -> bytes:
@@ -327,14 +452,13 @@ def serialize(dataset: Dataset) -> bytes:
     survive the round trip bit-for-bit.
     """
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    header = list(dataset.psf_names) + [FATIGUE, DURATION]
-    writer.writerow(header)
-    for row in dataset.rows:
-        cells = [repr(row.psf_values[c]) for c in dataset.psf_names]
-        cells.append(repr(row.fatigue))
-        cells.append(repr(row.duration_hours))
-        writer.writerow(cells)
+    csv.writer(out, lineterminator="\n").writerow(
+        list(dataset.psf_names) + [FATIGUE, DURATION]
+    )
+    stored = dataset.columns
+    columns = [stored[c] for c in dataset.psf_names] + [stored[FATIGUE], dataset.durations]
+    cells = zip(*(map(repr, c.tolist()) for c in columns))
+    out.write("".join([",".join(row) + "\n" for row in cells]))
     return out.getvalue().encode("utf-8")
 
 

@@ -36,17 +36,32 @@ from .alt import (
     FactorSpec,
     FitConfig,
     GllWeibullModel,
+    _design,
+    _log_eta,
+    _percentiles,
     fit_mle,
-    predict_percentile,
-    weibull_quantile,
 )
-from .dataset import FATIGUE, Dataset, Observation
+from .dataset import FATIGUE, Dataset
 from .errors import InputError, NonPositiveObserved
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+
+
+def _splitmix64_stream(seed: int, count: int) -> np.ndarray:
+    """The first ``count`` outputs of ``SplitMix64(seed)`` as a uint64 array.
+
+    SplitMix64 is counter-based: after k steps the state is
+    seed + k*GAMMA (mod 2**64), so draw k is the mix of that state and
+    the whole stream is one vectorized expression.
+    """
+    state = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+    z = state + np.uint64(int(seed) & _MASK64)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+    return z ^ (z >> np.uint64(31))
 
 
 class SplitMix64:
@@ -107,13 +122,12 @@ def evaluate(model: GllWeibullModel, holdout: Dataset, p: float) -> ValidationRe
     values; the metric is relative error against the observed fatigue.
     Row ids are 1-based positions in the hold-out dataset.
     """
-    rows = []
-    for i, obs in enumerate(holdout.rows, start=1):
-        predicted = predict_percentile(model, obs.psf_values, p)
-        rows.append((i, obs.fatigue, predicted, relative_error(obs.fatigue, predicted)))
-    errors = [r[3] for r in rows]
+    observed = holdout.column(FATIGUE)
+    predicted = _percentiles(model, holdout, p)
+    errors = (np.abs(predicted - observed) / observed).tolist()
     return ValidationReport(
-        rows=tuple(rows),
+        rows=tuple(zip(range(1, holdout.n_rows + 1), observed.tolist(),
+                       predicted.tolist(), errors)),
         mean_relative_error=sum(errors) / len(errors),
         max_relative_error=max(errors),
     )
@@ -159,21 +173,24 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     picking parameters should keep eta well inside (0, 1) if they need
     valid fatigue values.
     """
-    rng = SplitMix64(spec.seed)
-    alpha = np.asarray(spec.true_alpha, dtype=float)
-    names = tuple(f.name for f in spec.factors)
-    rows = []
-    for _ in range(spec.n):
-        values = {}
-        for name, pool in zip(names, spec.factor_value_pools):
-            values[name] = float(pool[rng.choice_index(len(pool))])
-        u = rng.uniform()
-        z = [1.0]
-        for f in spec.factors:
-            z.append(float(f.apply(np.array([values[f.name]]))[0]))
-        eta = math.exp(float(np.dot(z, alpha)))
-        rows.append(Observation(values, weibull_quantile(eta, spec.true_shape, u), 1.0))
-    return Dataset(names + (FATIGUE,), tuple(rows))
+    width = len(spec.factors) + 1
+    draws = _splitmix64_stream(spec.seed, spec.n * width).reshape(spec.n, width)
+    columns = {}
+    for f, pool, draw in zip(spec.factors, spec.factor_value_pools, draws.T):
+        columns[f.name] = np.array([float(v) for v in pool])[draw % np.uint64(len(pool))]
+    u = ((draws[:, -1] >> np.uint64(11)).astype(float) + 0.5) * 2.0 ** -53
+    log_eta = _log_eta(_design(columns, spec.factors), np.asarray(spec.true_alpha, dtype=float))
+    # math, not numpy: numpy's vectorized exp, log1p and power may differ
+    # from the C library in the last bit, and the stream is defined by
+    # weibull_quantile's scalar arithmetic.
+    inverse_shape = 1.0 / spec.true_shape
+    try:
+        fatigue = [math.exp(s) * (-math.log1p(-v)) ** inverse_shape
+                   for s, v in zip(log_eta.tolist(), u.tolist())]
+    except OverflowError:
+        raise InputError("synthetic responses overflow: lower true_alpha or raise true_shape") from None
+    columns[FATIGUE] = fatigue
+    return Dataset.from_columns(tuple(f.name for f in spec.factors) + (FATIGUE,), columns)
 
 
 @dataclass(frozen=True)
