@@ -473,13 +473,40 @@ def predict_percentile(model: GllWeibullModel, x: dict, p: float = DEFAULT_PERCE
     return weibull_quantile(life_characteristic(model, x), model.shape, p)
 
 
+def _check_in_range(model: GllWeibullModel, z: np.ndarray, values: np.ndarray,
+                    rows: bool) -> None:
+    """Reject predictions that are not positive finite numbers.
+
+    Such a value means exp(z.alpha) overflowed or underflowed, so the
+    :class:`NonPositiveValue` raised at the first one names the largest
+    term of ln(eta) there, and its 1-based row when ``rows`` is set.
+    """
+    bad = np.flatnonzero(~((values > 0.0) & np.isfinite(values)))
+    if bad.size == 0:
+        return
+    i = int(bad[0])
+    terms = z[i] * model.alpha
+    j = int(np.argmax(np.abs(terms)))
+    source = "the intercept" if j == 0 else f"factor {model.factors[j - 1].name!r}"
+    at = f" at row {i + 1}" if rows else ""
+    raise NonPositiveValue(
+        f"predicted value {float(values[i])!r}{at} is out of range: {source} contributes "
+        f"{terms[j]:.6g} to ln(eta)"
+    )
+
+
 def _percentiles(model: GllWeibullModel, data, p: float) -> np.ndarray:
     """:func:`predict_percentile` at every point of ``data`` at once.
 
-    ``data`` is anything :func:`_design` accepts.
+    ``data`` is anything :func:`_design` accepts.  A point whose value
+    is out of range raises :class:`NonPositiveValue` naming its row.
     """
+    z = _design(data, model.factors)
     scale = weibull_quantile(1.0, model.shape, p)
-    return np.exp(_log_eta(_design(data, model.factors), model.alpha)) * scale
+    with np.errstate(over="ignore"):
+        values = np.exp(_log_eta(z, model.alpha)) * scale
+    _check_in_range(model, z, values, rows=True)
+    return values
 
 
 def predict_with_interval(
@@ -499,15 +526,7 @@ def predict_with_interval(
     row = _design(x, model.factors)[0]
     with np.errstate(over="ignore"):
         value = weibull_quantile(float(np.exp(row @ model.alpha)), model.shape, p)
-    if not (value > 0.0 and math.isfinite(value)):
-        # exp(z.alpha) overflowed or underflowed: name its largest term.
-        terms = row * model.alpha
-        j = int(np.argmax(np.abs(terms)))
-        source = "the intercept" if j == 0 else f"factor {model.factors[j - 1].name!r}"
-        raise NonPositiveValue(
-            f"predicted value {value!r} is out of range: {source} contributes "
-            f"{terms[j]:.6g} to ln(eta)"
-        )
+    _check_in_range(model, row[None], np.array([value]), rows=False)
     w = -math.log1p(-p)
     grad = value * np.concatenate([row, [-math.log(w) / model.shape]])
     if not np.all(np.isfinite(model.covariance)):
@@ -588,7 +607,7 @@ def model_from_json(text: str) -> GllWeibullModel:
             f"(expected {FORMAT_VERSION})"
         )
     try:
-        factors = tuple(FactorSpec(f["name"], f["transform"]) for f in doc["factors"])
+        factors = tuple(_factor(i, f) for i, f in enumerate(doc["factors"]))
         meta = doc["fit_meta"]
         fit_meta = None
         if meta is not None:
@@ -612,6 +631,16 @@ def model_from_json(text: str) -> GllWeibullModel:
         raise InputError(f"model field 'fit_meta' is malformed: {exc}") from None
     _check_covariance(model.covariance)
     return model
+
+
+def _factor(i: int, entry: dict) -> FactorSpec:
+    """One ``factors`` entry; InputError names a field that is not a string."""
+    for key in ("name", "transform"):
+        if not isinstance(entry[key], str):
+            raise InputError(
+                f"model field 'factors[{i}].{key}' must be a string, got {entry[key]!r}"
+            )
+    return FactorSpec(entry["name"], entry["transform"])
 
 
 def _numbers(doc: dict, field: str) -> np.ndarray:

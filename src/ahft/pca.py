@@ -2,11 +2,13 @@
 
 Pipeline: standardize the selected columns (the fatigue response is kept
 in by default, giving a 9-variable analysis on the bundled case study),
-form the Pearson correlation matrix, and eigendecompose it with a cyclic
-Jacobi iteration.  Variance proportions come from the spectrum
-(lambda_i / sum(lambda)); factor selection keeps the smallest leading
-block of components that explains the requested variance share and ranks
-the PSFs inside it by eigenvalue-weighted absolute loading.
+form the Pearson correlation matrix, and eigendecompose it with Jacobi
+rotations in the round-robin order of Brent & Luk (SIAM J. Sci. Stat.
+Comput. 6(1), 1985), which rotates disjoint index pairs together.
+Variance proportions come from the spectrum (lambda_i / sum(lambda));
+factor selection keeps the smallest leading block of components that
+explains the requested variance share and ranks the PSFs inside it by
+eigenvalue-weighted absolute loading.
 
 The Jacobi solver is written out here rather than delegated to a LAPACK
 wrapper because the surrounding contract is part of the package API:
@@ -18,6 +20,7 @@ diagnostics on failure, and a tie flag for degenerate spectra.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,12 +32,52 @@ EIGENVALUE_TIE_TOL = 1e-10
 NEGATIVE_CLAMP_TOL = 1e-10
 
 
+@lru_cache(maxsize=32)
+def _round_robin(size: int) -> tuple[np.ndarray, ...]:
+    """Brent-Luk round-robin schedule on an even number of indices.
+
+    Index 0 stays put and the others move one place per step, so the
+    ``size - 1`` steps of a sweep pair every two indices exactly once.
+    The solver keeps its matrices in the current step's layout, which
+    puts that step's pairs at positions (0, 1), (2, 3), ...
+
+    Returns ``(layout, sigma, here, there)``: the first step's layout;
+    the permutation that carries each step's layout to the next one's
+    (``layout[r + 1] == layout[r][sigma]``; after a full sweep the layout
+    is the first one again); and the flat offsets, in a C-ordered
+    ``(size, 2 * size)`` array, of every pair's (p, q), (q, p), (p, p)
+    and (q, q) entries in a step's layout and in the next one's.
+    """
+    half, width = size // 2, 2 * size
+
+    def layout(step: int) -> np.ndarray:
+        order = np.concatenate(([0], np.roll(np.arange(1, size), step)))
+        return np.stack((order[:half], order[::-1][:half]), axis=1).ravel()
+
+    def offsets(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        return np.concatenate((p * width + q, q * width + p, p * width + p, q * width + q))
+
+    first = layout(0)
+    sigma = np.argsort(first)[layout(1)]
+    p = np.arange(0, size, 2)
+    moved = np.argsort(sigma)
+    arrays = (first, sigma, offsets(p, p + 1), offsets(moved[p], moved[p + 1]))
+    for x in arrays:
+        x.flags.writeable = False
+    return arrays
+
+
 def eigen_symmetric(
     m: np.ndarray,
     tol: float = 1e-13,
     max_sweeps: int = 60,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecompose a symmetric matrix by cyclic Jacobi rotations.
+    """Eigendecompose a symmetric matrix by round-robin Jacobi rotations.
+
+    Each sweep is ``n - 1`` steps (``n`` for odd ``n``) of the round-robin
+    ordering of Brent & Luk (SIAM J. Sci. Stat. Comput. 6(1), 1985); a
+    step rotates ``n // 2`` disjoint index pairs at once, skipping pairs
+    whose off-diagonal entry is already at most the threshold below.
 
     Returns ``(values, vectors)`` with eigenvalues sorted descending and
     one orthonormal eigenvector per column.  Each vector is oriented so
@@ -56,7 +99,6 @@ def eigen_symmetric(
 
     n = m.shape[0]
     a = (m + m.T) / 2.0
-    v = np.eye(n)
     threshold = tol * max(1.0, float(np.max(np.abs(a)))) if n else tol
 
     def max_offdiag(x: np.ndarray) -> float:
@@ -65,40 +107,50 @@ def eigen_symmetric(
         off = np.abs(x - np.diag(np.diag(x)))
         return float(off.max())
 
-    sweeps = 0
-    while sweeps < max_sweeps and max_offdiag(a) > threshold:
-        sweeps += 1
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= threshold:
-                    continue
-                # Rotation angle annihilating a[p, q]: the numerically
-                # stable tangent formula.
-                app, aqq = a[p, p], a[q, q]
-                tau = (aqq - app) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.hypot(1.0, tau))
-                else:
-                    t = -1.0 / (-tau + np.hypot(1.0, tau))
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                # A <- J'AJ, done as a column mix then a row mix.
-                col_p = c * a[:, p] - s * a[:, q]
-                col_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = col_p, col_q
-                row_p = c * a[p, :] - s * a[q, :]
-                row_q = s * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = row_p, row_q
-                # The rotated 2x2 block is known in closed form; writing it
-                # explicitly keeps the zero and the symmetry exact.
-                a[p, q] = a[q, p] = 0.0
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                vec_p = c * v[:, p] - s * v[:, q]
-                vec_q = s * v[:, p] + c * v[:, q]
-                v[:, p], v[:, q] = vec_p, vec_q
+    # An odd n gets a phantom index with a zero row and column: its pair
+    # never passes the threshold, so that step leaves it out.
+    size = n + n % 2
+    half, width = size // 2, 2 * size
+    layout, sigma, here, there = _round_robin(size)
+    padded = np.zeros((size, size))
+    padded[:n, :n] = a
+    # buf = [A | V'] in the current layout: row i of each belongs to index
+    # layout[i], and so does column i of A.
+    buf = np.concatenate((padded[np.ix_(layout, layout)], np.eye(size)[layout]), axis=1)
+    g = np.empty((half, 2, 2))
 
+    sweeps = 0
+    while sweeps < max_sweeps and max_offdiag(buf[:, :size]) > threshold:
+        sweeps += 1
+        for _ in range(size - 1):
+            apq, aqp, app, aqq = buf.take(here).reshape(4, half)
+            active = np.abs(apq) > threshold
+            # Rotation angles annihilating each active a[p, q], by the
+            # numerically stable tangent formula; t = 0 leaves a pair as is.
+            tau = (aqq - app) / np.where(active, 2.0 * apq, 1.0)
+            t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.hypot(1.0, tau))
+            t = np.where(active, t, 0.0)
+            c = 1.0 / np.hypot(1.0, t)
+            s = t * c
+            g[:, 0, 0] = g[:, 1, 1] = c
+            g[:, 0, 1] = -s
+            g[:, 1, 0] = s
+            # A <- J'AJ and V <- VJ.  Mixing the rows of each pair of
+            # [A | V'] gives J'A and (VJ)'; as A is symmetric, J'AJ is J'
+            # applied to the rows of (J'A)' = AJ.  Rows and columns then
+            # move to the next step's layout.
+            buf = (g @ buf.reshape(half, 2, width)).reshape(size, width)[sigma]
+            buf[:, :size] = (g @ buf[:, :size].T.reshape(half, 2, size)).reshape(size, size)[sigma]
+            # The rotated 2x2 blocks are known in closed form; writing them
+            # explicitly keeps the zeros exact.  A skipped pair gets back
+            # what the step left there: its diagonal, and its (p, q) and
+            # (q, p) entries swapped, since the step transposes A.
+            buf.put(there, np.concatenate((
+                np.where(active, 0.0, aqp), np.where(active, 0.0, apq),
+                app - t * apq, aqq + t * apq,
+            )))
+
+    a = buf[:, :size]
     final_off = max_offdiag(a)
     if final_off > threshold:
         raise NoConvergence(
@@ -106,10 +158,11 @@ def eigen_symmetric(
             diagnostics={"sweeps": sweeps, "max_offdiag": final_off},
         )
 
-    values = np.diag(a).copy()
+    rows = np.argsort(layout)[:n]  # where each index ended up
+    values = np.diag(a)[rows]
     order = np.argsort(-values, kind="stable")
     values = values[order]
-    vectors = v[:, order]
+    vectors = buf[rows, size:size + n].T[:, order]
     for j in range(n):
         k = int(np.argmax(np.abs(vectors[:, j])))
         if vectors[k, j] < 0:

@@ -123,3 +123,36 @@ def test_model_with_singular_covariance_still_loads(tmp_path, model_doc):
     v = [1e-2, 2e-3, -1e-3, 5e-2]
     model_doc["covariance"] = [[a * b for b in v] for a in v]
     assert _predict(tmp_path, model_doc) == 0
+
+
+@pytest.mark.parametrize("key, value", [("name", 5), ("name", None), ("transform", 1.5)])
+def test_model_with_non_string_factor_field_exits_two(tmp_path, capsys, model_doc, key, value):
+    model_doc["factors"][1][key] = value
+    assert _predict(tmp_path, model_doc) == 2
+    err = capsys.readouterr().err
+    assert f"'factors[1].{key}'" in err and "must be a string" in err
+    assert "Traceback" not in err
+
+
+def test_curves_overflow_names_the_factor(tmp_path, capsys, model_doc):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model_doc))
+    rc = main(["curves", "--model", str(path), "--factor", "stress", "--grid", "1:5:9",
+               "--fixed", "available_time=1e308", "--output-dir", str(tmp_path / "curves")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "'available_time'" in err and "out of range" in err
+    assert not (tmp_path / "curves" / "curve_stress.csv").exists()
+
+
+def test_validate_overflow_names_the_row_and_factor(tmp_path, capsys, model_doc):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model_doc))
+    holdout = tmp_path / "holdout.csv"
+    holdout.write_text("available_time,stress,fatigue\n0.1,5,0.5\n0.2,3,0.4\n1e308,2,0.3\n")
+    rc = main(["validate", "--model", str(path), "--holdout", str(holdout),
+               "--output-dir", str(tmp_path / "validate")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "at row 3" in err and "'available_time'" in err and "out of range" in err
+    assert not (tmp_path / "validate" / "validation.csv").exists()

@@ -5,6 +5,8 @@ characteristic polynomial (Faddeev-LeVerrier coefficients + companion
 matrix), never against another iterative eigensolver.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -20,6 +22,7 @@ from ahft import (
     variance_proportions,
 )
 from ahft.errors import AllZeroSpectrum, InputError, NoConvergence, NotSymmetric
+from ahft.pca import _round_robin
 from oracles import charpoly_eigenvalues
 
 
@@ -104,6 +107,70 @@ def test_eigen_exhausted_sweep_budget():
         eigen_symmetric(np.array([[1.0, 0.5], [0.5, 1.0]]), max_sweeps=0)
     assert exc.value.diagnostics["sweeps"] == 0
     assert exc.value.diagnostics["max_offdiag"] == 0.5
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7])
+def test_eigen_matches_characteristic_polynomial_even_and_odd(n):
+    # odd n leaves one index out of each round-robin step
+    m = _random_symmetric(20 + n, n=n)
+    values, _ = eigen_symmetric(m)
+    assert_allclose(values, charpoly_eigenvalues(m), atol=1e-6)
+
+
+@pytest.mark.parametrize("n", [60, 61])
+def test_eigen_reconstruction_and_orthonormality_wide(n):
+    m = _random_symmetric(n, n=n)
+    values, vectors = eigen_symmetric(m)
+    assert np.max(np.abs(m - vectors @ np.diag(values) @ vectors.T)) <= 1e-8
+    assert np.max(np.abs(vectors.T @ vectors - np.eye(n))) <= 1e-12
+
+
+def test_eigen_block_diagonal_keeps_blocks_apart():
+    # Two blocks, interleaved: every pair across them starts at zero, so
+    # no rotation may touch it and each eigenvector stays inside its block.
+    first, second = _random_symmetric(31, n=3), _random_symmetric(32, n=4)
+    blocks = [np.array([0, 2, 4]), np.array([1, 3, 5, 6])]
+    m = np.zeros((7, 7))
+    m[np.ix_(blocks[0], blocks[0])] = first
+    m[np.ix_(blocks[1], blocks[1])] = second
+    values, vectors = eigen_symmetric(m)
+    expected = np.sort(np.concatenate([charpoly_eigenvalues(first),
+                                       charpoly_eigenvalues(second)]))[::-1]
+    assert_allclose(values, expected, atol=1e-6)
+    for j in range(7):
+        support = [b for b in blocks if np.any(vectors[b, j] != 0.0)]
+        assert len(support) == 1
+
+
+def test_eigen_diagonal_input_needs_no_sweep():
+    for m in (np.eye(5), np.diag([4.0, 3.0, 2.5, 1.0, -2.0])):
+        values, vectors = eigen_symmetric(m, max_sweeps=0)
+        assert values.tolist() == np.diag(m).tolist()
+        assert vectors.tolist() == np.eye(5).tolist()
+
+
+def test_eigen_budget_of_one_sweep_is_reported():
+    with pytest.raises(NoConvergence) as exc:
+        eigen_symmetric(_random_symmetric(5, n=60), max_sweeps=1)
+    assert exc.value.diagnostics["sweeps"] == 1
+    assert exc.value.diagnostics["max_offdiag"] > 0.0
+
+
+def test_eigen_wide_solve_raises_no_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        eigen_symmetric(_random_symmetric(6, n=60))
+
+
+@pytest.mark.parametrize("size", [2, 4, 8, 62])
+def test_round_robin_pairs_every_two_indices_once_per_sweep(size):
+    layout, sigma, _, _ = _round_robin(size)
+    seen = []
+    for _ in range(size - 1):
+        seen += [tuple(sorted(pair)) for pair in layout.reshape(-1, 2).tolist()]
+        layout = layout[sigma]
+    assert sorted(seen) == [(p, q) for p in range(size) for q in range(p + 1, size)]
+    assert layout.tolist() == _round_robin(size)[0].tolist()
 
 
 # ---------------------------------------------------------------------------
