@@ -10,7 +10,6 @@ validate against hold-out observations.
 from .dataset import (
     DEFAULT_CATALOG,
     Dataset,
-    Observation,
     PsfCatalog,
     PsfDefinition,
     builtin_table3,

@@ -44,7 +44,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .dataset import Dataset, normalize_name
+from .dataset import Dataset, _decode, normalize_name
 from .errors import (
     DegenerateFactor,
     InputError,
@@ -116,15 +116,12 @@ def parse_factor(text: str) -> FactorSpec:
 class FitConfig:
     max_iterations: int = 200
     gradient_tol: float = 1e-8
-    confidence: float = DEFAULT_CONFIDENCE
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise InputError("max_iterations must be at least 1")
         if not (self.gradient_tol > 0):
             raise InputError("gradient_tol must be positive")
-        if not (0.0 < self.confidence < 1.0):
-            raise InputError("confidence must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -225,7 +222,9 @@ def _loglik(theta: np.ndarray, z: np.ndarray, logt: np.ndarray) -> float:
     return total if math.isfinite(total) else -math.inf
 
 
-def _gradient(theta: np.ndarray, z: np.ndarray, logt: np.ndarray) -> np.ndarray:
+def _derivatives(theta: np.ndarray, z: np.ndarray,
+                 logt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient and Hessian of the log-likelihood from one exp(beta*u)."""
     phi = theta[-1]
     beta = math.exp(phi)
     u = logt - z @ theta[:-1]
@@ -233,15 +232,6 @@ def _gradient(theta: np.ndarray, z: np.ndarray, logt: np.ndarray) -> np.ndarray:
     e = np.exp(bu)
     g_alpha = beta * (z.T @ (e - 1.0))
     g_phi = float(np.sum(1.0 + bu * (1.0 - e)))
-    return np.concatenate([g_alpha, [g_phi]])
-
-
-def _hessian(theta: np.ndarray, z: np.ndarray, logt: np.ndarray) -> np.ndarray:
-    phi = theta[-1]
-    beta = math.exp(phi)
-    u = logt - z @ theta[:-1]
-    bu = beta * u
-    e = np.exp(bu)
     k = z.shape[1]
     h = np.empty((k + 1, k + 1))
     h[:k, :k] = -(beta * beta) * ((z * e[:, None]).T @ z)
@@ -249,7 +239,7 @@ def _hessian(theta: np.ndarray, z: np.ndarray, logt: np.ndarray) -> np.ndarray:
     h[:k, k] = cross
     h[k, :k] = cross
     h[k, k] = float(np.sum(bu * (1.0 - e) - bu * bu * e))
-    return h
+    return np.concatenate([g_alpha, [g_phi]]), h
 
 
 # ---------------------------------------------------------------------------
@@ -300,23 +290,18 @@ def fit_mle(
     theta = np.zeros(n_params)
     theta[0] = math.log(float(np.mean(t)))
     ll = _loglik(theta, z, logt)
-    iterations = 0
-    converged = False
-    grad_norm = math.inf
     for iterations in range(1, config.max_iterations + 1):
-        g = _gradient(theta, z, logt)
+        g, h = _derivatives(theta, z, logt)
         grad_norm = float(np.max(np.abs(g)))
         if grad_norm < config.gradient_tol:
-            converged = True
             break
-        h = _hessian(theta, z, logt)
         step = None
         try:
             candidate = np.linalg.solve(h, -g)
             if np.all(np.isfinite(candidate)) and float(candidate @ g) > 0.0:
                 step = candidate
         except np.linalg.LinAlgError:
-            step = None
+            pass
         if step is None:
             # Hessian unusable here; fall back to a scaled ascent step.
             step = g / max(1.0, grad_norm)
@@ -337,12 +322,11 @@ def fit_mle(
         if not improved:
             break  # no ascent direction left; final gradient check decides
     else:
-        iterations = config.max_iterations
+        # The budget ran out after a step moved theta: evaluate the end point.
+        g, h = _derivatives(theta, z, logt)
+        grad_norm = float(np.max(np.abs(g)))
 
-    g = _gradient(theta, z, logt)
-    grad_norm = float(np.max(np.abs(g)))
-    converged = grad_norm < config.gradient_tol
-    if not converged:
+    if not grad_norm < config.gradient_tol:
         raise NoConvergence(
             f"fit did not converge in {iterations} iterations "
             f"(gradient max-norm {grad_norm:.3e})",
@@ -354,7 +338,7 @@ def fit_mle(
             },
         )
 
-    information = -_hessian(theta, z, logt)
+    information = -h
     try:
         covariance = np.linalg.inv(information)
     except np.linalg.LinAlgError:
@@ -406,7 +390,8 @@ def positive_param_ci(value: float, se: float, level: float) -> tuple[float, flo
 
     A normal interval on ln(value) with delta-method standard error
     se/value, mapped back: value * exp(+/- z*se/value).  Both bounds stay
-    positive.  A zero standard error collapses to the point value.
+    positive.  A zero standard error collapses to the point value; one so
+    large that a bound leaves the positive finite range raises InputError.
     """
     if not (value > 0 and math.isfinite(value)):
         raise NonPositiveValue(f"value must be positive, got {value!r}")
@@ -415,8 +400,16 @@ def positive_param_ci(value: float, se: float, level: float) -> tuple[float, flo
     z = _z_quantile(level)
     if se == 0.0:
         return value, value
-    factor = math.exp(z * se / value)
-    return value / factor, value * factor
+    try:
+        factor = math.exp(z * se / value)
+    except OverflowError:
+        factor = math.inf
+    lower, upper = value / factor, value * factor
+    if not (lower > 0.0 and upper < math.inf):
+        raise InputError(
+            f"standard error {se!r} is too large for a log-normal interval around {value!r}"
+        )
+    return lower, upper
 
 
 # ---------------------------------------------------------------------------
@@ -678,5 +671,5 @@ def save_model(model: GllWeibullModel, path) -> None:
 
 
 def load_model(path) -> GllWeibullModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return model_from_json(fh.read())
+    with open(path, "rb") as fh:
+        return model_from_json(_decode(fh.read()))

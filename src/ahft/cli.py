@@ -35,10 +35,8 @@ EXIT_SINGULAR = 4
 # ---------------------------------------------------------------------------
 
 def _out_dir(args) -> Path:
-    root = args.output_dir or os.environ.get("AHFT_OUTPUT_DIR") or "."
-    path = Path(root)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    """The artifact directory; it is made by the first artifact write."""
+    return Path(args.output_dir or os.environ.get("AHFT_OUTPUT_DIR") or ".")
 
 
 def _load_dataset(spec: str) -> ds.Dataset:
@@ -125,9 +123,9 @@ def _unit_interval(value: float, name: str) -> float:
     return value
 
 
-def _write(path: Path, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+def _write(path: Path, data: str | bytes) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
 
 
 def _csv_lines(rows) -> str:
@@ -189,8 +187,7 @@ def cmd_fit(args) -> int:
     data = _load_dataset(args.input)
     factors = _parse_factors(args.factors)
     out = _out_dir(args)
-    config = alt.FitConfig(max_iterations=args.max_iterations,
-                           gradient_tol=args.tol, confidence=confidence)
+    config = alt.FitConfig(max_iterations=args.max_iterations, gradient_tol=args.tol)
     try:
         model = alt.fit_mle(data, factors, response=args.response, config=config)
     except NoConvergence as exc:
@@ -200,6 +197,7 @@ def cmd_fit(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
 
+    out.mkdir(parents=True, exist_ok=True)
     alt.save_model(model, out / "model.json")
     ses = model.standard_errors
     rows = [["Predictor", "Coef", "StandardError", "Z", "P", "LowerCI", "UpperCI"]]
@@ -321,9 +319,7 @@ def cmd_simulate(args) -> int:
         seed=args.seed,
     )
     data = validation.generate_synthetic(spec)
-    out = _out_dir(args)
-    with open(out / "synthetic.csv", "wb") as fh:
-        fh.write(ds.serialize(data))
+    _write(_out_dir(args) / "synthetic.csv", ds.serialize(data))
     print(f"simulate: {args.n} rows (seed {args.seed}) written to synthetic.csv")
     return EXIT_OK
 

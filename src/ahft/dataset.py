@@ -1,11 +1,12 @@
-"""Performance-shaping-factor (PSF) observation records and preprocessing.
+"""Performance-shaping-factor (PSF) datasets and preprocessing.
 
 The package works on small tabular datasets: one row per observed work
 instance, one numeric column per PSF (the value is the factor's level
-multiplier, e.g. stress "extreme" = 5), a required ``fatigue`` response in
-(0, 1), and an optional exposure ``duration_hours`` (default 1 hour).
-A :class:`Dataset` stores each column as one float64 array; CSV
-ingestion parses and checks whole columns at once.
+multiplier, e.g. stress "extreme" = 5) and a required ``fatigue``
+response in (0, 1).  Every reading covers a one-hour exposure: an
+optional ``duration_hours`` column is accepted only when every value is 1.
+A :class:`Dataset` stores one float64 array per column; CSV ingestion
+parses and checks whole columns at once.
 
 Two reference datasets from a lathing-workshop case study ship with the
 package: :func:`builtin_table3` (15 fitting instances over 8 PSFs) and
@@ -89,21 +90,10 @@ class PsfCatalog:
         if len(set(names)) != len(names):
             raise InputError("duplicate PSF names in catalog")
 
-    def get(self, name: str) -> PsfDefinition | None:
-        key = normalize_name(name)
-        for d in self.definitions:
-            if d.name == key:
-                return d
-        return None
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(d.name for d in self.definitions)
-
 
 def _catalog() -> PsfCatalog:
     # The eight PSFs most commonly retained in human-reliability analysis,
-    # with SPAR-H-style level multipliers.  Reference data only: observations
+    # with SPAR-H-style level multipliers.  Reference data only: datasets
     # carry already-encoded numeric values and are not remapped.
     return PsfCatalog((
         PsfDefinition("available_time", (
@@ -156,97 +146,50 @@ DEFAULT_CATALOG = _catalog()
 
 
 # ---------------------------------------------------------------------------
-# Observations and datasets
+# Datasets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Observation:
-    """One instance: PSF values, a fatigue response, and an exposure time.
-
-    Treated as an immutable value object after construction.  The
-    response must be a positive finite number (it acts as a lifetime);
-    measured fatigue additionally lies in (0, 1), which CSV ingestion
-    enforces, while synthetic lifetimes may exceed 1.
-    """
-
-    psf_values: dict[str, float]
-    fatigue: float
-    duration_hours: float = 1.0
-
-    def __post_init__(self):
-        for name, value in self.psf_values.items():
-            if not math.isfinite(value):
-                raise InputError(f"PSF {name!r} value must be finite, got {value!r}")
-        if not (self.fatigue > 0.0 and math.isfinite(self.fatigue)):
-            raise FatigueOutOfRange(
-                f"response must be positive and finite, got {self.fatigue!r}"
-            )
-        if not (self.duration_hours > 0 and math.isfinite(self.duration_hours)):
-            raise InputError(
-                f"duration_hours must be a positive finite number, "
-                f"got {self.duration_hours!r}"
-            )
-
-
 class Dataset:
-    """An ordered table of observations sharing one PSF name set.
+    """An ordered table of one-hour readings sharing one PSF name set.
 
-    Stored column-wise: one read-only float64 array per PSF and for
-    ``fatigue``, plus the ``durations`` array.  ``Dataset(column_names,
-    rows)`` builds one from :class:`Observation` rows; :meth:`from_columns`
-    builds one from arrays.  Either way every row obeys the
-    :class:`Observation` rules, and a violation raises the error that
-    ``Observation`` raises for the first offending row.
+    ``Dataset(column_names, columns)`` takes a mapping from every PSF name
+    and ``fatigue`` to equally long value sequences and stores one
+    read-only float64 array per column.  PSF values must be finite and
+    the response positive and finite (it acts as a lifetime; measured
+    fatigue additionally lies in (0, 1), which CSV ingestion enforces,
+    while synthetic lifetimes may exceed 1).  A violation raises for the
+    first offending row, checking its PSFs in column order before its
+    response.
     """
 
-    __slots__ = ("column_names", "durations", "_columns")
+    __slots__ = ("column_names", "_columns")
 
-    def __init__(self, column_names, rows):
+    def __init__(self, column_names, columns):
         column_names = tuple(column_names)
-        rows = tuple(rows)
         psf_names = tuple(c for c in column_names if c != FATIGUE)
-        expected = set(psf_names)
-        for i, row in enumerate(rows):
-            if set(row.psf_values) != expected:
-                raise InputError(f"row {i + 1} does not share the dataset's PSF name set")
-        columns = {c: [r.psf_values[c] for r in rows] for c in psf_names}
-        columns[FATIGUE] = [r.fatigue for r in rows]
-        self._store(column_names, columns, [r.duration_hours for r in rows])
-
-    @classmethod
-    def from_columns(cls, column_names, columns, durations=None) -> Dataset:
-        """Build a dataset from one value sequence per column name.
-
-        ``columns`` maps every PSF name and ``fatigue`` to equally long
-        sequences; ``durations`` defaults to one hour per row.
-        """
-        dataset = cls.__new__(cls)
-        if durations is None:
-            durations = np.ones(len(columns[FATIGUE]))
-        dataset._store(tuple(column_names), columns, durations)
-        return dataset
-
-    def _store(self, column_names, columns, durations) -> None:
-        arrays = {c: np.array(columns[c], dtype=float) for c in column_names if c != FATIGUE}
-        arrays[FATIGUE] = np.array(columns[FATIGUE], dtype=float)
-        durations = np.array(durations, dtype=float)
-        if any(a.shape != durations.shape for a in arrays.values()) or durations.ndim != 1:
+        for name in psf_names + (FATIGUE,):
+            if name not in columns:
+                raise MissingColumn(f"no values given for column {name!r}")
+        arrays = {c: np.array(columns[c], dtype=float) for c in psf_names}
+        fatigue = arrays[FATIGUE] = np.array(columns[FATIGUE], dtype=float)
+        if fatigue.ndim != 1 or any(a.shape != fatigue.shape for a in arrays.values()):
             raise InputError("dataset columns must be one-dimensional and of equal length")
-        fatigue = arrays[FATIGUE]
         bad = ~((fatigue > 0.0) & np.isfinite(fatigue))
-        bad |= ~((durations > 0.0) & np.isfinite(durations))
-        for name, values in arrays.items():
-            if name != FATIGUE:
-                bad |= ~np.isfinite(values)
+        for c in psf_names:
+            bad |= ~np.isfinite(arrays[c])
         if bad.any():
             i = int(np.flatnonzero(bad)[0])
-            # Raises the error a row-by-row construction would raise first.
-            Observation({c: float(arrays[c][i]) for c in arrays if c != FATIGUE},
-                        float(fatigue[i]), float(durations[i]))
-        for values in (*arrays.values(), durations):
+            for c in psf_names:
+                if not math.isfinite(arrays[c][i]):
+                    raise InputError(
+                        f"row {i + 1}: PSF {c!r} value must be finite, got {float(arrays[c][i])!r}"
+                    )
+            raise FatigueOutOfRange(
+                f"row {i + 1}: response must be positive and finite, got {float(fatigue[i])!r}"
+            )
+        for values in arrays.values():
             values.setflags(write=False)
         self.column_names = column_names
-        self.durations = durations
         self._columns = arrays
 
     @property
@@ -255,7 +198,7 @@ class Dataset:
 
     @property
     def n_rows(self) -> int:
-        return len(self.durations)
+        return len(self._columns[FATIGUE])
 
     @property
     def columns(self):
@@ -273,24 +216,11 @@ class Dataset:
         """Stack the named columns into an (n_rows, len(columns)) array."""
         return np.column_stack([self.column(c) for c in columns])
 
-    @property
-    def rows(self) -> tuple[Observation, ...]:
-        """The observations, one per row, built from the columns on each access."""
-        names = self.psf_names
-        values = {c: self._columns[c].tolist() for c in names}
-        fatigue = self._columns[FATIGUE].tolist()
-        durations = self.durations.tolist()
-        return tuple(
-            Observation({c: values[c][i] for c in names}, fatigue[i], durations[i])
-            for i in range(self.n_rows)
-        )
-
     def __eq__(self, other):
         if not isinstance(other, Dataset):
             return NotImplemented
         return (
             self.column_names == other.column_names
-            and np.array_equal(self.durations, other.durations)
             and all(np.array_equal(v, other._columns[c]) for c, v in self._columns.items())
         )
 
@@ -331,13 +261,13 @@ def _decode(source) -> str:
         ) from None
 
 
-def _raise_first_error(records, names, psf_cols, catalog) -> None:
+def _raise_first_error(records, names, psf_cols) -> None:
     """Check ``records`` row by row and raise for the first bad cell.
 
     The reference for every ingestion rule and its message; ``load_csv``
     runs it only after its column-wise checks have found a fault.  Per
     row: cell count, then fatigue, then ``duration_hours``, then the
-    PSFs in column order, then their catalog levels.
+    PSFs in column order.
     """
     for i, record in enumerate(records, start=1):
         if not record or all(cell.strip() == "" for cell in record):
@@ -354,17 +284,12 @@ def _raise_first_error(records, names, psf_cols, catalog) -> None:
             )
         if DURATION in cells:
             duration = _parse_cell(cells[DURATION], i, DURATION)
-            if duration <= 0:
-                raise InputError(f"row {i}: duration_hours must be positive")
-        values = {c: _parse_cell(cells[c], i, c) for c in psf_cols}
-        if catalog is not None:
-            for c, v in values.items():
-                definition = catalog.get(c)
-                if definition is not None and v not in definition.multipliers:
-                    raise InputError(
-                        f"row {i}, column {c!r}: {v} is not a defined level "
-                        f"multiplier {sorted(definition.multipliers)}"
-                    )
+            if duration != 1.0:
+                raise InputError(
+                    f"row {i}: duration_hours must be 1 (one-hour readings only), got {duration}"
+                )
+        for c in psf_cols:
+            _parse_cell(cells[c], i, c)
 
 
 def _parse_columns(records, names) -> dict[str, np.ndarray] | None:
@@ -380,46 +305,32 @@ def _parse_columns(records, names) -> dict[str, np.ndarray] | None:
         return None
 
 
-def _columns_valid(columns, psf_cols, catalog) -> bool:
+def _columns_valid(columns, psf_cols) -> bool:
     fatigue = columns[FATIGUE]
     if not np.all((fatigue > 0.0) & (fatigue < 1.0)):
         return False
-    if DURATION in columns:
-        duration = columns[DURATION]
-        if not np.all((duration > 0.0) & np.isfinite(duration)):
-            return False
-    for c in psf_cols:
-        if not np.all(np.isfinite(columns[c])):
-            return False
-        definition = catalog.get(c) if catalog is not None else None
-        if definition is not None and not np.all(np.isin(columns[c], definition.multipliers)):
-            return False
-    return True
+    if DURATION in columns and not np.all(columns[DURATION] == 1.0):
+        return False
+    return all(np.all(np.isfinite(columns[c])) for c in psf_cols)
 
 
-def load_csv(source, catalog: PsfCatalog | None = None) -> Dataset:
+def load_csv(source) -> Dataset:
     """Read a dataset from CSV.
 
-    Parameters
-    ----------
-    source
-        A binary file-like object, ``bytes``, or text; UTF-8, header row
-        required.  One column must be named ``fatigue`` (name matching is
-        case/space-insensitive); an optional ``duration_hours`` column
-        defaults to 1.0 per row; every other column is treated as a PSF.
-        Numbers may use plain decimal or scientific notation with a dot
-        decimal separator.
-    catalog
-        Optional.  When given, any PSF column whose name matches a catalog
-        definition must contain only that definition's level multipliers;
-        columns not in the catalog are accepted unchecked.
+    ``source`` is a binary file-like object, ``bytes``, or text; UTF-8,
+    header row required.  One column must be named ``fatigue`` (name
+    matching is case/space-insensitive); an optional ``duration_hours``
+    column must hold 1 in every row, since every reading covers one hour;
+    every other column is treated as a PSF.  Numbers may use plain
+    decimal or scientific notation with a dot decimal separator.
 
     Raises
     ------
     MissingColumn, NonNumericCell, FatigueOutOfRange, EmptyDataset
         With the offending row (1-based, counting data rows) and column
-        named in the message; input that is not UTF-8 raises
-        :class:`InputError` naming the first bad byte offset.
+        named in the message; a ``duration_hours`` other than 1 and input
+        that is not UTF-8 raise :class:`InputError`, the latter naming the
+        first bad byte offset.
     """
     try:
         records = list(csv.reader(io.StringIO(_decode(source))))
@@ -440,25 +351,26 @@ def load_csv(source, catalog: PsfCatalog | None = None) -> Dataset:
     if not data_records:
         raise EmptyDataset("input has a header but no data rows")
     columns = _parse_columns(data_records, names)
-    if columns is None or not _columns_valid(columns, psf_cols, catalog):
-        _raise_first_error(records, names, psf_cols, catalog)
-    return Dataset.from_columns(tuple(psf_cols) + (FATIGUE,), columns, columns.get(DURATION))
+    if columns is None or not _columns_valid(columns, psf_cols):
+        _raise_first_error(records, names, psf_cols)
+    return Dataset(tuple(psf_cols) + (FATIGUE,), columns)
 
 
 def serialize(dataset: Dataset) -> bytes:
     """Emit a dataset as CSV bytes; ``load_csv`` round-trips it exactly.
 
     Floats are written with ``repr`` (shortest exact form), so values
-    survive the round trip bit-for-bit.
+    survive the round trip bit-for-bit.  Every row ends with the
+    ``duration_hours`` cell ``1.0``.
     """
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerow(
         list(dataset.psf_names) + [FATIGUE, DURATION]
     )
     stored = dataset.columns
-    columns = [stored[c] for c in dataset.psf_names] + [stored[FATIGUE], dataset.durations]
+    columns = [stored[c] for c in dataset.psf_names] + [stored[FATIGUE]]
     cells = zip(*(map(repr, c.tolist()) for c in columns))
-    out.write("".join([",".join(row) + "\n" for row in cells]))
+    out.write("".join([",".join(row) + ",1.0\n" for row in cells]))
     return out.getvalue().encode("utf-8")
 
 
@@ -502,11 +414,8 @@ _TABLE8 = (
 
 
 def _build(rows) -> Dataset:
-    observations = tuple(
-        Observation(dict(zip(_PSF_ORDER, map(float, r[:-1]))), float(r[-1]), 1.0)
-        for r in rows
-    )
-    return Dataset(_PSF_ORDER + (FATIGUE,), observations)
+    names = _PSF_ORDER + (FATIGUE,)
+    return Dataset(names, dict(zip(names, zip(*rows))))
 
 
 def builtin_table3() -> Dataset:

@@ -190,7 +190,7 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     except OverflowError:
         raise InputError("synthetic responses overflow: lower true_alpha or raise true_shape") from None
     columns[FATIGUE] = fatigue
-    return Dataset.from_columns(tuple(f.name for f in spec.factors) + (FATIGUE,), columns)
+    return Dataset(tuple(f.name for f in spec.factors) + (FATIGUE,), columns)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ from ahft import (
     FactorSpec,
     FitConfig,
     GllWeibullModel,
-    Observation,
     SyntheticSpec,
     coef_ci,
     fit_mle,
@@ -37,7 +36,7 @@ from ahft import (
     weibull_cdf,
     weibull_quantile,
 )
-from ahft.alt import _design, _gradient, _loglik, _response, parse_factor
+from ahft.alt import _derivatives, _design, _loglik, _response, parse_factor
 from ahft.errors import (
     DegenerateFactor,
     InputError,
@@ -63,13 +62,9 @@ def _model(factors, alpha, shape, cov=None):
 
 def _plain_dataset(ts, xs=None):
     """Rows with an optional single identity factor ``x``."""
-    rows, names = [], ()
-    if xs is not None:
-        names = ("x",)
-        rows = [Observation({"x": float(x)}, float(t)) for x, t in zip(xs, ts)]
-    else:
-        rows = [Observation({}, float(t)) for t in ts]
-    return Dataset(names + ("fatigue",), tuple(rows))
+    if xs is None:
+        return Dataset(("fatigue",), {"fatigue": ts})
+    return Dataset(("x", "fatigue"), {"x": xs, "fatigue": ts})
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +153,7 @@ def test_gradient_matches_central_differences(table3):
             rng.uniform(-0.2, 0.2, 2),
             rng.uniform(-0.3, 1.2, 1),
         ])
-        analytic = _gradient(theta, z, logt)
+        analytic = _derivatives(theta, z, logt)[0]
         numeric = central_diff_gradient(lambda th: _loglik(th, z, logt), theta)
         assert_allclose(analytic, numeric, rtol=1e-4, atol=1e-6)
 
@@ -171,7 +166,7 @@ def test_fit_first_order_conditions(table3, table3_model):
     z = _design(table3, table3_model.factors)
     logt = np.log(_response(table3, "fatigue"))
     theta = np.concatenate([table3_model.alpha, [math.log(table3_model.shape)]])
-    assert np.max(np.abs(_gradient(theta, z, logt))) < 1e-8
+    assert np.max(np.abs(_derivatives(theta, z, logt)[0])) < 1e-8
     info = np.linalg.inv(table3_model.covariance)
     assert np.linalg.eigvalsh(info).min() > 0.0
     assert_allclose(table3_model.covariance, table3_model.covariance.T, atol=1e-15)
@@ -235,15 +230,11 @@ def test_fit_constant_response_diverges():
 
 def test_fit_reparameterization_invariance(table3):
     log_fit = fit_mle(table3, (FactorSpec("available_time", "log"), FactorSpec("stress")))
-    pre_rows = tuple(
-        Observation(
-            {"log_time": math.log(r.psf_values["available_time"]),
-             "stress": r.psf_values["stress"]},
-            r.fatigue,
-        )
-        for r in table3.rows
-    )
-    pre_data = Dataset(("log_time", "stress", "fatigue"), pre_rows)
+    pre_data = Dataset(("log_time", "stress", "fatigue"), {
+        "log_time": [math.log(v) for v in table3.column("available_time").tolist()],
+        "stress": table3.column("stress"),
+        "fatigue": table3.column("fatigue"),
+    })
     pre_fit = fit_mle(pre_data, (FactorSpec("log_time"), FactorSpec("stress")))
 
     assert log_fit.fit_meta.log_likelihood == pytest.approx(
@@ -314,6 +305,13 @@ def test_positive_param_ci_validation():
         positive_param_ci(1.0, -0.1, 0.99)
     with pytest.raises(InputError):
         positive_param_ci(1.0, 0.1, 1.5)
+
+
+def test_positive_param_ci_rejects_bounds_out_of_range():
+    with pytest.raises(InputError, match="too large"):
+        positive_param_ci(0.1, 1e300, 0.99)
+    with pytest.raises(InputError, match="too large"):
+        positive_param_ci(1e300, 1e302, 0.99)
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,13 @@ def test_model_with_negative_eigenvalue_exits_two(tmp_path, capsys, model_doc):
     assert "positive semidefinite" in capsys.readouterr().err
 
 
+def test_model_with_huge_variance_exits_two(tmp_path, capsys, model_doc):
+    model_doc["covariance"][0][0] = 3.4e298
+    assert _predict(tmp_path, model_doc) == 2
+    err = capsys.readouterr().err
+    assert "too large for a log-normal interval" in err and "Traceback" not in err
+
+
 def test_fitted_model_still_loads(tmp_path, model_doc):
     assert _predict(tmp_path, model_doc) == 0
 
@@ -156,3 +163,33 @@ def test_validate_overflow_names_the_row_and_factor(tmp_path, capsys, model_doc)
     err = capsys.readouterr().err
     assert "at row 3" in err and "'available_time'" in err and "out of range" in err
     assert not (tmp_path / "validate" / "validation.csv").exists()
+
+
+def test_non_utf8_model_exits_two(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"format": "ahft-\xff"}')
+    rc = main(["predict", "--model", str(path), "--at", "stress=1", "--output-dir", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "not UTF-8" in err and "byte 17" in err
+    assert "Traceback" not in err
+
+
+def test_failing_runs_leave_no_output_directory(tmp_path, model_doc):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model_doc))
+    holdout = tmp_path / "holdout.csv"
+    holdout.write_text("available_time,stress,fatigue\n1e308,2,0.3\n")
+    failing = {
+        "curves": ["curves", "--model", str(path), "--factor", "stress", "--grid", "1:5:3",
+                   "--fixed", "available_time=1e308"],
+        "validate": ["validate", "--model", str(path), "--holdout", str(holdout)],
+        "predict": ["predict", "--model", str(path), "--at", "available_time=1e308,stress=5"],
+    }
+    for name, argv in failing.items():
+        assert main(argv + ["--output-dir", str(tmp_path / name / "out")]) == 2
+        assert not (tmp_path / name).exists()
+    nested = tmp_path / "a" / "b" / "c"
+    argv = ["predict", "--model", str(path), "--at", "available_time=0.1,stress=5"]
+    assert main(argv + ["--output-dir", str(nested)]) == 0
+    assert (nested / "prediction.csv").is_file()

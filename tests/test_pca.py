@@ -13,7 +13,6 @@ from numpy.testing import assert_allclose
 
 from ahft import (
     Dataset,
-    Observation,
     builtin_table3,
     correlation_matrix,
     eigen_symmetric,
@@ -33,13 +32,9 @@ def _random_symmetric(seed, n=5):
 
 
 def _dataset(**cols):
-    names = [n for n in cols if n != "fatigue"]
+    names = tuple(n for n in cols if n != "fatigue") + ("fatigue",)
     n = len(next(iter(cols.values())))
-    rows = []
-    for i in range(n):
-        fatigue = float(cols["fatigue"][i]) if "fatigue" in cols else 0.5
-        rows.append(Observation({k: float(cols[k][i]) for k in names}, fatigue))
-    return Dataset(tuple(names) + ("fatigue",), tuple(rows))
+    return Dataset(names, {"fatigue": [0.5] * n, **cols})
 
 
 # ---------------------------------------------------------------------------
@@ -230,15 +225,8 @@ def test_run_pca_loading_accessor(table3):
 
 def test_run_pca_scale_invariance(table3):
     base = run_pca(table3)
-    scaled_rows = tuple(
-        Observation(
-            {k: (7.3 * v if k == "stress" else v) for k, v in r.psf_values.items()},
-            r.fatigue,
-            r.duration_hours,
-        )
-        for r in table3.rows
-    )
-    scaled = run_pca(Dataset(table3.column_names, scaled_rows))
+    scaled = run_pca(Dataset(table3.column_names,
+                             {**table3.columns, "stress": 7.3 * table3.column("stress")}))
     assert_allclose(scaled.eigenvalues, base.eigenvalues, atol=1e-10)
     assert_allclose(scaled.eigenvectors, base.eigenvectors, atol=1e-8)
 
@@ -246,7 +234,8 @@ def test_run_pca_scale_invariance(table3):
 def test_run_pca_row_order_invariance(table3):
     base = run_pca(table3)
     order = [7, 3, 14, 0, 9, 1, 12, 5, 11, 2, 13, 8, 4, 10, 6]
-    shuffled = run_pca(Dataset(table3.column_names, tuple(table3.rows[i] for i in order)))
+    shuffled = run_pca(Dataset(table3.column_names,
+                               {c: v[order] for c, v in table3.columns.items()}))
     assert_allclose(shuffled.eigenvalues, base.eigenvalues, atol=1e-10)
     assert_allclose(shuffled.eigenvectors, base.eigenvectors, atol=1e-8)
 

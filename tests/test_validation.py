@@ -10,7 +10,6 @@ from ahft import (
     Dataset,
     FactorSpec,
     GllWeibullModel,
-    Observation,
     SplitMix64,
     SyntheticSpec,
     evaluate,
@@ -74,11 +73,9 @@ def test_evaluate_saturated_model_scores_zero():
     shape = 2.7
     model = _model((FactorSpec("x"),), alpha, shape)
     p = 1.0 - math.exp(-1.0)  # the quantile at which t_p equals eta exactly
-    rows = tuple(
-        Observation({"x": float(x)}, math.exp(alpha[0] + alpha[1] * x))
-        for x in (1.0, 2.0, 3.0, 4.0, 5.0)
-    )
-    report = evaluate(model, Dataset(("x", "fatigue"), rows), p)
+    xs = (1.0, 2.0, 3.0, 4.0, 5.0)
+    columns = {"x": xs, "fatigue": [math.exp(alpha[0] + alpha[1] * x) for x in xs]}
+    report = evaluate(model, Dataset(("x", "fatigue"), columns), p)
     assert report.mean_relative_error < 1e-12
     assert report.max_relative_error < 1e-12
 
@@ -97,7 +94,8 @@ def test_evaluate_holdout_report(table3_model, table8):
 def test_evaluate_order_independent(table3_model, table8):
     base = evaluate(table3_model, table8, 0.5)
     order = [3, 0, 4, 2, 1]
-    shuffled_data = Dataset(table8.column_names, tuple(table8.rows[i] for i in order))
+    shuffled_data = Dataset(table8.column_names,
+                            {c: v[order] for c, v in table8.columns.items()})
     shuffled = evaluate(table3_model, shuffled_data, 0.5)
     assert shuffled.mean_relative_error == pytest.approx(base.mean_relative_error, rel=1e-12)
     assert shuffled.max_relative_error == pytest.approx(base.max_relative_error, rel=1e-12)
@@ -106,9 +104,9 @@ def test_evaluate_order_independent(table3_model, table8):
 
 
 def test_evaluate_missing_factor_column(table3_model):
-    rows = (Observation({"stress": 1.0}, 0.2),)
+    columns = {"stress": [1.0], "fatigue": [0.2]}
     with pytest.raises(MissingFactor):
-        evaluate(table3_model, Dataset(("stress", "fatigue"), rows), 0.5)
+        evaluate(table3_model, Dataset(("stress", "fatigue"), columns), 0.5)
 
 
 def test_evaluate_sharper_shapes_score_better():
@@ -179,13 +177,13 @@ def test_generate_follows_documented_stream():
     # replay the documented stream: per row, one pool draw per factor in
     # declaration order, then one uniform for the response
     rng = SplitMix64(99)
-    for row in data.rows:
+    for row_a, row_b, fatigue in zip(*(data.column(c).tolist() for c in ("a", "b", "fatigue"))):
         a = pools[0][rng.choice_index(3)]
         b = pools[1][rng.choice_index(2)]
         u = rng.uniform()
-        assert row.psf_values == {"a": a, "b": b}
+        assert (row_a, row_b) == (a, b)
         eta = math.exp(-1.0 + 0.2 * a + 0.01 * b)
-        assert row.fatigue == pytest.approx(weibull_quantile(eta, 2.5, u), rel=1e-12)
+        assert fatigue == pytest.approx(weibull_quantile(eta, 2.5, u), rel=1e-12)
 
 
 def test_generate_scale_doubling_is_exact():
@@ -194,9 +192,10 @@ def test_generate_scale_doubling_is_exact():
     doubled = generate_synthetic(
         SyntheticSpec(doubled_truth, 3.0, CANONICAL_FACTORS, CANONICAL_POOLS, n=60, seed=314)
     )
-    for a, b in zip(base.rows, doubled.rows):
-        assert a.psf_values == b.psf_values
-        assert b.fatigue == pytest.approx(2.0 * a.fatigue, rel=1e-12)
+    for c in base.psf_names:
+        assert base.column(c).tolist() == doubled.column(c).tolist()
+    for a, b in zip(base.column("fatigue").tolist(), doubled.column("fatigue").tolist()):
+        assert b == pytest.approx(2.0 * a, rel=1e-12)
 
 
 def test_generate_distribution_matches_cdf():
