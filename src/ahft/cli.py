@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from itertools import chain
 from pathlib import Path
 
 from . import alt, dataset as ds, pca as pca_mod, svg, validation
@@ -123,17 +124,12 @@ def _unit_interval(value: float, name: str) -> float:
     return value
 
 
-def _write(path: Path, data: str | bytes) -> None:
+def _write(path: Path, data) -> None:
+    """Write ``data``: str, bytes, or an iterable of str blocks written as they come."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
-
-
-def _csv_lines(rows) -> str:
-    """CSV text of rows whose cells are str, int or Python float.
-
-    ``str`` of a Python float is its shortest exact ``repr``.
-    """
-    return "".join([",".join(map(str, row)) + "\n" for row in rows])
+    with open(path, "wb") as fh:
+        for block in [data] if isinstance(data, (str, bytes)) else data:
+            fh.write(block.encode("utf-8") if isinstance(block, str) else block)
 
 
 # ---------------------------------------------------------------------------
@@ -150,19 +146,16 @@ def cmd_pca(args) -> int:
 
     n = len(result.eigenvalues)
     labels = [f"PC{i + 1}" for i in range(n)]
-    _write(out / "eigen.csv", _csv_lines(
-        [["component"] + labels,
-         ["eigenvalue"] + [float(v) for v in result.eigenvalues],
-         ["proportion"] + [float(v) for v in result.proportions],
-         ["cumulative"] + [float(v) for v in result.cumulative]]
+    # eigen.csv: one row per statistic, one column per component.
+    stats = (result.eigenvalues.tolist(), result.proportions.tolist(), result.cumulative.tolist())
+    _write(out / "eigen.csv", ds.csv_blocks(
+        [("eigenvalue", "proportion", "cumulative"), *zip(*stats)], ["component"] + labels
     ))
-    _write(out / "loadings.csv", _csv_lines(
-        [["variable"] + labels]
-        + [[name] + [float(v) for v in result.eigenvectors[i, :]]
-           for i, name in enumerate(result.column_names)]
+    _write(out / "loadings.csv", ds.csv_blocks(
+        [result.column_names, *result.eigenvectors.T.tolist()], ["variable"] + labels
     ))
     scree = [(i + 1, float(v)) for i, v in enumerate(result.eigenvalues)]
-    _write(out / "scree.csv", _csv_lines([["component", "eigenvalue"]] + [list(p) for p in scree]))
+    _write(out / "scree.csv", ds.csv_blocks(list(zip(*scree)), ("component", "eigenvalue")))
     _write(out / "scree.svg", svg.line_chart(scree, "Scree plot", "component", "eigenvalue"))
     lines = [
         f"retained_components: {selection.retained_components}",
@@ -200,7 +193,8 @@ def cmd_fit(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     alt.save_model(model, out / "model.json")
     ses = model.standard_errors
-    rows = [["Predictor", "Coef", "StandardError", "Z", "P", "LowerCI", "UpperCI"]]
+    header = ("Predictor", "Coef", "StandardError", "Z", "P", "LowerCI", "UpperCI")
+    rows = []
     names = ("Intercept",) + tuple(f.name for f in model.factors)
     for i, name in enumerate(names):
         coef, se = float(model.alpha[i]), float(ses[i])
@@ -212,7 +206,7 @@ def cmd_fit(args) -> int:
     se_shape = model.shape * float(ses[-1])
     lo, hi = alt.positive_param_ci(model.shape, se_shape, confidence)
     rows.append(["Shape", float(model.shape), se_shape, "", "", lo, hi])
-    _write(out / "regression.csv", _csv_lines(rows))
+    _write(out / "regression.csv", ds.csv_blocks(list(zip(*rows)), header))
 
     print(
         f"fit: converged in {model.fit_meta.iterations} iterations; "
@@ -236,7 +230,7 @@ def cmd_predict(args) -> int:
         prediction.percentile_p, prediction.value, prediction.std_error,
         prediction.ci_lower, prediction.ci_upper,
     ]
-    _write(out / "prediction.csv", _csv_lines([header, row]))
+    _write(out / "prediction.csv", ds.csv_blocks(list(zip(row)), header))
 
     at = ", ".join(f"{name}={point[name]:g}" for name in factor_names)
     print(
@@ -256,13 +250,12 @@ def cmd_validate(args) -> int:
     report = validation.evaluate(model, holdout, percentile)
     psf_names = list(holdout.psf_names)
     columns = holdout.columns
-    rows = [["instance"] + psf_names + ["fatigue", "predicted_fatigue", "relative_error"]]
-    rows += [[instance, *values, observed, predicted, error]
-             for (instance, observed, predicted, error), *values
-             in zip(report.rows, *(columns[c].tolist() for c in psf_names))]
-    rows.append(["mean_relative_error", report.mean_relative_error])
-    rows.append(["max_relative_error", report.max_relative_error])
-    _write(out / "validation.csv", _csv_lines(rows))
+    instance, observed, predicted, error = zip(*report.rows)
+    header = ["instance"] + psf_names + ["fatigue", "predicted_fatigue", "relative_error"]
+    body = [instance, *(columns[c] for c in psf_names), observed, predicted, error]
+    trailer = [("mean_relative_error", "max_relative_error"),
+               (report.mean_relative_error, report.max_relative_error)]
+    _write(out / "validation.csv", chain(ds.csv_blocks(body, header), ds.csv_blocks(trailer)))
 
     print(
         f"validate: {len(report.rows)} instances at p={percentile:g}; "
@@ -282,7 +275,7 @@ def cmd_curves(args) -> int:
     for factor in [ds.normalize_name(f) for f in args.factor]:
         curve = alt.sweep_curve(model, factor, grid, fixed, percentile)
         _write(out / f"curve_{factor}.csv",
-               _csv_lines([(factor, "fatigue"), *curve]))
+               ds.csv_blocks(list(zip(*curve)), (factor, "fatigue")))
         _write(out / f"curve_{factor}.svg",
                svg.line_chart(curve, f"Fatigue vs {factor}", factor, "fatigue"))
         lo, hi = curve[0][1], curve[-1][1]

@@ -6,7 +6,8 @@ multiplier, e.g. stress "extreme" = 5) and a required ``fatigue``
 response in (0, 1).  Every reading covers a one-hour exposure: an
 optional ``duration_hours`` column is accepted only when every value is 1.
 A :class:`Dataset` stores one float64 array per column; CSV ingestion
-parses and checks whole columns at once.
+parses with numpy's C tokenizer and checks whole columns at once, and
+CSV emission formats blocks of rows with one ``%s`` template.
 
 Two reference datasets from a lathing-workshop case study ship with the
 package: :func:`builtin_table3` (15 fitting instances over 8 PSFs) and
@@ -314,26 +315,70 @@ def _columns_valid(columns, psf_cols) -> bool:
     return all(np.all(np.isfinite(columns[c])) for c in psf_cols)
 
 
-def load_csv(source) -> Dataset:
-    """Read a dataset from CSV.
+# Text holding one of these is left to the csv path: '"' opens a quoted
+# cell, which only the csv module reads, and numpy's tokenizer strips the
+# ASCII separators \x1c-\x1f around a number while ``float`` rejects them.
+_CSV_PATH_ONLY = ('"', "\x1c", "\x1d", "\x1e", "\x1f")
 
-    ``source`` is a binary file-like object, ``bytes``, or text; UTF-8,
-    header row required.  One column must be named ``fatigue`` (name
-    matching is case/space-insensitive); an optional ``duration_hours``
-    column must hold 1 in every row, since every reading covers one hour;
-    every other column is treated as a PSF.  Numbers may use plain
-    decimal or scientific notation with a dot decimal separator.
 
-    Raises
-    ------
-    MissingColumn, NonNumericCell, FatigueOutOfRange, EmptyDataset
-        With the offending row (1-based, counting data rows) and column
-        named in the message; a ``duration_hours`` other than 1 and input
-        that is not UTF-8 raise :class:`InputError`, the latter naming the
-        first bad byte offset.
+def _has_long_line(text: str, limit: int) -> bool:
+    """Whether a line of ``text`` has more than ``limit`` characters.
+
+    Each step jumps to the last newline within ``limit + 1`` characters,
+    so short lines cost one ``rfind`` per ``limit`` characters of text.
     """
+    start = 0
+    while len(text) - start > limit:
+        newline = text.rfind("\n", start, start + limit + 1)
+        if newline < 0:
+            return True
+        start = newline + 1
+    return False
+
+
+def _tokenized_columns(text: str):
+    """``(names, columns)`` parsed by numpy's C tokenizer, or None.
+
+    Returns only what the csv path (:func:`_csv_columns`) would return
+    for ``text``, value for value: ``np.loadtxt`` converts each cell with
+    the correctly rounded ``PyOS_string_to_double`` that ``float`` uses,
+    and rejects the spellings only ``float`` accepts (``1_0``, non-ASCII
+    digits, a lone carriage return, whitespace-only rows).  None means
+    the csv path must decide: quoted cells, a line longer than the csv
+    field size limit, a header it cannot use, no data rows, a cell
+    ``loadtxt`` rejects, a ragged table, or a value the column checks
+    refuse.
+    """
+    head, _, body = text.partition("\n")
+    if (any(c in text for c in _CSV_PATH_ONLY) or not body.strip()
+            or _has_long_line(text, csv.field_size_limit())):
+        return None
     try:
-        records = list(csv.reader(io.StringIO(_decode(source))))
+        names = [normalize_name(h) for h in next(csv.reader([head]))]
+    except csv.Error:
+        return None
+    if len(set(names)) != len(names) or FATIGUE not in names:
+        return None
+    try:
+        # loadtxt reads a file object line by line, which makes a StringIO
+        # hold four bytes per character; UTF-8 bytes hold one per ASCII
+        # character.  A lone surrogate fails to encode (a ValueError).
+        table = np.loadtxt(io.BytesIO(body.encode("utf-8")), encoding="utf-8", delimiter=",",
+                           comments=None, ndmin=2, dtype=float)
+    except ValueError:
+        return None
+    if table.shape[1] != len(names):
+        return None
+    columns = dict(zip(names, table.T))
+    if not _columns_valid(columns, [n for n in names if n not in (FATIGUE, DURATION)]):
+        return None
+    return names, columns
+
+
+def _csv_columns(text: str):
+    """``(names, columns)`` read with the csv module and ``float``; raises on any fault."""
+    try:
+        records = list(csv.reader(io.StringIO(text)))
     except csv.Error as exc:
         raise InputError(f"malformed CSV: {exc}") from None
     if not records:
@@ -353,24 +398,83 @@ def load_csv(source) -> Dataset:
     columns = _parse_columns(data_records, names)
     if columns is None or not _columns_valid(columns, psf_cols):
         _raise_first_error(records, names, psf_cols)
+    return names, columns
+
+
+def load_csv(source) -> Dataset:
+    """Read a dataset from CSV.
+
+    ``source`` is a binary file-like object, ``bytes``, or text; UTF-8,
+    header row required.  One column must be named ``fatigue`` (name
+    matching is case/space-insensitive); an optional ``duration_hours``
+    column must hold 1 in every row, since every reading covers one hour;
+    every other column is treated as a PSF.  Numbers may use plain
+    decimal or scientific notation with a dot decimal separator.
+
+    The body is parsed by numpy's C tokenizer (``np.loadtxt``).  Text it
+    cannot take as it stands (quoted cells, fields beyond the csv field
+    size limit, spellings only ``float`` accepts) and every faulty input
+    are read again with the csv module and ``float``, which name the
+    first bad cell.  Both routes give the same values and messages.
+
+    Raises
+    ------
+    MissingColumn, NonNumericCell, FatigueOutOfRange, EmptyDataset
+        With the offending row (1-based, counting data rows) and column
+        named in the message; a ``duration_hours`` other than 1 and input
+        that is not UTF-8 raise :class:`InputError`, the latter naming the
+        first bad byte offset.
+    """
+    text = _decode(source)
+    names, columns = _tokenized_columns(text) or _csv_columns(text)
+    psf_cols = [n for n in names if n not in (FATIGUE, DURATION)]
     return Dataset(tuple(psf_cols) + (FATIGUE,), columns)
+
+
+CSV_BLOCK_CELLS = 16384
+
+
+def csv_blocks(columns, header=()):
+    """CSV text of a ``header`` row, if given, then the rows of ``columns``.
+
+    ``columns`` are equally long lists, tuples, ranges or float arrays,
+    as many as the header has cells.  A cell is a str, int or Python
+    float (an array is converted a block at a time) and is written as
+    ``str`` of it, so a float in its shortest exact form.  The text comes
+    in blocks of whole rows of about ``CSV_BLOCK_CELLS`` cells: a block's
+    cells are interleaved into one list by strided slice assignment and
+    formatted in one call by a ``%s`` row template repeated per row.
+    """
+    k = len(columns)
+    template = ",".join(["%s"] * k) + "\n"
+    if header:
+        yield template % tuple(header)
+    n = len(columns[0])
+    step = max(1, CSV_BLOCK_CELLS // k)
+    for start in range(0, n, step):
+        m = min(step, n - start)
+        cells = [None] * (m * k)
+        for j, column in enumerate(columns):
+            part = column[start:start + m]
+            cells[j::k] = part.tolist() if isinstance(part, np.ndarray) else part
+        yield template * m % tuple(cells)
 
 
 def serialize(dataset: Dataset) -> bytes:
     """Emit a dataset as CSV bytes; ``load_csv`` round-trips it exactly.
 
-    Floats are written with ``repr`` (shortest exact form), so values
+    Floats are written in their shortest exact form (``repr``), so values
     survive the round trip bit-for-bit.  Every row ends with the
-    ``duration_hours`` cell ``1.0``.
+    ``duration_hours`` cell ``1.0``.  The rows are formatted by
+    :func:`csv_blocks`.
     """
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerow(
         list(dataset.psf_names) + [FATIGUE, DURATION]
     )
     stored = dataset.columns
-    columns = [stored[c] for c in dataset.psf_names] + [stored[FATIGUE]]
-    cells = zip(*(map(repr, c.tolist()) for c in columns))
-    out.write("".join([",".join(row) + ",1.0\n" for row in cells]))
+    columns = [stored[c] for c in dataset.psf_names + (FATIGUE,)]
+    out.writelines(csv_blocks(columns + [["1.0"] * dataset.n_rows]))
     return out.getvalue().encode("utf-8")
 
 
@@ -442,15 +546,23 @@ def standardize(dataset: Dataset, columns: list[str] | tuple[str, ...]) -> np.nd
     """Center and scale the named columns to mean 0, sample sd 1.
 
     The divisor is n-1 (sample standard deviation).  Raises
-    :class:`ZeroVarianceColumn` naming the first constant column, and
-    :class:`TooFewRows` when fewer than two rows are available.
+    :class:`InputError` naming the first column whose mean or sample
+    standard deviation overflows, :class:`ZeroVarianceColumn` naming the
+    first constant column, and :class:`TooFewRows` when fewer than two
+    rows are available.
     """
     if dataset.n_rows < 2:
         raise TooFewRows("standardization needs at least 2 rows")
     m = dataset.matrix(columns)
-    mean = m.mean(axis=0)
-    sd = m.std(axis=0, ddof=1)
-    for name, s in zip(columns, sd):
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = m.mean(axis=0)
+        sd = m.std(axis=0, ddof=1)
+    for name, mu, s in zip(columns, mean, sd):
+        if not (math.isfinite(mu) and math.isfinite(s)):
+            raise InputError(
+                f"column {name!r} is too large to standardize: its mean or sample "
+                f"standard deviation overflows"
+            )
         if s == 0.0:
             raise ZeroVarianceColumn(f"column {name!r} has zero sample variance")
     return (m - mean) / sd

@@ -31,11 +31,12 @@ def line_chart(points, title: str, x_label: str, y_label: str) -> str:
     px, xmin, xmax = _scale(xs, _MARGIN, _W - _MARGIN // 2)
     py, ymin, ymax = _scale(ys, _H - _MARGIN, _MARGIN // 2)
 
-    path = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(px, py))
-    markers = "".join(
-        f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" fill="#1f4e79"/>'
-        for x, y in zip(px, py)
-    )
+    # One template repeated per point, formatted in one call on x, y interleaved.
+    coords = [0.0] * (2 * len(px))
+    coords[0::2], coords[1::2] = px, py
+    coords = tuple(coords)
+    path = " ".join(["%.2f,%.2f"] * len(px)) % coords
+    markers = '<circle cx="%.2f" cy="%.2f" r="3" fill="#1f4e79"/>' * len(px) % coords
     return f"""<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" viewBox="0 0 {_W} {_H}">
 <rect width="{_W}" height="{_H}" fill="white"/>
 <text x="{_W / 2:.0f}" y="22" text-anchor="middle" font-family="sans-serif" font-size="15">{title}</text>

@@ -55,13 +55,19 @@ def _splitmix64_stream(seed: int, count: int) -> np.ndarray:
 
     SplitMix64 is counter-based: after k steps the state is
     seed + k*GAMMA (mod 2**64), so draw k is the mix of that state and
-    the whole stream is one vectorized expression.
+    the whole stream is one vectorized expression.  It is evaluated in
+    place with one scratch array, since at large counts every temporary
+    is a fresh allocation whose pages are touched for the first time.
     """
-    state = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA)
-    z = state + np.uint64(int(seed) & _MASK64)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+    z = np.arange(1, count + 1, dtype=np.uint64)
+    z *= np.uint64(_GAMMA)
+    z += np.uint64(int(seed) & _MASK64)
+    shifted = np.empty_like(z)
+    for shift, mix in ((30, _MIX1), (27, _MIX2)):
+        z ^= np.right_shift(z, np.uint64(shift), out=shifted)
+        z *= np.uint64(mix)
+    z ^= np.right_shift(z, np.uint64(31), out=shifted)
+    return z
 
 
 class SplitMix64:

@@ -193,3 +193,13 @@ def test_failing_runs_leave_no_output_directory(tmp_path, model_doc):
     argv = ["predict", "--model", str(path), "--at", "available_time=0.1,stress=5"]
     assert main(argv + ["--output-dir", str(nested)]) == 0
     assert (nested / "prediction.csv").is_file()
+
+
+def test_pca_on_an_overflowing_column_exits_two(tmp_path, capsys):
+    source = tmp_path / "huge.csv"
+    source.write_text("available_time,stress,x,fatigue\n"
+                      "1e308,2,1,0.3\n1,5,2,0.2\n10,1,3,0.4\n0.1,2,5,0.25\n")
+    assert main(["pca", "--input", str(source), "--output-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "'available_time'" in err and "overflows" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
