@@ -8,10 +8,7 @@ validate against hold-out observations.
 """
 
 from .dataset import (
-    DEFAULT_CATALOG,
     Dataset,
-    PsfCatalog,
-    PsfDefinition,
     builtin_table3,
     builtin_table8,
     correlation_matrix,
@@ -54,7 +51,6 @@ from .alt import (
 )
 from .validation import (
     RecoverySummary,
-    SplitMix64,
     SyntheticSpec,
     ValidationReport,
     evaluate,
@@ -66,4 +62,23 @@ from . import errors
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # dataset
+    "Dataset", "builtin_table3", "builtin_table8", "correlation_matrix", "load_csv",
+    "normalize_name", "serialize", "standardize",
+    # fatigue
+    "FatigueCurve", "fatigue_at", "rate_from_fatigue", "rescale_fatigue",
+    # pca
+    "PcaResult", "SelectionResult", "eigen_symmetric", "run_pca", "select_factors",
+    "variance_proportions",
+    # alt
+    "DEFAULT_CONFIDENCE", "DEFAULT_PERCENTILE", "FactorSpec", "FitConfig", "GllWeibullModel",
+    "Prediction", "coef_ci", "fit_mle", "life_characteristic", "load_model", "log_likelihood",
+    "model_from_json", "model_to_json", "positive_param_ci", "predict_percentile",
+    "predict_with_interval", "save_model", "sweep_curve", "wald_stats", "weibull_cdf",
+    "weibull_quantile",
+    # validation
+    "RecoverySummary", "SyntheticSpec", "ValidationReport", "evaluate", "generate_synthetic",
+    "recovery_check", "relative_error",
+    "errors",
+]

@@ -250,15 +250,16 @@ def cmd_validate(args) -> int:
     report = validation.evaluate(model, holdout, percentile)
     psf_names = list(holdout.psf_names)
     columns = holdout.columns
-    instance, observed, predicted, error = zip(*report.rows)
+    n = holdout.n_rows
     header = ["instance"] + psf_names + ["fatigue", "predicted_fatigue", "relative_error"]
-    body = [instance, *(columns[c] for c in psf_names), observed, predicted, error]
+    body = [range(1, n + 1), *(columns[c] for c in psf_names),
+            report.observed, report.predicted, report.relative_error]
     trailer = [("mean_relative_error", "max_relative_error"),
                (report.mean_relative_error, report.max_relative_error)]
     _write(out / "validation.csv", chain(ds.csv_blocks(body, header), ds.csv_blocks(trailer)))
 
     print(
-        f"validate: {len(report.rows)} instances at p={percentile:g}; "
+        f"validate: {n} instances at p={percentile:g}; "
         f"mean relative error {report.mean_relative_error:.4f}, "
         f"max {report.max_relative_error:.4f}"
     )
@@ -312,6 +313,16 @@ def cmd_simulate(args) -> int:
         seed=args.seed,
     )
     data = validation.generate_synthetic(spec)
+    # Weibull draws are unbounded, but fitting data is fatigue in (0, 1):
+    # refuse to write a file that fit would refuse to read.
+    fatigue = data.column(ds.FATIGUE)
+    high = fatigue >= 1.0
+    if high.any():
+        i = int(high.argmax())
+        raise InputError(
+            f"row {i + 1}: drew fatigue {float(fatigue[i])!r}, but fatigue must lie "
+            f"strictly in (0, 1); lower the --alpha intercept"
+        )
     _write(_out_dir(args) / "synthetic.csv", ds.serialize(data))
     print(f"simulate: {args.n} rows (seed {args.seed}) written to synthetic.csv")
     return EXIT_OK

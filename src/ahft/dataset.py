@@ -24,7 +24,7 @@ import csv
 import io
 import math
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -57,93 +57,28 @@ def normalize_name(name: str) -> str:
 # PSF catalog (reference data)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PsfDefinition:
-    """One PSF with its ordered (level label, multiplier) pairs."""
-
-    name: str
-    levels: tuple[tuple[str, float], ...]
-
-    def __post_init__(self):
-        labels = [label for label, _ in self.levels]
-        if len(set(labels)) != len(labels):
-            raise InputError(f"duplicate level labels in PSF {self.name!r}")
-        for label, mult in self.levels:
-            if not (mult > 0 and math.isfinite(mult)):
-                raise InputError(
-                    f"PSF {self.name!r} level {label!r}: multiplier must be "
-                    f"a positive finite number, got {mult!r}"
-                )
-
-    @property
-    def multipliers(self) -> tuple[float, ...]:
-        return tuple(mult for _, mult in self.levels)
-
-
-@dataclass(frozen=True)
-class PsfCatalog:
-    """A named collection of PSF definitions."""
-
-    definitions: tuple[PsfDefinition, ...]
-
-    def __post_init__(self):
-        names = [d.name for d in self.definitions]
-        if len(set(names)) != len(names):
-            raise InputError("duplicate PSF names in catalog")
-
-
-def _catalog() -> PsfCatalog:
-    # The eight PSFs most commonly retained in human-reliability analysis,
-    # with SPAR-H-style level multipliers.  Reference data only: datasets
-    # carry already-encoded numeric values and are not remapped.
-    return PsfCatalog((
-        PsfDefinition("available_time", (
-            ("barely_adequate", 10.0),
-            ("nominal", 1.0),
-            ("extra", 0.1),
-            ("expansive", 0.01),
-        )),
-        PsfDefinition("stress", (
-            ("extreme", 5.0),
-            ("high", 2.0),
-            ("nominal", 1.0),
-        )),
-        PsfDefinition("complexity", (
-            ("highly_complex", 5.0),
-            ("moderately_complex", 2.0),
-            ("nominal", 1.0),
-        )),
-        PsfDefinition("experience_and_training", (
-            ("low", 3.0),
-            ("nominal", 1.0),
-            ("high", 0.5),
-        )),
-        PsfDefinition("procedures", (
-            ("not_available", 50.0),
-            ("incomplete", 20.0),
-            ("available_but_poor", 5.0),
-            ("nominal", 1.0),
-            ("diagnostic_oriented", 0.5),
-        )),
-        PsfDefinition("ergonomics", (
-            ("missing_or_misleading", 50.0),
-            ("poor", 10.0),
-            ("nominal", 1.0),
-            ("good", 0.5),
-        )),
-        PsfDefinition("fitness_for_duty", (
-            ("degraded_fitness", 5.0),
-            ("nominal", 1.0),
-        )),
-        PsfDefinition("work_process", (
-            ("poor", 5.0),
-            ("nominal", 1.0),
-            ("good", 0.5),
-        )),
-    ))
-
-
-DEFAULT_CATALOG = _catalog()
+# The eight PSFs most commonly retained in human-reliability analysis,
+# with SPAR-H-style level multipliers.  Reference data only: datasets
+# carry already-encoded numeric values and are not remapped.
+PsfLevels = namedtuple("PsfLevels", "name multipliers")
+DEFAULT_CATALOG = namedtuple("PsfCatalog", "definitions")((
+    # barely adequate, nominal, extra, expansive
+    PsfLevels("available_time", (10.0, 1.0, 0.1, 0.01)),
+    # extreme, high, nominal
+    PsfLevels("stress", (5.0, 2.0, 1.0)),
+    # highly complex, moderately complex, nominal
+    PsfLevels("complexity", (5.0, 2.0, 1.0)),
+    # low, nominal, high
+    PsfLevels("experience_and_training", (3.0, 1.0, 0.5)),
+    # not available, incomplete, available but poor, nominal, diagnostic oriented
+    PsfLevels("procedures", (50.0, 20.0, 5.0, 1.0, 0.5)),
+    # missing or misleading, poor, nominal, good
+    PsfLevels("ergonomics", (50.0, 10.0, 1.0, 0.5)),
+    # degraded fitness, nominal
+    PsfLevels("fitness_for_duty", (5.0, 1.0)),
+    # poor, nominal, good
+    PsfLevels("work_process", (5.0, 1.0, 0.5)),
+))
 
 
 # ---------------------------------------------------------------------------
@@ -262,59 +197,6 @@ def _decode(source) -> str:
         ) from None
 
 
-def _raise_first_error(records, names, psf_cols) -> None:
-    """Check ``records`` row by row and raise for the first bad cell.
-
-    The reference for every ingestion rule and its message; ``load_csv``
-    runs it only after its column-wise checks have found a fault.  Per
-    row: cell count, then fatigue, then ``duration_hours``, then the
-    PSFs in column order.
-    """
-    for i, record in enumerate(records, start=1):
-        if not record or all(cell.strip() == "" for cell in record):
-            continue
-        if len(record) != len(names):
-            raise InputError(
-                f"row {i}: expected {len(names)} cells, got {len(record)}"
-            )
-        cells = dict(zip(names, record))
-        fatigue = _parse_cell(cells[FATIGUE], i, FATIGUE)
-        if not (0.0 < fatigue < 1.0):
-            raise FatigueOutOfRange(
-                f"row {i}: fatigue must lie strictly in (0, 1), got {fatigue}"
-            )
-        if DURATION in cells:
-            duration = _parse_cell(cells[DURATION], i, DURATION)
-            if duration != 1.0:
-                raise InputError(
-                    f"row {i}: duration_hours must be 1 (one-hour readings only), got {duration}"
-                )
-        for c in psf_cols:
-            _parse_cell(cells[c], i, c)
-
-
-def _parse_columns(records, names) -> dict[str, np.ndarray] | None:
-    """Every cell parsed with ``float``, column by column; None if any fails."""
-    if set(map(len, records)) != {len(names)}:
-        return None
-    try:
-        return {
-            name: np.fromiter(map(float, cells), dtype=float, count=len(records))
-            for name, cells in zip(names, zip(*records))
-        }
-    except ValueError:
-        return None
-
-
-def _columns_valid(columns, psf_cols) -> bool:
-    fatigue = columns[FATIGUE]
-    if not np.all((fatigue > 0.0) & (fatigue < 1.0)):
-        return False
-    if DURATION in columns and not np.all(columns[DURATION] == 1.0):
-        return False
-    return all(np.all(np.isfinite(columns[c])) for c in psf_cols)
-
-
 # Text holding one of these is left to the csv path: '"' opens a quoted
 # cell, which only the csv module reads, and numpy's tokenizer strips the
 # ASCII separators \x1c-\x1f around a number while ``float`` rejects them.
@@ -370,34 +252,56 @@ def _tokenized_columns(text: str):
     if table.shape[1] != len(names):
         return None
     columns = dict(zip(names, table.T))
-    if not _columns_valid(columns, [n for n in names if n not in (FATIGUE, DURATION)]):
+    fatigue = columns[FATIGUE]
+    if not (np.isfinite(table).all() and np.all((fatigue > 0.0) & (fatigue < 1.0))
+            and np.all(columns.get(DURATION, 1.0) == 1.0)):
         return None
     return names, columns
 
 
 def _csv_columns(text: str):
-    """``(names, columns)`` read with the csv module and ``float``; raises on any fault."""
+    """``(names, columns)`` read row by row with the csv module and ``float``.
+
+    The reference for every ingestion rule and its message: raises for
+    the first bad cell, checking per row the cell count, then fatigue,
+    then ``duration_hours``, then the PSFs in column order.  Blank rows
+    are skipped but counted.
+    """
     try:
         records = list(csv.reader(io.StringIO(text)))
     except csv.Error as exc:
         raise InputError(f"malformed CSV: {exc}") from None
     if not records:
         raise EmptyDataset("input has no header row")
-    header, records = records[0], records[1:]
 
-    names = [normalize_name(h) for h in header]
+    names = [normalize_name(h) for h in records[0]]
     if len(set(names)) != len(names):
         raise InputError(f"duplicate column names after normalization: {names}")
     if FATIGUE not in names:
         raise MissingColumn("required column 'fatigue' is absent")
 
     psf_cols = [n for n in names if n not in (FATIGUE, DURATION)]
-    data_records = [r for r in records if "".join(r).strip()]  # blank rows are skipped
-    if not data_records:
+    columns = {n: [] for n in psf_cols + [FATIGUE]}
+    for i, record in enumerate(records[1:], start=1):
+        if not "".join(record).strip():
+            continue
+        if len(record) != len(names):
+            raise InputError(f"row {i}: expected {len(names)} cells, got {len(record)}")
+        cells = dict(zip(names, record))
+        fatigue = _parse_cell(cells[FATIGUE], i, FATIGUE)
+        if not (0.0 < fatigue < 1.0):
+            raise FatigueOutOfRange(f"row {i}: fatigue must lie strictly in (0, 1), got {fatigue}")
+        if DURATION in cells:
+            duration = _parse_cell(cells[DURATION], i, DURATION)
+            if duration != 1.0:
+                raise InputError(
+                    f"row {i}: duration_hours must be 1 (one-hour readings only), got {duration}"
+                )
+        for c in psf_cols:
+            columns[c].append(_parse_cell(cells[c], i, c))
+        columns[FATIGUE].append(fatigue)
+    if not columns[FATIGUE]:
         raise EmptyDataset("input has a header but no data rows")
-    columns = _parse_columns(data_records, names)
-    if columns is None or not _columns_valid(columns, psf_cols):
-        _raise_first_error(records, names, psf_cols)
     return names, columns
 
 

@@ -188,25 +188,12 @@ class PcaResult:
     cumulative: np.ndarray
     has_ties: bool
 
-    def loading(self, column: str, component: int) -> float:
-        """Loading of ``column`` on the 1-based ``component``."""
-        name = normalize_name(column)
-        if name not in self.column_names:
-            raise InputError(f"column {column!r} is not part of this analysis")
-        if not (1 <= component <= len(self.eigenvalues)):
-            raise InputError(
-                f"component must lie in 1..{len(self.eigenvalues)}, got {component}"
-            )
-        row = self.column_names.index(name)
-        return float(self.eigenvectors[row, component - 1])
-
 
 @dataclass(frozen=True)
 class SelectionResult:
     """Outcome of threshold-based factor selection."""
 
     retained_components: int
-    threshold: float
     selected_factors: tuple[tuple[str, float], ...]  # (name, score), ranked
 
     @property
@@ -291,5 +278,4 @@ def select_factors(pca: PcaResult, threshold: float, response: str) -> Selection
         scores.append(float(np.sum(pca.eigenvalues[:k] * loadings)))
     order = np.argsort(-np.asarray(scores), kind="stable")
     ranked = tuple((names[i], scores[i]) for i in order)
-    return SelectionResult(retained_components=k, threshold=threshold,
-                           selected_factors=ranked)
+    return SelectionResult(retained_components=k, selected_factors=ranked)

@@ -51,7 +51,7 @@ _MIX2 = 0x94D049BB133111EB
 
 
 def _splitmix64_stream(seed: int, count: int) -> np.ndarray:
-    """The first ``count`` outputs of ``SplitMix64(seed)`` as a uint64 array.
+    """The first ``count`` SplitMix64 outputs for ``seed``, as a uint64 array.
 
     SplitMix64 is counter-based: after k steps the state is
     seed + k*GAMMA (mod 2**64), so draw k is the mix of that state and
@@ -70,27 +70,6 @@ def _splitmix64_stream(seed: int, count: int) -> np.ndarray:
     return z
 
 
-class SplitMix64:
-    """The tiny deterministic generator documented in the module docstring."""
-
-    def __init__(self, seed: int):
-        self.state = int(seed) & _MASK64
-
-    def next_u64(self) -> int:
-        self.state = (self.state + _GAMMA) & _MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-        return z ^ (z >> 31)
-
-    def uniform(self) -> float:
-        """A float strictly inside (0, 1), from the top 53 bits."""
-        return ((self.next_u64() >> 11) + 0.5) * 2.0 ** -53
-
-    def choice_index(self, n: int) -> int:
-        return self.next_u64() % n
-
-
 # ---------------------------------------------------------------------------
 # Relative error and hold-out evaluation
 # ---------------------------------------------------------------------------
@@ -102,23 +81,25 @@ def relative_error(observed: float, predicted: float) -> float:
     return abs(predicted - observed) / observed
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ValidationReport:
-    """Per-instance predicted vs observed fatigue, with aggregates."""
+    """Per-instance observed and predicted fatigue, relative errors, and their aggregates.
 
-    rows: tuple[tuple[int, float, float, float], ...]  # (id, observed, predicted, rel err)
+    ``observed``, ``predicted`` and ``relative_error`` are float arrays in
+    hold-out row order.
+    """
+
+    observed: np.ndarray
+    predicted: np.ndarray
+    relative_error: np.ndarray
     mean_relative_error: float
     max_relative_error: float
 
-    def __post_init__(self):
-        errors = [r[3] for r in self.rows]
-        if any(e < 0 for e in errors):
-            raise InputError("relative errors must be nonnegative")
-        if errors:
-            if abs(self.mean_relative_error - sum(errors) / len(errors)) > 1e-12:
-                raise InputError("mean_relative_error inconsistent with rows")
-            if abs(self.max_relative_error - max(errors)) > 1e-12:
-                raise InputError("max_relative_error inconsistent with rows")
+    @property
+    def rows(self) -> tuple[tuple[int, float, float, float], ...]:
+        """``(instance, observed, predicted, relative error)`` per row; instances count from 1."""
+        return tuple(zip(range(1, len(self.observed) + 1), self.observed.tolist(),
+                         self.predicted.tolist(), self.relative_error.tolist()))
 
 
 def evaluate(model: GllWeibullModel, holdout: Dataset, p: float) -> ValidationReport:
@@ -126,17 +107,15 @@ def evaluate(model: GllWeibullModel, holdout: Dataset, p: float) -> ValidationRe
 
     Each row's prediction is the model's p-quantile at that row's factor
     values; the metric is relative error against the observed fatigue.
-    Row ids are 1-based positions in the hold-out dataset.
     """
     observed = holdout.column(FATIGUE)
     predicted = _percentiles(model, holdout, p)
-    errors = (np.abs(predicted - observed) / observed).tolist()
-    return ValidationReport(
-        rows=tuple(zip(range(1, holdout.n_rows + 1), observed.tolist(),
-                       predicted.tolist(), errors)),
-        mean_relative_error=sum(errors) / len(errors),
-        max_relative_error=max(errors),
-    )
+    errors = np.abs(predicted - observed) / observed
+    # Python's sum of the floats, not np.mean, which adds them in another
+    # order: validation.csv prints the mean to the last bit.
+    return ValidationReport(observed, predicted, errors,
+                            mean_relative_error=sum(errors.tolist()) / len(errors),
+                            max_relative_error=float(errors.max()))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ roots instead of Jacobi rotations, per-row math-module sums instead of
 vectorized likelihoods, finite differences instead of analytic
 gradients, resampling instead of the delta method, the csv module and
 ``float`` cell by cell instead of numpy's tokenizer, one string per row
-or point instead of block templates.  Keep it that way.
+or point instead of block templates, a stepped generator state instead
+of the counter form.  Keep it that way.
 """
 
 from __future__ import annotations
@@ -19,6 +20,37 @@ import numpy as np
 
 from ahft.dataset import Dataset, normalize_name
 from ahft.errors import EmptyDataset, FatigueOutOfRange, InputError, MissingColumn, NonNumericCell
+
+
+# ---------------------------------------------------------------------------
+# SplitMix64, one draw at a time
+# ---------------------------------------------------------------------------
+
+class SplitMix64:
+    """SplitMix64 one draw at a time with Python integers.
+
+    The reference for ``validation._splitmix64_stream``, which computes
+    the whole stream from the counter form instead of stepping a state.
+    """
+
+    MASK = (1 << 64) - 1
+
+    def __init__(self, seed: int):
+        self.state = int(seed) & self.MASK
+
+    def next_u64(self) -> int:
+        self.state = (self.state + 0x9E3779B97F4A7C15) & self.MASK
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & self.MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & self.MASK
+        return z ^ (z >> 31)
+
+    def uniform(self) -> float:
+        """A float strictly inside (0, 1), from the top 53 bits."""
+        return ((self.next_u64() >> 11) + 0.5) * 2.0 ** -53
+
+    def choice_index(self, n: int) -> int:
+        return self.next_u64() % n
 
 
 def charpoly_eigenvalues(m: np.ndarray) -> np.ndarray:

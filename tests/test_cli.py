@@ -154,6 +154,17 @@ def test_simulate_then_fit_round_trip(tmp_path):
     assert rc == 0
 
 
+def test_simulate_refuses_a_draw_fit_would_reject(tmp_path, capsys):
+    # The README's parameters at n = 1e5: row 13718 draws fatigue 1.0046...
+    out = tmp_path / "sim"
+    rc = main(["simulate", "--factors", "f1,f2", "--alpha=-2,0.3,-0.1",
+               "--shape", "3", "--pool", "f1=0.5|1|2|5", "--pool", "f2=1|2|5",
+               "--n", "100000", "--seed", "7", "--output-dir", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: row 13718: drew fatigue 1.0046")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # Determinism and output routing
 # ---------------------------------------------------------------------------
@@ -166,7 +177,7 @@ def test_artifacts_byte_identical_across_runs(tmp_path):
         model = _fit_workshop(out)
         assert main(["validate", "--model", str(model), "--holdout", "builtin:table8",
                      "--output-dir", str(out)]) == 0
-        assert main(["simulate", "--factors", "f", "--alpha", "0,0", "--shape", "2",
+        assert main(["simulate", "--factors", "f", "--alpha=-2,0", "--shape", "2",
                      "--pool", "f=1|2", "--n", "20", "--seed", "3",
                      "--output-dir", str(out)]) == 0
         outs.append(out)

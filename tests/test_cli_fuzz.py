@@ -1,8 +1,9 @@
-"""Fuzzed CSV and model.json input on the CLI: an exit code, never a traceback.
+"""Fuzzed CSV, model.json and simulate input on the CLI: an exit code, never a traceback.
 
 Every call must return 0, 2, 3 or 4; an exception that escapes ``main``
-fails the test.  ``derandomize`` fixes the examples, so every run tries
-the same inputs.
+fails the test, and what ``simulate`` writes, ``fit`` and ``validate``
+must read.  ``derandomize`` fixes the examples, so every run tries the
+same inputs.
 """
 
 import contextlib
@@ -14,7 +15,9 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ahft import builtin_table3, fit_mle, model_to_json
+import numpy as np
+
+from ahft import FactorSpec, GllWeibullModel, builtin_table3, fit_mle, model_to_json
 from ahft.cli import main
 
 EXIT_CODES = {0, 2, 3, 4}
@@ -131,3 +134,40 @@ def test_arbitrary_model_json_gives_an_exit_code(workdir, raw):
     )
     for argv in calls:
         assert _run(argv + ["-o", out]) in EXIT_CODES
+
+
+TRUTH = model_to_json(GllWeibullModel(factors=(FactorSpec("f1"), FactorSpec("f2")),
+                                      alpha=np.array([-2.0, 0.3, -0.1]), shape=3.0,
+                                      covariance=np.eye(4) * 1e-3))
+
+
+@st.composite
+def simulate_argv(draw):
+    """simulate arguments for two factors, from parameters whose draws all
+    stay below 1 to ones where most rows exceed it."""
+    alpha = [draw(st.floats(-5.0, -1.0))] + draw(st.lists(st.floats(-0.5, 0.5), min_size=2,
+                                                         max_size=2))
+    argv = ["simulate", "--factors", "f1,f2", f"--alpha={','.join(map(repr, alpha))}",
+            "--shape", repr(draw(st.floats(1.0, 8.0)))]
+    for name in ("f1", "f2"):
+        pool = draw(st.lists(st.sampled_from(PSF_CELLS), min_size=2, max_size=4, unique=True))
+        argv += ["--pool", f"{name}={'|'.join(pool)}"]
+    n = draw(st.sampled_from((8, 60, 2_000, 20_000, 100_000)))
+    return argv + ["--n", str(n), "--seed", str(draw(st.integers(0, 2**64 - 1)))]
+
+
+@settings(FUZZ, max_examples=40)
+@given(argv=simulate_argv())
+def test_what_simulate_writes_fit_and_validate_read(workdir, argv):
+    out = workdir / "simulated"
+    (out / "synthetic.csv").unlink(missing_ok=True)
+    rc = _run(argv + ["-o", str(out)])
+    assert rc in (0, 2)
+    if rc == 2:
+        assert not (out / "synthetic.csv").exists()
+        return
+    data = str(out / "synthetic.csv")
+    assert _run(["fit", "--input", data, "--factors", "f1,f2", "-o", str(out)]) in (0, 3, 4)
+    model = workdir / "truth.json"
+    model.write_text(TRUTH)
+    assert _run(["validate", "--model", str(model), "--holdout", data, "-o", str(out)]) == 0

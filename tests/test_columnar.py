@@ -9,7 +9,6 @@ from ahft import (
     Dataset,
     FactorSpec,
     GllWeibullModel,
-    SplitMix64,
     SyntheticSpec,
     evaluate,
     generate_synthetic,
@@ -21,6 +20,7 @@ from ahft import (
 )
 from ahft.errors import FatigueOutOfRange, InputError, NonNumericCell
 from ahft.validation import _splitmix64_stream
+from oracles import SplitMix64
 
 SEEDS = (0, 7, 2**64 - 1)
 POOLS = ((0.5, 1.0, 2.0, 5.0), (1.0, 2.0, 5.0), (0.01, 0.1, 1.0, 10.0), (3.0, 7.0), (0.2, 0.4, 0.8))

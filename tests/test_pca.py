@@ -213,16 +213,6 @@ def test_run_pca_workshop_spectrum_sanity(table3):
     assert result.cumulative[-1] == pytest.approx(1.0, rel=1e-12)
 
 
-def test_run_pca_loading_accessor(table3):
-    result = run_pca(table3)
-    i = result.column_names.index("fatigue")
-    assert result.loading("fatigue", 1) == result.eigenvectors[i, 0]
-    with pytest.raises(InputError):
-        result.loading("fatigue", 0)
-    with pytest.raises(InputError):
-        result.loading("no_such_column", 1)
-
-
 def test_run_pca_scale_invariance(table3):
     base = run_pca(table3)
     scaled = run_pca(Dataset(table3.column_names,

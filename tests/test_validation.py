@@ -10,7 +10,6 @@ from ahft import (
     Dataset,
     FactorSpec,
     GllWeibullModel,
-    SplitMix64,
     SyntheticSpec,
     evaluate,
     fit_mle,
@@ -21,7 +20,8 @@ from ahft import (
     weibull_quantile,
 )
 from ahft.errors import DegenerateFactor, InputError, MissingFactor, NonPositiveObserved
-from oracles import ks_statistic
+from ahft.validation import _splitmix64_stream
+from oracles import SplitMix64, ks_statistic
 
 CANONICAL_FACTORS = (FactorSpec("f1"), FactorSpec("f2"))
 CANONICAL_POOLS = ((0.5, 1.0, 2.0, 5.0), (1.0, 2.0, 5.0))
@@ -130,12 +130,10 @@ def test_evaluate_sharper_shapes_score_better():
 
 def test_splitmix64_reference_outputs():
     # published outputs of the splitmix64 algorithm for seed 0
+    published = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
     rng = SplitMix64(0)
-    assert [rng.next_u64() for _ in range(3)] == [
-        0xE220A8397B1DCDAF,
-        0x6E789E6AA1B965F4,
-        0x06C45D188009454F,
-    ]
+    assert [rng.next_u64() for _ in range(3)] == published
+    assert _splitmix64_stream(0, 3).tolist() == published
 
 
 def test_splitmix64_is_deterministic_per_seed():
