@@ -17,6 +17,7 @@ Exit codes: 0 success, 2 bad input or usage, 3 fit did not converge,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from itertools import chain
@@ -312,9 +313,10 @@ def cmd_simulate(args) -> int:
         n=args.n,
         seed=args.seed,
     )
-    data = validation.generate_synthetic(spec)
-    # Weibull draws are unbounded, but fitting data is fatigue in (0, 1):
-    # refuse to write a file that fit would refuse to read.
+    data = validation.redraw_below_one(spec, validation.generate_synthetic(spec))
+    # Fitting data is fatigue in (0, 1) and the redraw keeps every response
+    # below 1; should rounding still reach 1, refuse to write a file that
+    # fit would refuse to read.
     fatigue = data.column(ds.FATIGUE)
     high = fatigue >= 1.0
     if high.any():
@@ -332,7 +334,9 @@ def cmd_simulate(args) -> int:
 # Parser and entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused by later ones."""
     parser = argparse.ArgumentParser(
         prog="ahft",
         description="Accelerated human-fatigue testing: PSF screening, "

@@ -22,6 +22,13 @@ Per generated row, the draws happen in a fixed order: one pool draw per
 factor (factor order), then one uniform for the response.  The response
 is the inverse-CDF Weibull sample t = eta(x) * (-ln(1-u))**(1/beta).
 Not cryptographic, and not meant to be.
+
+Fatigue lies in (0, 1), so ``simulate`` conditions each response on
+t < 1 (:func:`redraw_below_one`): the j-th row (from 0) that drew t >= 1
+takes the next draw after the dataset's last, n(F+1) + j + 1, through the
+inverse CDF of its Weibull truncated at 1,
+t = eta * (-ln(1 - u*F(1)))**(1/beta) with F(1) = 1 - exp(-eta**-beta).
+A dataset with no draw >= 1 is left as it is.
 """
 
 from __future__ import annotations
@@ -50,8 +57,8 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
-def _splitmix64_stream(seed: int, count: int) -> np.ndarray:
-    """The first ``count`` SplitMix64 outputs for ``seed``, as a uint64 array.
+def _splitmix64_stream(seed: int, count: int, skip: int = 0) -> np.ndarray:
+    """SplitMix64 outputs ``skip + 1`` to ``skip + count`` for ``seed``, as a uint64 array.
 
     SplitMix64 is counter-based: after k steps the state is
     seed + k*GAMMA (mod 2**64), so draw k is the mix of that state and
@@ -59,7 +66,7 @@ def _splitmix64_stream(seed: int, count: int) -> np.ndarray:
     place with one scratch array, since at large counts every temporary
     is a fresh allocation whose pages are touched for the first time.
     """
-    z = np.arange(1, count + 1, dtype=np.uint64)
+    z = np.arange(skip + 1, skip + count + 1, dtype=np.uint64)
     z *= np.uint64(_GAMMA)
     z += np.uint64(int(seed) & _MASK64)
     shifted = np.empty_like(z)
@@ -68,6 +75,11 @@ def _splitmix64_stream(seed: int, count: int) -> np.ndarray:
         z *= np.uint64(mix)
     z ^= np.right_shift(z, np.uint64(31), out=shifted)
     return z
+
+
+def _uniform(draws: np.ndarray) -> np.ndarray:
+    """uniform(0,1) of each draw: ((draw >> 11) + 0.5) * 2**-53."""
+    return ((draws >> np.uint64(11)).astype(float) + 0.5) * 2.0 ** -53
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +175,7 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     columns = {}
     for f, pool, draw in zip(spec.factors, spec.factor_value_pools, draws.T):
         columns[f.name] = np.array([float(v) for v in pool])[draw % np.uint64(len(pool))]
-    u = ((draws[:, -1] >> np.uint64(11)).astype(float) + 0.5) * 2.0 ** -53
+    u = _uniform(draws[:, -1])
     log_eta = _log_eta(_design(columns, spec.factors), np.asarray(spec.true_alpha, dtype=float))
     # math, not numpy: numpy's vectorized exp, log1p and power may differ
     # from the C library in the last bit, and the stream is defined by
@@ -176,6 +188,39 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
         raise InputError("synthetic responses overflow: lower true_alpha or raise true_shape") from None
     columns[FATIGUE] = fatigue
     return Dataset(tuple(f.name for f in spec.factors) + (FATIGUE,), columns)
+
+
+def redraw_below_one(spec: SyntheticSpec, data: Dataset) -> Dataset:
+    """``data`` (from ``generate_synthetic(spec)``) with every response >= 1 redrawn below 1.
+
+    Each such row gets an exact draw from its Weibull conditioned on
+    t < 1, from the stream's draws after the dataset's last (see the
+    module docstring); its factors stay as they are.  With no response
+    >= 1, ``data`` itself is returned.
+    """
+    fatigue = data.column(FATIGUE)
+    rows = np.flatnonzero(fatigue >= 1.0)
+    if not len(rows):
+        return data
+    columns = data.columns
+    u = _uniform(_splitmix64_stream(spec.seed, len(rows), skip=spec.n * (len(spec.factors) + 1)))
+    factors = {f.name: columns[f.name][rows] for f in spec.factors}
+    log_eta = _log_eta(_design(factors, spec.factors), np.asarray(spec.true_alpha, dtype=float))
+    # Scalar math, as in generate_synthetic.  A row drew t >= 1, so
+    # eta**-beta <= -ln(1 - u) <= 54 ln 2 and the inner exp cannot overflow.
+    shape = spec.true_shape
+    redrawn = fatigue.copy()
+    for i, s, v in zip(rows.tolist(), log_eta.tolist(), u.tolist()):
+        below_one = -math.expm1(-math.exp(-shape * s))
+        t = math.exp(s) * (-math.log1p(-v * below_one)) ** (1.0 / shape)
+        if not t > 0.0:  # F(1) or the draw underflowed
+            raise InputError(
+                f"row {i + 1}: ln(eta) = {s!r} puts fatigue below 1 out of floating-point "
+                f"reach; lower true_alpha"
+            )
+        redrawn[i] = t
+    columns[FATIGUE] = redrawn
+    return Dataset(data.column_names, columns)
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,18 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
-from ahft import load_csv, positive_param_ci
+from ahft import (
+    FactorSpec,
+    SyntheticSpec,
+    generate_synthetic,
+    load_csv,
+    positive_param_ci,
+    serialize,
+)
+from ahft import cli
 from ahft.cli import main
 
 CONSTANT_FACTOR_CSV = "a,b,fatigue\n2,1,0.2\n2,2,0.3\n2,3,0.25\n2,1,0.4\n2,5,0.35\n"
@@ -154,14 +163,50 @@ def test_simulate_then_fit_round_trip(tmp_path):
     assert rc == 0
 
 
-def test_simulate_refuses_a_draw_fit_would_reject(tmp_path, capsys):
-    # The README's parameters at n = 1e5: row 13718 draws fatigue 1.0046...
+README_SIMULATE = ["simulate", "--factors", "f1,f2", "--alpha=-2,0.3,-0.1", "--shape", "3",
+                   "--pool", "f1=0.5|1|2|5", "--pool", "f2=1|2|5"]
+
+
+def _readme_spec(n, seed):
+    """What ``README_SIMULATE`` with ``--n n --seed seed`` asks the generator for."""
+    return SyntheticSpec((-2.0, 0.3, -0.1), 3.0, (FactorSpec("f1"), FactorSpec("f2")),
+                         ((0.5, 1.0, 2.0, 5.0), (1.0, 2.0, 5.0)), n=n, seed=seed)
+
+
+def test_simulate_redraws_a_draw_fit_would_reject(tmp_path):
+    # The README's parameters at n = 1e5: row 13718 is the first of the rows
+    # that draw fatigue >= 1 from the unbounded Weibull (1.0046...); only
+    # those rows are drawn again, below 1, and keep their factors.
     out = tmp_path / "sim"
-    rc = main(["simulate", "--factors", "f1,f2", "--alpha=-2,0.3,-0.1",
-               "--shape", "3", "--pool", "f1=0.5|1|2|5", "--pool", "f2=1|2|5",
-               "--n", "100000", "--seed", "7", "--output-dir", str(out)])
-    assert rc == 2
-    assert capsys.readouterr().err.startswith("error: row 13718: drew fatigue 1.0046")
+    assert main([*README_SIMULATE, "--n", "100000", "--seed", "7", "--output-dir", str(out)]) == 0
+    unbounded = generate_synthetic(_readme_spec(100_000, seed=7))
+    high = [int(i) + 1 for i in np.flatnonzero(unbounded.column("fatigue") >= 1.0)]
+    assert high[0] == 13718
+    expected = serialize(unbounded).split(b"\n")
+    written = (out / "synthetic.csv").read_bytes().split(b"\n")
+    assert len(written) == len(expected)
+    assert [i for i, (a, b) in enumerate(zip(written, expected)) if a != b] == high
+    for i in high:
+        cells = written[i].split(b",")
+        assert cells[:2] == expected[i].split(b",")[:2]
+        assert 0.0 < float(cells[2]) < 1.0
+    assert main(["fit", "--input", str(out / "synthetic.csv"), "--factors", "f1,f2",
+                 "--output-dir", str(tmp_path / "fit")]) == 0
+
+
+@pytest.mark.parametrize("seed", [9, 10, 32])
+def test_simulate_readme_parameters_exit_zero_where_a_draw_reaches_one(tmp_path, seed):
+    assert generate_synthetic(_readme_spec(200, seed)).column("fatigue").max() >= 1.0
+    out = tmp_path / "sim"
+    assert main([*README_SIMULATE, "--n", "200", "--seed", str(seed), "--output-dir", str(out)]) == 0
+    assert load_csv((out / "synthetic.csv").read_bytes()).n_rows == 200
+
+
+def test_simulate_exits_two_when_no_draw_below_one_is_representable(tmp_path, capsys):
+    out = tmp_path / "sim"
+    assert main(["simulate", "--factors", "f", "--alpha=500,0", "--shape", "3", "--pool", "f=1",
+                 "--n", "5", "--output-dir", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: row 1: ln(eta) = 500.0 puts fatigue below 1")
     assert not out.exists()
 
 
@@ -185,6 +230,32 @@ def test_artifacts_byte_identical_across_runs(tmp_path):
     for name in ("eigen.csv", "loadings.csv", "scree.csv", "scree.svg", "selection.txt",
                  "model.json", "regression.csv", "validation.csv", "synthetic.csv"):
         assert (one / name).read_bytes() == (two / name).read_bytes(), name
+
+
+def test_parser_is_reused_across_calls_in_one_process(tmp_path, capsys):
+    assert main(["fit", "--input", "builtin:table3"]) == 2  # --factors missing
+    assert "--factors" in capsys.readouterr().err
+    assert cli._parser() is cli._parser()
+    runs = []
+    for name in ("one", "two"):
+        out = tmp_path / name
+        model = str(out / "model.json")
+        codes = [
+            main(["pca", "--input", "builtin:table3", "-o", str(out)]),
+            main(["fit", "--input", "builtin:table3", "--factors", "available_time,stress",
+                  "-o", str(out)]),
+            main(["predict", "--model", model, "--at", "available_time=0.1,stress=5",
+                  "-o", str(out)]),
+            main(["validate", "--model", model, "--holdout", "builtin:table8", "-o", str(out)]),
+            main(["curves", "--model", model, "--factor", "stress", "--grid", "1:5:9",
+                  "--fixed", "available_time=0.1", "-o", str(out)]),
+            main([*README_SIMULATE, "--n", "200", "--seed", "9", "-o", str(out)]),
+        ]
+        artifacts = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        runs.append((codes, artifacts, capsys.readouterr()))
+    assert runs[0][0] == [0] * 6
+    assert len(runs[0][1]) == 12
+    assert runs[0] == runs[1]
 
 
 def test_output_dir_env_variable(tmp_path, monkeypatch):

@@ -18,6 +18,7 @@ from ahft.alt import DEFAULT_CONFIDENCE, coef_ci, positive_param_ci, wald_stats
 from ahft.cli import main
 from ahft.dataset import (
     CSV_BLOCK_CELLS,
+    DISTINCT_PROBE_ROWS,
     Dataset,
     _has_long_line,
     _tokenized_columns,
@@ -183,6 +184,102 @@ def test_serialize_matches_rowwise(n):
     fatigue = [abs(v) or 0.5 for v in _cycle(n, 1)]
     data = Dataset(("x", "y", "fatigue"), {"x": _cycle(n), "y": _cycle(n, 2), "fatigue": fatigue})
     assert serialize(data) == rowwise_serialize(data)
+
+
+# Distinct-value text: long float columns with few bit patterns are
+# formatted once per pattern.  Pools mix the values whose repr a wrong key
+# would change (0.0 and -0.0 compare equal) with the extremes of repr.
+POOL_VALUES = (0.0, -0.0, 5e-324, 1e16, 1e-5, 1e308, -1e308, 0.5, 3.0, 0.1)
+EMIT = settings(max_examples=60, derandomize=True, deadline=None, database=None,
+                suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+
+
+def _first_difference(got, expected):
+    """None for equal texts, else the first differing line of each and its number.
+
+    Keeps a failure report short: a plain ``==`` on texts of thousands of
+    rows makes pytest diff them whole, which takes minutes.
+    """
+    if got == expected:
+        return None
+    got, expected = got.splitlines(), expected.splitlines()
+    i = next((i for i, (a, b) in enumerate(zip(got, expected)) if a != b),
+             min(len(got), len(expected)))
+    return i, got[i:i + 1], expected[i:i + 1]
+
+
+def _lengths(width):
+    """Row counts around the distinct-value probe and around a block of ``width`` cells."""
+    return (DISTINCT_PROBE_ROWS - 1, DISTINCT_PROBE_ROWS, DISTINCT_PROBE_ROWS + 1,
+            *_around_block(width))
+
+
+@st.composite
+def pooled_arrays(draw, n):
+    """A float array of ``n`` rows: pooled, distinct, or a pooled prefix
+    before a distinct tail, or the reverse."""
+    value = st.sampled_from(POOL_VALUES) | st.floats(allow_nan=False, allow_infinity=False)
+    pool = draw(st.lists(value, min_size=1, max_size=6))
+    pool = np.array(pool + draw(st.sampled_from(([], [0.0, -0.0]))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pooled = pool[rng.integers(0, len(pool), n)]
+    distinct = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    cut = draw(st.integers(0, n))
+    kind = draw(st.sampled_from(("pooled", "pooled", "distinct", "pooled-first", "distinct-first")))
+    if kind == "pooled":
+        return pooled
+    if kind == "distinct":
+        return distinct
+    head, tail = (pooled, distinct) if kind == "pooled-first" else (distinct, pooled)
+    return np.concatenate([head[:cut], tail[cut:]])
+
+
+@st.composite
+def mixed_columns(draw):
+    """Equally long arrays, ranges, lists and str columns, 1 to 5 of them."""
+    width = draw(st.integers(1, 5))
+    n = draw(st.sampled_from(_lengths(width)))
+    columns = []
+    for _ in range(width):
+        kind = draw(st.sampled_from(("array", "array", "array", "range", "list", "str")))
+        array = draw(pooled_arrays(n))
+        columns.append({"array": array, "range": range(n), "list": array.tolist(),
+                        "str": ["" if v < 0 else "1.0" for v in array.tolist()]}[kind])
+    return columns
+
+
+@EMIT
+@given(columns=mixed_columns())
+def test_csv_blocks_with_pooled_columns_match_rowwise_lines(columns):
+    rows = list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns)))
+    assert _first_difference("".join(csv_blocks(columns)), rowwise_csv_lines(rows)) is None
+
+
+@EMIT
+@given(data=st.data(), width=st.integers(1, 4))
+def test_serialize_with_pooled_columns_matches_rowwise(data, width):
+    n = data.draw(st.sampled_from(_lengths(width + 2)))
+    names = tuple(f"x{j}" for j in range(width))
+    columns = {c: data.draw(pooled_arrays(n)) for c in names}
+    fatigue = np.abs(data.draw(pooled_arrays(n)))
+    columns["fatigue"] = np.where(fatigue > 0.0, fatigue, 0.5)
+    dataset = Dataset(names + ("fatigue",), columns)
+    got, expected = serialize(dataset), rowwise_serialize(dataset)
+    assert _first_difference(got.decode(), expected.decode()) is None
+
+
+@pytest.mark.parametrize("n", sorted(set(_lengths(1) + _lengths(3))))
+def test_csv_blocks_keep_each_bit_pattern_of_a_pool_apart(n):
+    pool = np.array([0.0, -0.0, 5e-324, 1e16, 1e-5, 1e308])
+    column = pool[np.arange(n) % len(pool)]
+    expected = rowwise_csv_lines([(v,) for v in column.tolist()])
+    assert _first_difference("".join(csv_blocks([column])), expected) is None
+    blocks = list(csv_blocks([range(n), column, column.tolist()]))
+    expected = rowwise_csv_lines(zip(range(n), column.tolist(), column.tolist()))
+    assert _first_difference("".join(blocks), expected) is None
+    assert len(blocks) == -(-n // (CSV_BLOCK_CELLS // 3))
+    with pytest.raises(ValueError):
+        list(csv_blocks([range(n), column[:-1]]))
 
 
 @pytest.mark.parametrize("n", (1, 2, 4095, 4096, 4097))

@@ -20,7 +20,7 @@ from ahft import (
     weibull_quantile,
 )
 from ahft.errors import DegenerateFactor, InputError, MissingFactor, NonPositiveObserved
-from ahft.validation import _splitmix64_stream
+from ahft.validation import _splitmix64_stream, redraw_below_one
 from oracles import SplitMix64, ks_statistic
 
 CANONICAL_FACTORS = (FactorSpec("f1"), FactorSpec("f2"))
@@ -201,6 +201,45 @@ def test_generate_distribution_matches_cdf():
                          n=10_000, seed=424242)
     draws = generate_synthetic(spec).column("fatigue")
     assert ks_statistic(draws, lambda t: weibull_cdf(t, 1.0, 1.7)) < 0.02
+
+
+def test_redraw_below_one_leaves_a_dataset_below_one_as_it_is():
+    data = generate_synthetic(_canonical_spec(200, seed=1))
+    assert data.column("fatigue").max() < 1.0
+    assert redraw_below_one(_canonical_spec(200, seed=1), data) is data
+
+
+def test_redraw_below_one_follows_documented_stream():
+    pools = ((1.0, 2.0, 3.0), (10.0, 20.0))
+    factors = (FactorSpec("a"), FactorSpec("b"))
+    spec = SyntheticSpec((-1.0, 0.4, 0.01), 1.5, factors, pools, n=40, seed=99)
+    data = generate_synthetic(spec)
+    high = np.flatnonzero(data.column("fatigue") >= 1.0).tolist()
+    assert len(high) >= 2
+    # the j-th row drawn at or above 1 takes draw n(F+1) + j + 1
+    rng = SplitMix64(99)
+    for _ in range(40 * 3):
+        rng.next_u64()
+    expected = data.column("fatigue").tolist()
+    for i in high:
+        a, b = data.column("a")[i], data.column("b")[i]
+        eta = math.exp(-1.0 + 0.4 * a + 0.01 * b)
+        below_one = weibull_cdf(1.0, eta, 1.5)
+        expected[i] = weibull_quantile(eta, 1.5, rng.uniform() * below_one)
+    redrawn = redraw_below_one(spec, data)
+    for c in ("a", "b"):
+        assert redrawn.column(c).tolist() == data.column(c).tolist()
+    assert redrawn.column("fatigue").tolist() == pytest.approx(expected, rel=1e-12)
+    assert redrawn.column("fatigue").max() < 1.0
+
+
+def test_redraw_below_one_matches_the_truncated_cdf():
+    spec = SyntheticSpec((0.0, 0.0), 1.7, (FactorSpec("c"),), ((1.0,),),
+                         n=10_000, seed=424242)
+    draws = redraw_below_one(spec, generate_synthetic(spec)).column("fatigue")
+    below_one = weibull_cdf(1.0, 1.0, 1.7)
+    assert draws.max() < 1.0
+    assert ks_statistic(draws, lambda t: weibull_cdf(t, 1.0, 1.7) / below_one) < 0.02
 
 
 def test_synthetic_spec_validation():
