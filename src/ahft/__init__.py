@@ -30,7 +30,6 @@ from .alt import (
     DEFAULT_CONFIDENCE,
     DEFAULT_PERCENTILE,
     FactorSpec,
-    FitConfig,
     GllWeibullModel,
     Prediction,
     coef_ci,
@@ -72,7 +71,7 @@ __all__ = [
     "PcaResult", "SelectionResult", "eigen_symmetric", "run_pca", "select_factors",
     "variance_proportions",
     # alt
-    "DEFAULT_CONFIDENCE", "DEFAULT_PERCENTILE", "FactorSpec", "FitConfig", "GllWeibullModel",
+    "DEFAULT_CONFIDENCE", "DEFAULT_PERCENTILE", "FactorSpec", "GllWeibullModel",
     "Prediction", "coef_ci", "fit_mle", "life_characteristic", "load_model", "log_likelihood",
     "model_from_json", "model_to_json", "positive_param_ci", "predict_percentile",
     "predict_with_interval", "save_model", "sweep_curve", "wald_stats", "weibull_cdf",

@@ -44,13 +44,12 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .dataset import Dataset, _decode, normalize_name
+from .dataset import FATIGUE, Dataset, _decode, normalize_name
 from .errors import (
     DegenerateFactor,
     InputError,
     MissingFactor,
     NoConvergence,
-    NonPositiveResponse,
     NonPositiveSE,
     NonPositiveValue,
     SingularInformation,
@@ -61,6 +60,8 @@ from .errors import (
 # Default prediction percentile: the distribution median.
 DEFAULT_PERCENTILE = 0.5
 DEFAULT_CONFIDENCE = 0.99
+# A fit has converged when every gradient entry is below this in magnitude.
+GRADIENT_TOL = 1e-8
 
 _NORMAL = NormalDist()
 
@@ -110,18 +111,6 @@ def parse_factor(text: str) -> FactorSpec:
     if not name.strip():
         raise InputError(f"empty factor name in {text!r}")
     return FactorSpec(name, transform if sep else "identity")
-
-
-@dataclass(frozen=True)
-class FitConfig:
-    max_iterations: int = 200
-    gradient_tol: float = 1e-8
-
-    def __post_init__(self):
-        if self.max_iterations < 1:
-            raise InputError("max_iterations must be at least 1")
-        if not (self.gradient_tol > 0):
-            raise InputError("gradient_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -201,12 +190,8 @@ def _design(data, factors: tuple[FactorSpec, ...]) -> np.ndarray:
 
 
 def _response(dataset: Dataset, response: str) -> np.ndarray:
-    t = dataset.column(response)
-    if np.any(t <= 0.0) or not np.all(np.isfinite(t)):
-        raise NonPositiveResponse(
-            f"response {response!r} must be strictly positive and finite"
-        )
-    return t
+    """The lifetimes; :class:`Dataset` has checked that fatigue is positive and finite."""
+    return dataset.column(response)
 
 
 def _loglik(theta: np.ndarray, z: np.ndarray, logt: np.ndarray) -> float:
@@ -246,31 +231,27 @@ def _derivatives(theta: np.ndarray, z: np.ndarray,
 # Public likelihood and fitting
 # ---------------------------------------------------------------------------
 
-def log_likelihood(model: GllWeibullModel, dataset: Dataset, response: str = "fatigue") -> float:
-    """Exact-observation Weibull log-likelihood of ``dataset`` under ``model``."""
-    t = _response(dataset, response)
+def log_likelihood(model: GllWeibullModel, dataset: Dataset) -> float:
+    """Exact-observation Weibull log-likelihood of ``dataset``'s fatigue under ``model``."""
+    t = _response(dataset, FATIGUE)
     z = _design(dataset, model.factors)
     theta = np.concatenate([model.alpha, [math.log(model.shape)]])
     return _loglik(theta, z, np.log(t))
 
 
-def fit_mle(
-    dataset: Dataset,
-    factors,
-    response: str = "fatigue",
-    config: FitConfig | None = None,
-) -> GllWeibullModel:
-    """Maximum-likelihood fit of the Weibull log-linear model.
+def fit_mle(dataset: Dataset, factors, max_iterations: int = 200) -> GllWeibullModel:
+    """Maximum-likelihood fit of the Weibull log-linear model of ``dataset``'s fatigue.
 
     ``factors`` may be FactorSpec instances or plain names (identity
     transform).  Deterministic: identical inputs give bit-identical
     models.  Raises :class:`NoConvergence` with diagnostics when the
-    gradient has not met the tolerance within the iteration budget,
-    :class:`DegenerateFactor` when a transformed factor column is
-    constant, and :class:`SingularInformation` when the observed
-    information cannot be inverted.
+    gradient has not met :data:`GRADIENT_TOL` within ``max_iterations``
+    Newton iterations, :class:`DegenerateFactor` when a transformed
+    factor column is constant, and :class:`SingularInformation` when the
+    observed information cannot be inverted.
     """
-    config = config or FitConfig()
+    if max_iterations < 1:
+        raise InputError("max_iterations must be at least 1")
     specs = tuple(f if isinstance(f, FactorSpec) else FactorSpec(str(f)) for f in factors)
     n_params = len(specs) + 2
     if dataset.n_rows < n_params + 1:
@@ -278,7 +259,7 @@ def fit_mle(
             f"need at least {n_params + 1} rows to fit {n_params} parameters, "
             f"have {dataset.n_rows}"
         )
-    t = _response(dataset, response)
+    t = _response(dataset, FATIGUE)
     z = _design(dataset, specs)
     for j, spec in enumerate(specs, start=1):
         if np.ptp(z[:, j]) == 0.0:
@@ -290,10 +271,10 @@ def fit_mle(
     theta = np.zeros(n_params)
     theta[0] = math.log(float(np.mean(t)))
     ll = _loglik(theta, z, logt)
-    for iterations in range(1, config.max_iterations + 1):
+    for iterations in range(1, max_iterations + 1):
         g, h = _derivatives(theta, z, logt)
         grad_norm = float(np.max(np.abs(g)))
-        if grad_norm < config.gradient_tol:
+        if grad_norm < GRADIENT_TOL:
             break
         step = None
         try:
@@ -326,7 +307,7 @@ def fit_mle(
         g, h = _derivatives(theta, z, logt)
         grad_norm = float(np.max(np.abs(g)))
 
-    if not grad_norm < config.gradient_tol:
+    if not grad_norm < GRADIENT_TOL:
         raise NoConvergence(
             f"fit did not converge in {iterations} iterations "
             f"(gradient max-norm {grad_norm:.3e})",
@@ -425,7 +406,6 @@ class Prediction:
     std_error: float
     ci_lower: float
     ci_upper: float
-    confidence_level: float
 
     def __post_init__(self):
         if not (self.ci_lower <= self.value <= self.ci_upper):
@@ -466,13 +446,12 @@ def predict_percentile(model: GllWeibullModel, x: dict, p: float = DEFAULT_PERCE
     return weibull_quantile(life_characteristic(model, x), model.shape, p)
 
 
-def _check_in_range(model: GllWeibullModel, z: np.ndarray, values: np.ndarray,
-                    rows: bool) -> None:
+def _check_in_range(model: GllWeibullModel, z: np.ndarray, values: np.ndarray) -> None:
     """Reject predictions that are not positive finite numbers.
 
     Such a value means exp(z.alpha) overflowed or underflowed, so the
     :class:`NonPositiveValue` raised at the first one names the largest
-    term of ln(eta) there, and its 1-based row when ``rows`` is set.
+    term of ln(eta) there, and its 1-based row when there is more than one.
     """
     bad = np.flatnonzero(~((values > 0.0) & np.isfinite(values)))
     if bad.size == 0:
@@ -481,24 +460,22 @@ def _check_in_range(model: GllWeibullModel, z: np.ndarray, values: np.ndarray,
     terms = z[i] * model.alpha
     j = int(np.argmax(np.abs(terms)))
     source = "the intercept" if j == 0 else f"factor {model.factors[j - 1].name!r}"
-    at = f" at row {i + 1}" if rows else ""
+    at = f" at row {i + 1}" if len(values) > 1 else ""
     raise NonPositiveValue(
         f"predicted value {float(values[i])!r}{at} is out of range: {source} contributes "
         f"{terms[j]:.6g} to ln(eta)"
     )
 
 
-def _percentiles(model: GllWeibullModel, data, p: float) -> np.ndarray:
-    """:func:`predict_percentile` at every point of ``data`` at once.
+def _percentiles(model: GllWeibullModel, z: np.ndarray, p: float) -> np.ndarray:
+    """:func:`predict_percentile` at every row of the design matrix ``z`` at once.
 
-    ``data`` is anything :func:`_design` accepts.  A point whose value
-    is out of range raises :class:`NonPositiveValue` naming its row.
+    A point whose value is out of range raises :class:`NonPositiveValue`.
     """
-    z = _design(data, model.factors)
     scale = weibull_quantile(1.0, model.shape, p)
     with np.errstate(over="ignore"):
         values = np.exp(_log_eta(z, model.alpha)) * scale
-    _check_in_range(model, z, values, rows=True)
+    _check_in_range(model, z, values)
     return values
 
 
@@ -514,14 +491,10 @@ def predict_with_interval(
     t_p with respect to (alpha, ln beta) is t_p * (z, -ln(w)/beta); the
     variance is that gradient contracted with the model covariance.
     """
-    if not (0.0 < p < 1.0):
-        raise InputError(f"percentile must lie in (0, 1), got {p!r}")
-    row = _design(x, model.factors)[0]
-    with np.errstate(over="ignore"):
-        value = weibull_quantile(float(np.exp(row @ model.alpha)), model.shape, p)
-    _check_in_range(model, row[None], np.array([value]), rows=False)
+    z = _design(x, model.factors)
+    value = float(_percentiles(model, z, p)[0])
     w = -math.log1p(-p)
-    grad = value * np.concatenate([row, [-math.log(w) / model.shape]])
+    grad = value * np.concatenate([z[0], [-math.log(w) / model.shape]])
     if not np.all(np.isfinite(model.covariance)):
         raise SingularInformation("model covariance contains non-finite entries")
     variance = float(grad @ model.covariance @ grad)
@@ -533,7 +506,6 @@ def predict_with_interval(
         std_error=se,
         ci_lower=lower,
         ci_upper=upper,
-        confidence_level=level,
     )
 
 
@@ -552,7 +524,7 @@ def sweep_curve(
         raise InputError("grid must be sorted ascending")
     x = dict(fixed)
     x[normalize_name(varying)] = np.array(grid)
-    return list(zip(grid, _percentiles(model, x, p).tolist()))
+    return list(zip(grid, _percentiles(model, _design(x, model.factors), p).tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -119,12 +119,6 @@ def _parse_grid(text: str) -> list[float]:
     return grid
 
 
-def _unit_interval(value: float, name: str) -> float:
-    if not (0.0 < value < 1.0):
-        raise InputError(f"{name} must be in (0,1)")
-    return value
-
-
 def _write(path: Path, data) -> None:
     """Write ``data``: str, bytes, or an iterable of str blocks written as they come."""
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -138,12 +132,11 @@ def _write(path: Path, data) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_pca(args) -> int:
-    threshold = _unit_interval(args.threshold, "threshold")
     data = _load_dataset(args.input)
     out = _out_dir(args)
 
     result = pca_mod.run_pca(data)
-    selection = pca_mod.select_factors(result, threshold, args.response)
+    selection = pca_mod.select_factors(result, args.threshold, ds.FATIGUE)
 
     n = len(result.eigenvalues)
     labels = [f"PC{i + 1}" for i in range(n)]
@@ -160,7 +153,7 @@ def cmd_pca(args) -> int:
     _write(out / "scree.svg", svg.line_chart(scree, "Scree plot", "component", "eigenvalue"))
     lines = [
         f"retained_components: {selection.retained_components}",
-        f"threshold: {threshold!r}",
+        f"threshold: {args.threshold!r}",
         "factors by importance score:",
     ]
     lines += [f"  {name}: {score!r}" for name, score in selection.selected_factors]
@@ -168,7 +161,7 @@ def cmd_pca(args) -> int:
 
     print(
         f"pca: {n} components; {selection.retained_components} retained at "
-        f"threshold {threshold:g}; top factors: "
+        f"threshold {args.threshold:g}; top factors: "
         + ", ".join(selection.names[:3])
     )
     if result.has_ties:
@@ -177,13 +170,11 @@ def cmd_pca(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    confidence = _unit_interval(args.confidence, "confidence")
     data = _load_dataset(args.input)
     factors = _parse_factors(args.factors)
     out = _out_dir(args)
-    config = alt.FitConfig(max_iterations=args.max_iterations, gradient_tol=args.tol)
     try:
-        model = alt.fit_mle(data, factors, response=args.response, config=config)
+        model = alt.fit_mle(data, factors, args.max_iterations)
     except NoConvergence as exc:
         lines = [f"fit did not converge: {exc}"]
         lines += [f"{k}: {v!r}" for k, v in sorted(exc.diagnostics.items())]
@@ -191,8 +182,8 @@ def cmd_fit(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
 
-    out.mkdir(parents=True, exist_ok=True)
-    alt.save_model(model, out / "model.json")
+    # Every number, so every check on --confidence, comes before the first
+    # write: a bad level leaves no output directory.
     ses = model.standard_errors
     header = ("Predictor", "Coef", "StandardError", "Z", "P", "LowerCI", "UpperCI")
     rows = []
@@ -200,13 +191,15 @@ def cmd_fit(args) -> int:
     for i, name in enumerate(names):
         coef, se = float(model.alpha[i]), float(ses[i])
         z, p = alt.wald_stats(coef, se)
-        lo, hi = alt.coef_ci(coef, se, confidence)
+        lo, hi = alt.coef_ci(coef, se, args.confidence)
         rows.append([name, coef, se, z, p, lo, hi])
     # The shape row reports on the beta scale: SE by the delta method from
     # se(ln beta), interval log-normal; no Wald columns.
     se_shape = model.shape * float(ses[-1])
-    lo, hi = alt.positive_param_ci(model.shape, se_shape, confidence)
+    lo, hi = alt.positive_param_ci(model.shape, se_shape, args.confidence)
     rows.append(["Shape", float(model.shape), se_shape, "", "", lo, hi])
+    out.mkdir(parents=True, exist_ok=True)
+    alt.save_model(model, out / "model.json")
     _write(out / "regression.csv", ds.csv_blocks(list(zip(*rows)), header))
 
     print(
@@ -218,13 +211,11 @@ def cmd_fit(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    confidence = _unit_interval(args.confidence, "confidence")
-    percentile = _unit_interval(args.percentile, "percentile")
     model = alt.load_model(args.model)
     point = _parse_assignments(args.at)
     out = _out_dir(args)
 
-    prediction = alt.predict_with_interval(model, point, percentile, confidence)
+    prediction = alt.predict_with_interval(model, point, args.percentile, args.confidence)
     factor_names = [f.name for f in model.factors]
     header = factor_names + ["percentile_p", "value", "std_error", "lower_ci", "upper_ci"]
     row = [point[name] for name in factor_names] + [
@@ -235,20 +226,19 @@ def cmd_predict(args) -> int:
 
     at = ", ".join(f"{name}={point[name]:g}" for name in factor_names)
     print(
-        f"predict: at {at}, p={percentile:g}: value {prediction.value:.6g}, "
-        f"se {prediction.std_error:.6g}, {confidence:.0%} CI "
+        f"predict: at {at}, p={args.percentile:g}: value {prediction.value:.6g}, "
+        f"se {prediction.std_error:.6g}, {args.confidence:.0%} CI "
         f"[{prediction.ci_lower:.6g}, {prediction.ci_upper:.6g}]"
     )
     return EXIT_OK
 
 
 def cmd_validate(args) -> int:
-    percentile = _unit_interval(args.percentile, "percentile")
     model = alt.load_model(args.model)
     holdout = _load_dataset(args.holdout)
     out = _out_dir(args)
 
-    report = validation.evaluate(model, holdout, percentile)
+    report = validation.evaluate(model, holdout, args.percentile)
     psf_names = list(holdout.psf_names)
     columns = holdout.columns
     n = holdout.n_rows
@@ -260,7 +250,7 @@ def cmd_validate(args) -> int:
     _write(out / "validation.csv", chain(ds.csv_blocks(body, header), ds.csv_blocks(trailer)))
 
     print(
-        f"validate: {n} instances at p={percentile:g}; "
+        f"validate: {n} instances at p={args.percentile:g}; "
         f"mean relative error {report.mean_relative_error:.4f}, "
         f"max {report.max_relative_error:.4f}"
     )
@@ -268,14 +258,13 @@ def cmd_validate(args) -> int:
 
 
 def cmd_curves(args) -> int:
-    percentile = _unit_interval(args.percentile, "percentile")
     model = alt.load_model(args.model)
     grid = sorted(_parse_grid(args.grid))
     fixed = _parse_assignments(args.fixed) if args.fixed else {}
     out = _out_dir(args)
 
     for factor in [ds.normalize_name(f) for f in args.factor]:
-        curve = alt.sweep_curve(model, factor, grid, fixed, percentile)
+        curve = alt.sweep_curve(model, factor, grid, fixed, args.percentile)
         _write(out / f"curve_{factor}.csv",
                ds.csv_blocks(list(zip(*curve)), (factor, "fatigue")))
         _write(out / f"curve_{factor}.svg",
@@ -352,8 +341,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True,
                    help="CSV path, builtin:table3, or builtin:table8")
     p.add_argument("--threshold", type=float, default=0.65,
-                   help="explained-variance threshold (default 0.65)")
-    p.add_argument("--response", default="fatigue")
+                   help="explained-variance threshold in (0,1] (default 0.65)")
     common(p)
     p.set_defaults(func=cmd_pca)
 
@@ -361,10 +349,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--factors", required=True,
                    help="comma-separated, each name[:identity|log|reciprocal]")
-    p.add_argument("--response", default="fatigue")
     p.add_argument("--confidence", type=float, default=alt.DEFAULT_CONFIDENCE)
     p.add_argument("--max-iterations", type=int, default=200)
-    p.add_argument("--tol", type=float, default=1e-8)
     common(p)
     p.set_defaults(func=cmd_fit)
 

@@ -82,10 +82,6 @@ class TransformDomainError(InputError):
     """Non-positive factor value under a log or reciprocal transform."""
 
 
-class NonPositiveResponse(InputError):
-    """Response values must be strictly positive to act as Weibull lifetimes."""
-
-
 class NonPositiveValue(InputError):
     """A parameter that must be positive is not."""
 

@@ -30,6 +30,7 @@ from .errors import AllZeroSpectrum, InputError, NoConvergence, NotSymmetric
 SYMMETRY_TOL = 1e-10
 EIGENVALUE_TIE_TOL = 1e-10
 NEGATIVE_CLAMP_TOL = 1e-10
+JACOBI_TOL = 1e-13
 
 
 @lru_cache(maxsize=32)
@@ -67,11 +68,7 @@ def _round_robin(size: int) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def eigen_symmetric(
-    m: np.ndarray,
-    tol: float = 1e-13,
-    max_sweeps: int = 60,
-) -> tuple[np.ndarray, np.ndarray]:
+def eigen_symmetric(m: np.ndarray, max_sweeps: int = 60) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecompose a symmetric matrix by round-robin Jacobi rotations.
 
     Each sweep is ``n - 1`` steps (``n`` for odd ``n``) of the round-robin
@@ -85,7 +82,7 @@ def eigen_symmetric(
 
     Raises :class:`NotSymmetric` when ``max|m - m.T| > 1e-10`` and
     :class:`NoConvergence` (with diagnostics) when the off-diagonal mass
-    has not fallen below ``tol * max(1, max|m|)`` after ``max_sweeps``
+    has not fallen below ``JACOBI_TOL * max(1, max|m|)`` after ``max_sweeps``
     full sweeps.
     """
     m = np.asarray(m, dtype=float)
@@ -99,7 +96,7 @@ def eigen_symmetric(
 
     n = m.shape[0]
     a = (m + m.T) / 2.0
-    threshold = tol * max(1.0, float(np.max(np.abs(a)))) if n else tol
+    threshold = JACOBI_TOL * max(1.0, float(np.max(np.abs(a)))) if n else JACOBI_TOL
 
     def max_offdiag(x: np.ndarray) -> float:
         if n < 2:

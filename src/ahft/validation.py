@@ -41,7 +41,6 @@ import numpy as np
 
 from .alt import (
     FactorSpec,
-    FitConfig,
     GllWeibullModel,
     _design,
     _log_eta,
@@ -121,7 +120,7 @@ def evaluate(model: GllWeibullModel, holdout: Dataset, p: float) -> ValidationRe
     values; the metric is relative error against the observed fatigue.
     """
     observed = holdout.column(FATIGUE)
-    predicted = _percentiles(model, holdout, p)
+    predicted = _percentiles(model, _design(holdout, model.factors), p)
     errors = np.abs(predicted - observed) / observed
     # Python's sum of the floats, not np.mean, which adds them in another
     # order: validation.csv prints the mean to the last bit.
@@ -239,7 +238,7 @@ class RecoverySummary:
         return max(abs(z) for z in self.z_scores)
 
 
-def recovery_check(spec: SyntheticSpec, config: FitConfig | None = None) -> RecoverySummary:
+def recovery_check(spec: SyntheticSpec) -> RecoverySummary:
     """Generate from known truth, refit, and report the discrepancies.
 
     The shape is compared on the log scale, matching the covariance
@@ -250,7 +249,7 @@ def recovery_check(spec: SyntheticSpec, config: FitConfig | None = None) -> Reco
     if spec.n < 10 * max(1, len(spec.factors)):
         raise InputError("recovery checks need at least ten rows per factor")
     data = generate_synthetic(spec)
-    model = fit_mle(data, spec.factors, response=FATIGUE, config=config)
+    model = fit_mle(data, spec.factors)
     truth = tuple(spec.true_alpha) + (math.log(spec.true_shape),)
     estimates = tuple(model.alpha) + (math.log(model.shape),)
     ses = tuple(float(s) for s in model.standard_errors)

@@ -16,7 +16,6 @@ from numpy.testing import assert_allclose
 from ahft import (
     Dataset,
     FactorSpec,
-    FitConfig,
     GllWeibullModel,
     SyntheticSpec,
     coef_ci,
@@ -222,7 +221,7 @@ def test_fit_degenerate_factor():
 def test_fit_constant_response_diverges():
     data = _plain_dataset([0.3] * 6)
     with pytest.raises(NoConvergence) as exc:
-        fit_mle(data, (), config=FitConfig(max_iterations=40))
+        fit_mle(data, (), max_iterations=40)
     diag = exc.value.diagnostics
     assert diag["gradient_max_norm"] > 1e-8
     assert {"iterations", "theta", "log_likelihood"} <= set(diag)

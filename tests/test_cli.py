@@ -4,6 +4,8 @@ import csv
 import hashlib
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -256,6 +258,18 @@ def test_parser_is_reused_across_calls_in_one_process(tmp_path, capsys):
     assert runs[0][0] == [0] * 6
     assert len(runs[0][1]) == 12
     assert runs[0] == runs[1]
+
+
+def test_readme_names_exactly_the_flags_the_parser_accepts():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    subparsers = cli._parser()._subparsers._group_actions[0].choices
+    for name, sub in subparsers.items():
+        accepted = {flag for action in sub._actions for flag in action.option_strings
+                    if flag.startswith("--") and flag != "--help"}
+        row = re.search(rf"^\| `{name}` .*$", section, re.MULTILINE)
+        assert row is not None, name
+        assert set(re.findall(r"--[a-z-]+", row.group())) == accepted, name
 
 
 def test_output_dir_env_variable(tmp_path, monkeypatch):

@@ -203,3 +203,65 @@ def test_pca_on_an_overflowing_column_exits_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "'available_time'" in err and "overflows" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "--input", "builtin:table3", "--factors", "available_time", "--response", "stress"],
+    ["fit", "--input", "builtin:table3", "--factors", "available_time", "--tol", "1e300"],
+    ["pca", "--input", "builtin:table3", "--response", "fatigue"],
+])
+def test_removed_options_exit_two(tmp_path, capsys, argv):
+    assert main(argv + ["--output-dir", str(tmp_path / "out")]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_pca_threshold_one_keeps_every_component(tmp_path):
+    out = tmp_path / "out"
+    assert main(["pca", "--input", "builtin:table3", "--threshold", "1", "-o", str(out)]) == 0
+    assert "retained_components: 9\n" in (out / "selection.txt").read_text()
+
+
+@pytest.mark.parametrize("argv, quantity", [
+    (["pca", "--input", "builtin:table3", "--threshold", "0"], "threshold"),
+    (["pca", "--input", "builtin:table3", "--threshold", "1.5"], "threshold"),
+    (["pca", "--input", "builtin:table3", "--threshold", "nan"], "threshold"),
+    (["fit", "--input", "builtin:table3", "--factors", "available_time,stress",
+      "--confidence", "1.5"], "confidence level"),
+    (["fit", "--input", "builtin:table3", "--factors", "available_time,stress",
+      "--max-iterations", "0"], "max_iterations"),
+    (["predict", "--model", "MODEL", "--at", "available_time=0.1,stress=5",
+      "--percentile", "0"], "percentile"),
+    (["predict", "--model", "MODEL", "--at", "available_time=0.1,stress=5",
+      "--confidence", "1"], "confidence level"),
+    (["validate", "--model", "MODEL", "--holdout", "builtin:table8",
+      "--percentile", "1"], "percentile"),
+    (["curves", "--model", "MODEL", "--factor", "stress", "--grid", "1:5:9",
+      "--fixed", "available_time=0.1", "--percentile=-1"], "percentile"),
+])
+def test_out_of_range_option_exits_two_and_writes_nothing(tmp_path, capsys, model_doc,
+                                                          argv, quantity):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model_doc))
+    argv = [str(path) if a == "MODEL" else a for a in argv]
+    assert main(argv + ["--output-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert quantity in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["predict", "validate", "curves"])
+def test_one_point_overflow_names_no_row(tmp_path, capsys, model_doc, command):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model_doc))
+    holdout = tmp_path / "holdout.csv"
+    holdout.write_text("available_time,stress,fatigue\n1e308,2,0.3\n")
+    argv = {
+        "predict": ["predict", "--model", str(path), "--at", "available_time=1e308,stress=5"],
+        "validate": ["validate", "--model", str(path), "--holdout", str(holdout)],
+        "curves": ["curves", "--model", str(path), "--factor", "stress", "--grid", "2",
+                   "--fixed", "available_time=1e308"],
+    }[command]
+    assert main(argv + ["--output-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "is out of range" in err and "at row" not in err
