@@ -515,16 +515,22 @@ def sweep_curve(
     grid,
     fixed: dict,
     p: float = DEFAULT_PERCENTILE,
-) -> list[tuple[float, float]]:
-    """Predicted fatigue along a grid of one factor, others held fixed."""
-    grid = [float(g) for g in grid]
-    if not grid:
+) -> np.ndarray:
+    """Predicted fatigue along a grid of one factor, others held fixed.
+
+    ``grid`` is an ascending 1-D sequence of values of the factor
+    ``varying``; ``fixed`` maps each other factor to its value.  Returns
+    the float array of the ``p`` percentile at each grid point, as long
+    as ``grid``.
+    """
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or not len(grid):
         raise InputError("grid must be nonempty")
-    if any(b < a for a, b in zip(grid, grid[1:])):
+    if (grid[1:] < grid[:-1]).any():
         raise InputError("grid must be sorted ascending")
     x = dict(fixed)
-    x[normalize_name(varying)] = np.array(grid)
-    return list(zip(grid, _percentiles(model, _design(x, model.factors), p).tolist()))
+    x[normalize_name(varying)] = grid
+    return _percentiles(model, _design(x, model.factors), p)
 
 
 # ---------------------------------------------------------------------------

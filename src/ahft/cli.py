@@ -23,6 +23,8 @@ import sys
 from itertools import chain
 from pathlib import Path
 
+import numpy as np
+
 from . import alt, dataset as ds, pca as pca_mod, svg, validation
 from .errors import InputError, NoConvergence, SingularProblem
 
@@ -94,7 +96,7 @@ def _parse_assignments(text: str) -> dict[str, float]:
     return values
 
 
-def _parse_grid(text: str) -> list[float]:
+def _parse_grid(text: str) -> np.ndarray:
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
@@ -108,15 +110,15 @@ def _parse_grid(text: str) -> list[float]:
         if count < 1:
             raise InputError("grid count must be at least 1")
         if count == 1:
-            return [start]
+            return np.array([start])
         step = (stop - start) / (count - 1)
         if not _is_finite(step):
             raise InputError(f"grid range {text!r} is too wide to step through")
-        return [start + i * step for i in range(count)]
+        return start + np.arange(count) * step
     grid = [_finite(piece, text) for piece in text.split(",") if piece.strip()]
     if not grid:
         raise InputError("grid is empty")
-    return grid
+    return np.array(grid)
 
 
 def _write(path: Path, data) -> None:
@@ -148,9 +150,11 @@ def cmd_pca(args) -> int:
     _write(out / "loadings.csv", ds.csv_blocks(
         [result.column_names, *result.eigenvectors.T.tolist()], ["variable"] + labels
     ))
-    scree = [(i + 1, float(v)) for i, v in enumerate(result.eigenvalues)]
-    _write(out / "scree.csv", ds.csv_blocks(list(zip(*scree)), ("component", "eigenvalue")))
-    _write(out / "scree.svg", svg.line_chart(scree, "Scree plot", "component", "eigenvalue"))
+    components = range(1, n + 1)
+    _write(out / "scree.csv",
+           ds.csv_blocks([components, result.eigenvalues], ("component", "eigenvalue")))
+    _write(out / "scree.svg", svg.line_chart(
+        components, result.eigenvalues, "Scree plot", "component", "eigenvalue"))
     lines = [
         f"retained_components: {selection.retained_components}",
         f"threshold: {args.threshold!r}",
@@ -226,8 +230,8 @@ def cmd_predict(args) -> int:
 
     at = ", ".join(f"{name}={point[name]:g}" for name in factor_names)
     print(
-        f"predict: at {at}, p={args.percentile:g}: value {prediction.value:.6g}, "
-        f"se {prediction.std_error:.6g}, {args.confidence:.0%} CI "
+        f"predict: at {at}, p={args.percentile!r}: value {prediction.value:.6g}, "
+        f"se {prediction.std_error:.6g}, {100 * args.confidence:.15g}% CI "
         f"[{prediction.ci_lower:.6g}, {prediction.ci_upper:.6g}]"
     )
     return EXIT_OK
@@ -250,7 +254,7 @@ def cmd_validate(args) -> int:
     _write(out / "validation.csv", chain(ds.csv_blocks(body, header), ds.csv_blocks(trailer)))
 
     print(
-        f"validate: {n} instances at p={args.percentile:g}; "
+        f"validate: {n} instances at p={args.percentile!r}; "
         f"mean relative error {report.mean_relative_error:.4f}, "
         f"max {report.max_relative_error:.4f}"
     )
@@ -259,37 +263,36 @@ def cmd_validate(args) -> int:
 
 def cmd_curves(args) -> int:
     model = alt.load_model(args.model)
-    grid = sorted(_parse_grid(args.grid))
+    grid = np.sort(_parse_grid(args.grid), kind="stable")
     fixed = _parse_assignments(args.fixed) if args.fixed else {}
     out = _out_dir(args)
 
+    # Every text is made before the first write: a curve that cannot be
+    # computed or charted leaves no file behind.
+    curves = []
     for factor in [ds.normalize_name(f) for f in args.factor]:
-        curve = alt.sweep_curve(model, factor, grid, fixed, args.percentile)
-        _write(out / f"curve_{factor}.csv",
-               ds.csv_blocks(list(zip(*curve)), (factor, "fatigue")))
-        _write(out / f"curve_{factor}.svg",
-               svg.line_chart(curve, f"Fatigue vs {factor}", factor, "fatigue"))
-        lo, hi = curve[0][1], curve[-1][1]
+        fatigue = alt.sweep_curve(model, factor, grid, fixed, args.percentile)
+        curves.append((factor, fatigue,
+                       list(ds.csv_blocks([grid, fatigue], (factor, "fatigue"))),
+                       svg.line_chart(grid, fatigue, f"Fatigue vs {factor}", factor, "fatigue")))
+    for factor, fatigue, csv_text, svg_text in curves:
+        _write(out / f"curve_{factor}.csv", csv_text)
+        _write(out / f"curve_{factor}.svg", svg_text)
         print(f"curves: {factor} over [{grid[0]:g}, {grid[-1]:g}] -> fatigue "
-              f"{lo:.6g} .. {hi:.6g}")
+              f"{fatigue[0]:.6g} .. {fatigue[-1]:.6g}")
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
     factors = _parse_factors(args.factors)
-    try:
-        true_alpha = tuple(float(a) for a in args.alpha.split(","))
-    except ValueError:
-        raise InputError(f"cannot parse --alpha {args.alpha!r}") from None
+    true_alpha = tuple(_finite(a, f"--alpha {args.alpha}") for a in args.alpha.split(","))
     pools: dict[str, tuple[float, ...]] = {}
     for pool_arg in args.pool or []:
         name, sep, values = pool_arg.partition("=")
         if not sep:
             raise InputError(f"--pool expects name=v1|v2|..., got {pool_arg!r}")
-        try:
-            pools[ds.normalize_name(name)] = tuple(float(v) for v in values.split("|"))
-        except ValueError:
-            raise InputError(f"cannot parse pool values in {pool_arg!r}") from None
+        pools[ds.normalize_name(name)] = tuple(
+            _finite(v, f"--pool {pool_arg}") for v in values.split("|"))
     missing = [f.name for f in factors if f.name not in pools]
     if missing:
         raise InputError(f"no --pool given for factor(s): {', '.join(missing)}")

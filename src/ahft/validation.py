@@ -156,8 +156,8 @@ class SyntheticSpec:
                 raise InputError("value pools must be nonempty numeric sequences")
             if not all(isinstance(v, (int, float)) for v in pool):
                 raise InputError("value pools must be nonempty numeric sequences")
-        if not (self.true_shape > 0):
-            raise InputError("true_shape must be positive")
+        if not (0 < self.true_shape < math.inf):
+            raise InputError(f"true_shape must be positive and finite, got {self.true_shape!r}")
 
 
 def generate_synthetic(spec: SyntheticSpec) -> Dataset:

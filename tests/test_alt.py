@@ -386,14 +386,15 @@ def test_sweep_curve_directions():
     model = _model(("down", "up"), [-1.0, -0.5, 0.8], 2.0)
     falling = sweep_curve(model, "down", [0.5, 1.0, 2.0], {"up": 1.0})
     rising = sweep_curve(model, "up", [0.5, 1.0, 2.0], {"down": 1.0})
-    assert all(a[1] > b[1] for a, b in zip(falling, falling[1:]))
-    assert all(a[1] < b[1] for a, b in zip(rising, rising[1:]))
+    assert all(a > b for a, b in zip(falling, falling[1:]))
+    assert all(a < b for a, b in zip(rising, rising[1:]))
 
 
 def test_sweep_curve_matches_pointwise_prediction(table3_model):
     grid = [1.0, 2.0, 5.0]
     curve = sweep_curve(table3_model, "stress", grid, {"available_time": 1.0}, 0.5)
-    for g, value in curve:
+    assert curve.shape == (len(grid),)
+    for g, value in zip(grid, curve.tolist()):
         assert value == predict_percentile(
             table3_model, {"available_time": 1.0, "stress": g}, 0.5
         )

@@ -110,6 +110,28 @@ def test_predict_interval_wiring(tmp_path):
     assert (record["lower_ci"], record["upper_ci"]) == (lo, hi)
 
 
+@pytest.mark.parametrize("confidence, printed", [(None, "99% CI"), ("0.999", "99.9% CI"),
+                                                ("0.95", "95% CI"), ("0.9999999", "99.99999% CI")])
+def test_predict_prints_the_confidence_it_used(tmp_path, capsys, confidence, printed):
+    model_path = _fit_workshop(tmp_path)
+    capsys.readouterr()
+    level = ["--confidence", confidence] if confidence else []
+    assert main(["predict", "--model", str(model_path), "--at", "available_time=0.1,stress=5",
+                 *level, "--output-dir", str(tmp_path)]) == 0
+    assert f" {printed} [" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("percentile, printed", [(None, "p=0.5;"), ("0.9999999", "p=0.9999999;"),
+                                                 ("1e-9", "p=1e-09;")])
+def test_validate_prints_the_percentile_it_used(tmp_path, capsys, percentile, printed):
+    model_path = _fit_workshop(tmp_path)
+    capsys.readouterr()
+    level = ["--percentile", percentile] if percentile else []
+    assert main(["validate", "--model", str(model_path), "--holdout", "builtin:table8",
+                 *level, "--output-dir", str(tmp_path)]) == 0
+    assert f" at {printed} " in capsys.readouterr().out
+
+
 def test_validate_writes_report(tmp_path):
     model_path = _fit_workshop(tmp_path)
     rc = main(["validate", "--model", str(model_path),

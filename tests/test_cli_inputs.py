@@ -125,6 +125,38 @@ def test_curves_rejects_non_finite_values(tmp_path, capsys, model_doc, grid, fix
     assert not (tmp_path / "curves" / "curve_stress.csv").exists()
 
 
+def test_curves_that_cannot_be_charted_exit_two_and_write_nothing(tmp_path, capsys):
+    # Each fatigue is finite, but 1e306 - 1e-300 times the chart's width overflows.
+    assert main(["fit", "--input", "builtin:table3", "--factors", "available_time:log,stress",
+                 "--output-dir", str(tmp_path / "fit")]) == 0
+    rc = main(["curves", "--model", str(tmp_path / "fit" / "model.json"),
+               "--factor", "available_time", "--grid", "1e-300,1e306", "--fixed", "stress=2",
+               "--output-dir", str(tmp_path / "curves")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "available_time over [1e-300, 1e+306]" in err and "not finite" in err
+    assert not (tmp_path / "curves").exists()
+
+
+@pytest.mark.parametrize("option, value, words", [
+    ("--shape", "inf", ("true_shape", "finite", "inf")),
+    ("--alpha", "nan,0.3,-0.1", ("--alpha", "'nan'", "not a finite number")),
+    ("--alpha", "-2,inf,-0.1", ("--alpha", "'inf'", "not a finite number")),
+    ("--pool", "f1=0.5|nan", ("--pool", "'nan'", "not a finite number")),
+    ("--pool", "f1=0.5|x", ("--pool", "cannot parse 'x'")),
+])
+def test_simulate_rejects_non_finite_options(tmp_path, capsys, option, value, words):
+    options = {"--shape": "3", "--alpha": "-2,0.3,-0.1", "--pool": "f1=0.5|1|2|5"}
+    options[option] = value
+    argv = ["simulate", "--factors", "f1,f2", "--n", "20", "--pool", "f2=1|2|5",
+            *(f"{name}={text}" for name, text in options.items())]
+    assert main(argv + ["--output-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert all(word in err for word in words), err
+    assert "row 1" not in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_model_with_singular_covariance_still_loads(tmp_path, model_doc):
     # rank one, so positive semidefinite but not definite
     v = [1e-2, 2e-3, -1e-3, 5e-2]

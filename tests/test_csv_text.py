@@ -1,17 +1,21 @@
-"""CSV text in and out against the row-by-row references of ``oracles.py``.
+"""CSV and SVG text in and out against the row-by-row references of ``oracles.py``.
 
 Ingest: ``load_csv`` parses with numpy's tokenizer and falls back to the
 csv module; on every input it must return a Dataset bit-identical to
 ``rowwise_load_csv`` or raise the same class with the same message.
-Emission: the block templates of ``csv_blocks``, ``serialize`` and
-``svg.line_chart`` must write the bytes of one string per row or point.
+Emission: the block templates of ``csv_blocks`` and ``serialize`` must
+write the bytes of one string per row.  ``svg.line_chart`` must write
+the bytes of one f-string per point, on both sides of
+``FIXED_POINT_MIN_POINTS``, or raise where that reference would write a
+coordinate that is not finite; its fixed-point kernel must write
+``'%.2f' % v`` for every double v in [1, 1024).
 """
 
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from ahft import evaluate, load_csv, load_model, serialize, sweep_curve
 from ahft.alt import DEFAULT_CONFIDENCE, coef_ci, positive_param_ci, wald_stats
@@ -25,7 +29,7 @@ from ahft.dataset import (
     csv_blocks,
 )
 from ahft.errors import InputError
-from ahft.svg import line_chart
+from ahft.svg import FIXED_POINT_MIN_POINTS, _fixed_point_path, line_chart
 from oracles import rowwise_csv_lines, rowwise_line_chart, rowwise_load_csv, rowwise_serialize
 
 LONG_CELL = " " * 131073 + "0.5"  # longer than csv.field_size_limit(); float takes it
@@ -282,13 +286,83 @@ def test_csv_blocks_keep_each_bit_pattern_of_a_pool_apart(n):
         list(csv_blocks([range(n), column[:-1]]))
 
 
-@pytest.mark.parametrize("n", (1, 2, 4095, 4096, 4097))
+def _assert_chart_matches_rowwise(x, y, *labels):
+    """``line_chart(x, y)`` is the reference's text, or raises where that text is not finite."""
+    expected = rowwise_line_chart(list(zip(x, y)), *labels)
+    if "inf" in expected or "nan" in expected:
+        with pytest.raises(InputError, match="pixel coordinates are not finite"):
+            line_chart(x, y, *labels)
+    else:
+        assert _first_difference(line_chart(x, y, *labels), expected) is None
+        arrays = np.array(x, dtype=float), np.array(y, dtype=float)
+        assert _first_difference(line_chart(*arrays, *labels), expected) is None
+
+
+@pytest.mark.parametrize("n", (1, 2, FIXED_POINT_MIN_POINTS - 1, FIXED_POINT_MIN_POINTS,
+                               FIXED_POINT_MIN_POINTS + 1, 4095, 4096, 4097))
 def test_line_chart_matches_rowwise(n):
-    points = list(zip(_cycle(n), _cycle(n, 4)))
-    args = (points, "Fatigue vs x", "x", "fatigue")
-    assert line_chart(*args) == rowwise_line_chart(*args)
-    args = (list(zip(range(n), [0.25 * i for i in range(n)])), "t", "x", "y")
-    assert line_chart(*args) == rowwise_line_chart(*args)
+    # VALUES span more than 1e308, so their coordinates overflow from n = 2 on.
+    _assert_chart_matches_rowwise(_cycle(n), _cycle(n, 4), "Fatigue vs x", "x", "fatigue")
+    _assert_chart_matches_rowwise(list(range(n)), [0.25 * i for i in range(n)], "t", "x", "y")
+    finite = [v for v in VALUES if abs(v) < 1e300]
+    _assert_chart_matches_rowwise([finite[i % len(finite)] for i in range(n)],
+                                  [0.1 * i * i - 3.0 * i for i in range(n)], "f", "x", "y")
+    # Equal extremes: the first of them names the axis, "-0" or "0".
+    for zeros in ((-0.0, 0.0), (0.0, -0.0)):
+        ties = [zeros[i % 2] if i % 3 else zeros[0] for i in range(n)]
+        _assert_chart_matches_rowwise(ties, ties, "z", "x", "y")
+        _assert_chart_matches_rowwise(ties, [-v for v in ties], "z", "x", "y")
+        _assert_chart_matches_rowwise([v + 1.0 if i % 5 == 4 else v for i, v in enumerate(ties)],
+                                      [-v - 1.0 if i % 7 == 6 else -v for i, v in enumerate(ties)],
+                                      "z", "x", "y")
+
+
+def test_line_chart_names_the_axis_it_cannot_scale():
+    with pytest.raises(InputError, match=r"cannot chart stress over \[-7\.0, 1e\+308\]"):
+        line_chart([-7.0, 1e308], [0.5, 0.25], "t", "stress", "fatigue")
+    with pytest.raises(InputError, match=r"cannot chart fatigue over \[0\.5, inf\]"):
+        line_chart([1.0, 2.0], [0.5, float("inf")], "t", "stress", "fatigue")
+    with pytest.raises(InputError, match="cannot chart fatigue over"):
+        line_chart([1.0, 2.0, 3.0], [0.5, float("nan"), 0.5], "t", "stress", "fatigue")
+    with pytest.raises(InputError, match="empty point list"):
+        line_chart([], [], "t", "stress", "fatigue")
+    with pytest.raises(InputError, match="2 x values against 3 y values"):
+        line_chart([1.0, 2.0], [1.0, 2.0, 3.0], "t", "stress", "fatigue")
+
+
+def _kernel_mismatch(values):
+    """None when ``_fixed_point_path`` writes the ``%.2f`` polyline of ``values``.
+
+    Else the first value it misformats with both texts, kept short so
+    that pytest does not diff whole polylines.
+    """
+    values = list(values) + [1.0] * (len(values) % 2)
+    got = _fixed_point_path(np.array(values))
+    expected = " ".join(["%.2f,%.2f"] * (len(values) // 2)) % tuple(values)
+    if got == expected:
+        return None
+    cells = got.replace(",", " ").split(" ")
+    return next(((v, text, "%.2f" % v) for v, text in zip(values, cells) if text != "%.2f" % v),
+                (got[:80], expected[:80]))
+
+
+def test_fixed_point_kernel_at_every_tie_and_its_neighbours():
+    # '%.2f' ties on a double are exactly the odd multiples of 1/8.
+    ties = np.arange(8, 8 * 1024) / 8.0
+    values = np.concatenate([ties, np.nextafter(ties, 0.0), np.nextafter(ties, 2048.0)])
+    values = values[(values >= 1.0) & (values < 1024.0)]
+    assert _kernel_mismatch(values.tolist()) is None
+    assert len(values) == 3 * len(ties) - 1  # only 1024's upper neighbour falls outside
+    bounds = np.array([28.0, 56.0, 344.0, 612.0, 334.0, 186.0, 1.0, 1023.995])
+    assert _kernel_mismatch(np.concatenate(
+        [bounds, np.nextafter(bounds, 0.0), np.nextafter(bounds, 2048.0)]).tolist()) is None
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(st.lists(st.floats(1.0, 1024.0, exclude_max=True), min_size=1, max_size=64))
+@example([np.nextafter(1024.0, 0.0), 1.0, 9.995, 99.995, 999.995, 1023.995])
+def test_fixed_point_kernel_matches_percent_format(values):
+    assert _kernel_mismatch(values) is None
 
 
 def test_cli_artifacts_match_rowwise(tmp_path, table3):
@@ -324,9 +398,10 @@ def test_cli_artifacts_match_rowwise(tmp_path, table3):
              ["max_relative_error", report.max_relative_error]]
     assert (out / "validation.csv").read_text() == rowwise_csv_lines(rows)
 
+    assert points >= FIXED_POINT_MIN_POINTS  # so the chart takes the fixed-point kernel
     grid = [1.0 + i * (4.0 / (points - 1)) for i in range(points)]
-    curve = sweep_curve(model, "stress", grid, {"available_time": 0.1})
+    curve = list(zip(grid, sweep_curve(model, "stress", grid, {"available_time": 0.1}).tolist()))
     assert (out / "curve_stress.csv").read_text() == rowwise_csv_lines(
         [("stress", "fatigue"), *curve])
-    assert (out / "curve_stress.svg").read_text() == rowwise_line_chart(
-        curve, "Fatigue vs stress", "stress", "fatigue")
+    assert _first_difference((out / "curve_stress.svg").read_text(), rowwise_line_chart(
+        curve, "Fatigue vs stress", "stress", "fatigue")) is None
