@@ -165,7 +165,7 @@ def cmd_pca(args) -> int:
 
     print(
         f"pca: {n} components; {selection.retained_components} retained at "
-        f"threshold {args.threshold:g}; top factors: "
+        f"threshold {ds.number_text(args.threshold)}; top factors: "
         + ", ".join(selection.names[:3])
     )
     if result.has_ties:
@@ -228,7 +228,7 @@ def cmd_predict(args) -> int:
     ]
     _write(out / "prediction.csv", ds.csv_blocks(list(zip(row)), header))
 
-    at = ", ".join(f"{name}={point[name]:g}" for name in factor_names)
+    at = ", ".join(f"{name}={ds.number_text(point[name])}" for name in factor_names)
     print(
         f"predict: at {at}, p={args.percentile!r}: value {prediction.value:.6g}, "
         f"se {prediction.std_error:.6g}, {100 * args.confidence:.15g}% CI "
@@ -278,8 +278,8 @@ def cmd_curves(args) -> int:
     for factor, fatigue, csv_text, svg_text in curves:
         _write(out / f"curve_{factor}.csv", csv_text)
         _write(out / f"curve_{factor}.svg", svg_text)
-        print(f"curves: {factor} over [{grid[0]:g}, {grid[-1]:g}] -> fatigue "
-              f"{fatigue[0]:.6g} .. {fatigue[-1]:.6g}")
+        print(f"curves: {factor} over [{ds.number_text(grid[0])}, "
+              f"{ds.number_text(grid[-1])}] -> fatigue {fatigue[0]:.6g} .. {fatigue[-1]:.6g}")
     return EXIT_OK
 
 

@@ -167,6 +167,16 @@ class Dataset:
         return f"Dataset(column_names={self.column_names!r}, n_rows={self.n_rows})"
 
 
+def number_text(value: float) -> str:
+    """``repr`` of a float without a trailing ``.0``, for echoing inputs.
+
+    Keeps every digit, where ``{:g}`` keeps six (``0.1234567``), and
+    writes ``1``, ``0.1`` and ``1e-05`` as ``{:g}`` does.
+    """
+    text = repr(float(value))
+    return text[:-2] if text.endswith(".0") else text
+
+
 # ---------------------------------------------------------------------------
 # CSV ingestion / emission
 # ---------------------------------------------------------------------------
@@ -337,6 +347,12 @@ def load_csv(source) -> Dataset:
 
 
 CSV_BLOCK_CELLS = 16384
+
+
+def _is_float_array(column) -> bool:
+    return isinstance(column, np.ndarray) and column.ndim == 1 and column.dtype == np.float64
+
+
 # A float column of at least DISTINCT_PROBE_ROWS rows whose first
 # DISTINCT_PROBE_ROWS cells, and then all of whose cells, hold at most
 # half distinct bit patterns is formatted once per distinct value.
@@ -359,8 +375,7 @@ def _distinct_text(column):
     of them each row holds: ``text[index[a:b]].tolist()`` is the text of
     rows ``a`` to ``b``.
     """
-    if not (isinstance(column, np.ndarray) and len(column) >= DISTINCT_PROBE_ROWS
-            and column.ndim == 1 and column.dtype == np.float64):
+    if not (_is_float_array(column) and len(column) >= DISTINCT_PROBE_ROWS):
         return None
     bits = column.view(np.uint64)
     if 2 * len(np.unique(bits[:DISTINCT_PROBE_ROWS])) > DISTINCT_PROBE_ROWS:
@@ -372,34 +387,58 @@ def _distinct_text(column):
     return text, index
 
 
+# A float64 array of at least FLOAT_TEXT_MIN_ROWS rows that is not pooled
+# is written by the array kernel of ``_floattext``, FLOAT_TEXT_CHUNK cells
+# or one block (whichever is more) per call.  Break-even, see CHANGES.md.
+FLOAT_TEXT_MIN_ROWS = 512
+FLOAT_TEXT_CHUNK = 4096
+
+
 def csv_blocks(columns, header=()):
     """CSV text of a ``header`` row, if given, then the rows of ``columns``.
 
     ``columns`` are equally long lists, tuples, ranges or float arrays,
-    as many as the header has cells.  A cell is a str, int or Python
-    float and is written as ``str`` of it, so a float in its shortest
-    exact form.  An array is converted a block at a time; a long float
-    array with few distinct values (:func:`_distinct_text`) has each
-    distinct value formatted once and its blocks taken from that text.
-    The text comes in blocks of whole rows of about ``CSV_BLOCK_CELLS``
-    cells: a block's cells are interleaved into one list by strided
-    slice assignment and formatted in one call by a ``%s`` row template
-    repeated per row.
+    as many as the header has cells (``ValueError`` otherwise).  A cell is
+    a str, int or Python float and is written as ``str`` of it, so a float
+    in its shortest exact form.  The text comes in blocks of whole rows of
+    about ``CSV_BLOCK_CELLS`` cells: a block's cells are interleaved into
+    one list by strided slice assignment and formatted in one call by a
+    ``%s`` row template repeated per row.  Float arrays give the same text
+    by faster routes: a long one with few distinct values
+    (:func:`_distinct_text`) has each distinct value formatted once, and
+    any other one of at least ``FLOAT_TEXT_MIN_ROWS`` rows is formatted by
+    the array kernel ``_floattext.reprs``, the arrays of a few blocks in
+    one call.
     """
     k = len(columns)
     template = ",".join(["%s"] * k) + "\n"
+    n = len(columns[0])
+    if any(len(column) != n for column in columns):
+        raise ValueError(f"columns of unequal length: {[len(c) for c in columns]}")
     if header:
         yield template % tuple(header)
-    n = len(columns[0])
-    distinct = [_distinct_text(column) for column in columns]
+    pooled = {j: text for j, column in enumerate(columns)
+              if (text := _distinct_text(column)) is not None}
+    kernel = {j: i for i, j in enumerate(
+        j for j, column in enumerate(columns) if j not in pooled
+        and _is_float_array(column) and n >= FLOAT_TEXT_MIN_ROWS)}
     step = max(1, CSV_BLOCK_CELLS // k)
+    if kernel:
+        from ._floattext import reprs
+        span = step * max(1, FLOAT_TEXT_CHUNK // (step * len(kernel)))
     for start in range(0, n, step):
         m = min(step, n - start)
+        if kernel and start % span == 0:
+            first, width = start, min(span, n - start)
+            floats = reprs(np.concatenate([columns[j][first:first + width] for j in kernel]))
         cells = [None] * (m * k)
-        for j, (column, pooled) in enumerate(zip(columns, distinct)):
-            if pooled:
-                text, index = pooled
+        for j, column in enumerate(columns):
+            if j in pooled:
+                text, index = pooled[j]
                 part = text[index[start:start + m]].tolist()
+            elif j in kernel:
+                offset = kernel[j] * width + start - first
+                part = floats[offset:offset + m]
             else:
                 part = column[start:start + m]
                 if isinstance(part, np.ndarray):

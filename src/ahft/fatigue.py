@@ -9,7 +9,6 @@ fatigue expected after a different exposure.  All durations are in hours.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import (
     FatigueOutOfRange,
@@ -17,20 +16,6 @@ from .errors import (
     NonPositiveRate,
     NonPositiveTime,
 )
-
-
-@dataclass(frozen=True)
-class FatigueCurve:
-    """A fatigue-accumulation curve, fully determined by its hourly rate."""
-
-    rate: float
-
-    def __post_init__(self):
-        if not (self.rate > 0 and math.isfinite(self.rate)):
-            raise NonPositiveRate(f"rate must be positive and finite, got {self.rate!r}")
-
-    def at(self, t: float) -> float:
-        return fatigue_at(self.rate, t)
 
 
 def fatigue_at(rate: float, t: float) -> float:

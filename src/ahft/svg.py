@@ -19,6 +19,7 @@ import math
 
 import numpy as np
 
+from .dataset import number_text
 from .errors import InputError
 
 _W, _H = 640, 400
@@ -128,8 +129,8 @@ def line_chart(x, y, title: str, x_label: str, y_label: str) -> str:
 <line x1="{_MARGIN}" y1="{_MARGIN // 2}" x2="{_MARGIN}" y2="{_H - _MARGIN}" stroke="black"/>
 <text x="{_W / 2:.0f}" y="{_H - 14}" text-anchor="middle" font-family="sans-serif" font-size="12">{x_label}</text>
 <text x="16" y="{_H / 2:.0f}" text-anchor="middle" font-family="sans-serif" font-size="12" transform="rotate(-90 16 {_H / 2:.0f})">{y_label}</text>
-<text x="{_MARGIN}" y="{_H - _MARGIN + 16}" text-anchor="middle" font-family="sans-serif" font-size="10">{xmin:g}</text>
-<text x="{_W - _MARGIN // 2}" y="{_H - _MARGIN + 16}" text-anchor="middle" font-family="sans-serif" font-size="10">{xmax:g}</text>
+<text x="{_MARGIN}" y="{_H - _MARGIN + 16}" text-anchor="middle" font-family="sans-serif" font-size="10">{number_text(xmin)}</text>
+<text x="{_W - _MARGIN // 2}" y="{_H - _MARGIN + 16}" text-anchor="middle" font-family="sans-serif" font-size="10">{number_text(xmax)}</text>
 <text x="{_MARGIN - 6}" y="{_H - _MARGIN + 4}" text-anchor="end" font-family="sans-serif" font-size="10">{ymin:g}</text>
 <text x="{_MARGIN - 6}" y="{_MARGIN // 2 + 4}" text-anchor="end" font-family="sans-serif" font-size="10">{ymax:g}</text>
 <polyline points="{path}" fill="none" stroke="#1f4e79" stroke-width="1.5"/>

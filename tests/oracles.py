@@ -233,8 +233,8 @@ def rowwise_line_chart(points, title: str, x_label: str, y_label: str) -> str:
 <line x1="{margin}" y1="{margin // 2}" x2="{margin}" y2="{h - margin}" stroke="black"/>
 <text x="{w / 2:.0f}" y="{h - 14}" text-anchor="middle" font-family="sans-serif" font-size="12">{x_label}</text>
 <text x="16" y="{h / 2:.0f}" text-anchor="middle" font-family="sans-serif" font-size="12" transform="rotate(-90 16 {h / 2:.0f})">{y_label}</text>
-<text x="{margin}" y="{h - margin + 16}" text-anchor="middle" font-family="sans-serif" font-size="10">{xmin:g}</text>
-<text x="{w - margin // 2}" y="{h - margin + 16}" text-anchor="middle" font-family="sans-serif" font-size="10">{xmax:g}</text>
+<text x="{margin}" y="{h - margin + 16}" text-anchor="middle" font-family="sans-serif" font-size="10">{repr(xmin).removesuffix(".0")}</text>
+<text x="{w - margin // 2}" y="{h - margin + 16}" text-anchor="middle" font-family="sans-serif" font-size="10">{repr(xmax).removesuffix(".0")}</text>
 <text x="{margin - 6}" y="{h - margin + 4}" text-anchor="end" font-family="sans-serif" font-size="10">{ymin:g}</text>
 <text x="{margin - 6}" y="{margin // 2 + 4}" text-anchor="end" font-family="sans-serif" font-size="10">{ymax:g}</text>
 <polyline points="{path}" fill="none" stroke="#1f4e79" stroke-width="1.5"/>

@@ -132,6 +132,33 @@ def test_validate_prints_the_percentile_it_used(tmp_path, capsys, percentile, pr
     assert f" at {printed} " in capsys.readouterr().out
 
 
+# Inputs are echoed with every digit, where {:g} kept six; 1, 5 and 0.1
+# read as before.
+def test_predict_echoes_the_point_with_every_digit(tmp_path, capsys):
+    model_path = _fit_workshop(tmp_path)
+    capsys.readouterr()
+    assert main(["predict", "--model", str(model_path), "--at",
+                 "available_time=0.1234567,stress=5", "--output-dir", str(tmp_path)]) == 0
+    assert "predict: at available_time=0.1234567, stress=5, p=0.5:" in capsys.readouterr().out
+
+
+def test_curves_echo_and_label_the_grid_ends_with_every_digit(tmp_path, capsys):
+    model_path = _fit_workshop(tmp_path)
+    capsys.readouterr()
+    assert main(["curves", "--model", str(model_path), "--factor", "stress",
+                 "--grid", "1.0000001,1.0000002", "--fixed", "available_time=0.1",
+                 "--output-dir", str(tmp_path)]) == 0
+    assert "curves: stress over [1.0000001, 1.0000002] -> " in capsys.readouterr().out
+    chart = (tmp_path / "curve_stress.svg").read_text()
+    assert '">1.0000001</text>' in chart and '">1.0000002</text>' in chart
+
+
+def test_pca_echoes_the_threshold_with_every_digit(tmp_path, capsys):
+    assert main(["pca", "--input", "builtin:table3", "--threshold", "0.9999999",
+                 "--output-dir", str(tmp_path)]) == 0
+    assert " retained at threshold 0.9999999; " in capsys.readouterr().out
+
+
 def test_validate_writes_report(tmp_path):
     model_path = _fit_workshop(tmp_path)
     rc = main(["validate", "--model", str(model_path),

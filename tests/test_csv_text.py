@@ -4,25 +4,35 @@ Ingest: ``load_csv`` parses with numpy's tokenizer and falls back to the
 csv module; on every input it must return a Dataset bit-identical to
 ``rowwise_load_csv`` or raise the same class with the same message.
 Emission: the block templates of ``csv_blocks`` and ``serialize`` must
-write the bytes of one string per row.  ``svg.line_chart`` must write
-the bytes of one f-string per point, on both sides of
-``FIXED_POINT_MIN_POINTS``, or raise where that reference would write a
-coordinate that is not finite; its fixed-point kernel must write
-``'%.2f' % v`` for every double v in [1, 1024).
+write the bytes of one string per row, on both sides of
+``FLOAT_TEXT_MIN_ROWS``, and the float text kernel of ``_floattext`` must
+write ``repr`` of every double.  ``svg.line_chart`` must write the bytes
+of one f-string per point, on both sides of ``FIXED_POINT_MIN_POINTS``,
+or raise where that reference would write a coordinate that is not
+finite; its fixed-point kernel must write ``'%.2f' % v`` for every double
+v in [1, 1024).
 """
 
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import ahft
 from ahft import evaluate, load_csv, load_model, serialize, sweep_curve
+from ahft._floattext import _bounds, reprs
 from ahft.alt import DEFAULT_CONFIDENCE, coef_ci, positive_param_ci, wald_stats
 from ahft.cli import main
 from ahft.dataset import (
     CSV_BLOCK_CELLS,
     DISTINCT_PROBE_ROWS,
+    FLOAT_TEXT_CHUNK,
+    FLOAT_TEXT_MIN_ROWS,
     Dataset,
     _has_long_line,
     _tokenized_columns,
@@ -161,6 +171,20 @@ def test_tokenizer_takes_plain_files_and_leaves_the_rest_to_csv(table3):
 VALUES = (-0.0, 1e16, 1e-5, 5e-324, 1e308, 3, -7, 0.1)
 
 
+def _first_difference(got, expected):
+    """None for equal texts, else the first differing line of each and its number.
+
+    Keeps a failure report short: a plain ``==`` on texts of thousands of
+    rows makes pytest diff them whole, which takes minutes.
+    """
+    if got == expected:
+        return None
+    got, expected = got.splitlines(), expected.splitlines()
+    i = next((i for i, (a, b) in enumerate(zip(got, expected)) if a != b),
+             min(len(got), len(expected)))
+    return i, got[i:i + 1], expected[i:i + 1]
+
+
 def _around_block(width):
     """Row counts one below, at and one above the rows of a block of ``width`` cells."""
     rows = CSV_BLOCK_CELLS // width
@@ -177,8 +201,8 @@ def test_csv_blocks_match_rowwise_lines(n):
     columns = [range(n), _cycle(n), np.array(_cycle(n, 3), dtype=float),
                ["" if i % 3 else v for i, v in enumerate(_cycle(n, 5))]]
     rows = [header, *zip(range(n), _cycle(n), map(float, _cycle(n, 3)), columns[3])]
-    assert "".join(csv_blocks(columns, header)) == rowwise_csv_lines(rows)
-    assert "".join(csv_blocks(columns)) == rowwise_csv_lines(rows[1:])
+    assert _first_difference("".join(csv_blocks(columns, header)), rowwise_csv_lines(rows)) is None
+    assert _first_difference("".join(csv_blocks(columns)), rowwise_csv_lines(rows[1:])) is None
     with pytest.raises(ValueError):
         list(csv_blocks([range(n), range(n - 1)]))
 
@@ -187,7 +211,7 @@ def test_csv_blocks_match_rowwise_lines(n):
 def test_serialize_matches_rowwise(n):
     fatigue = [abs(v) or 0.5 for v in _cycle(n, 1)]
     data = Dataset(("x", "y", "fatigue"), {"x": _cycle(n), "y": _cycle(n, 2), "fatigue": fatigue})
-    assert serialize(data) == rowwise_serialize(data)
+    assert _first_difference(serialize(data).decode(), rowwise_serialize(data).decode()) is None
 
 
 # Distinct-value text: long float columns with few bit patterns are
@@ -196,20 +220,6 @@ def test_serialize_matches_rowwise(n):
 POOL_VALUES = (0.0, -0.0, 5e-324, 1e16, 1e-5, 1e308, -1e308, 0.5, 3.0, 0.1)
 EMIT = settings(max_examples=60, derandomize=True, deadline=None, database=None,
                 suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
-
-
-def _first_difference(got, expected):
-    """None for equal texts, else the first differing line of each and its number.
-
-    Keeps a failure report short: a plain ``==`` on texts of thousands of
-    rows makes pytest diff them whole, which takes minutes.
-    """
-    if got == expected:
-        return None
-    got, expected = got.splitlines(), expected.splitlines()
-    i = next((i for i, (a, b) in enumerate(zip(got, expected)) if a != b),
-             min(len(got), len(expected)))
-    return i, got[i:i + 1], expected[i:i + 1]
 
 
 def _lengths(width):
@@ -284,6 +294,157 @@ def test_csv_blocks_keep_each_bit_pattern_of_a_pool_apart(n):
     assert len(blocks) == -(-n // (CSV_BLOCK_CELLS // 3))
     with pytest.raises(ValueError):
         list(csv_blocks([range(n), column[:-1]]))
+
+
+# Float text kernel: ``_floattext.reprs`` must write ``repr`` of every double,
+# by Ryū's digits on the array or by ``repr`` for the rows it leaves out.
+def _reprs_mismatch(values):
+    """None when ``reprs(values)`` is ``repr`` of each value, else the first
+    value it misformats with both texts, kept short for the failure report."""
+    values = np.asarray(values, dtype=np.float64)
+    got, expected = reprs(values), [repr(v) for v in values.tolist()]
+    if got == expected:
+        return None
+    return next(((v, a, b) for v, a, b in zip(values.tolist(), got, expected) if a != b),
+                (len(got), len(expected)))
+
+
+def _doubles(exponents, significands, sign):
+    return ((np.asarray(exponents, dtype=np.uint64) << np.uint64(52)) | significands
+            | np.uint64(sign << 63)).view(np.float64)
+
+
+@pytest.mark.parametrize("sign", (0, 1))
+def test_float_text_at_every_exponent(sign):
+    # Zero significands are the powers of two, whose rounding interval is
+    # asymmetric; exponent 0 holds the subnormals, 2047 inf and nan.
+    exponents = np.arange(1, 2047)
+    rng = np.random.default_rng(12)
+    for significands in (*rng.integers(1, 2**52, (8, len(exponents)), dtype=np.uint64),
+                         np.zeros(len(exponents), dtype=np.uint64),
+                         np.full(len(exponents), 2**52 - 1, dtype=np.uint64)):
+        assert _reprs_mismatch(_doubles(exponents, significands, sign)) is None
+
+
+def test_float_text_bounds_carry_across_every_word():
+    # (p + e) >> 120 and (p - e) >> 120 on 64-bit words: a carry out of the
+    # low word reaches bit 120 for about one double in 2**56, so words are set
+    # here to make every carry and borrow happen.
+    ones = 2**64 - 1
+    words = np.array([0, 1, 2**56 - 1, 2**56, 2**63, ones - 1, ones, 0x9E3779B97F4A7C15],
+                     dtype=np.uint64)
+    high = np.array([1, 2**53 + 3, 2**54 - 1], dtype=np.uint64)
+    grid = np.array(np.meshgrid(words, words, words, words, high)).reshape(5, -1)
+    p0, p1, e_lo, e_hi, p2 = grid
+    got = np.array(_bounds(p0, p1, p2, e_lo, e_hi)).T.tolist()
+    expected = []
+    for w0, w1, f0, f1, w2 in grid.T.tolist():
+        p, e = w0 | w1 << 64 | w2 << 128, f0 | f1 << 64
+        expected.append([p >> 120, (p + e) >> 120, (p - e) >> 120])
+    assert got == expected
+
+
+def _with_neighbours(values):
+    values = np.array(values, dtype=np.float64)
+    with np.errstate(over="ignore"):  # the largest double's upper neighbour is inf
+        values = np.concatenate([values, np.nextafter(values, -np.inf),
+                                 np.nextafter(values, np.inf)])
+    return np.concatenate([values, -values])
+
+
+def test_float_text_at_zeros_extremes_and_layout_switches():
+    # 2**53 bounds the array path; 1e-4 and 1e16 bound repr's fixed notation.
+    values = _with_neighbours([0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                               1e23, 2.0 ** 53, 1e-4, 1e-5, 9999999999999998.0, 1e16])
+    assert _reprs_mismatch(values) is None
+    assert [v for v in reprs(values[:10])] == [
+        "0.0", "5e-324", "2.2250738585072014e-308", "1.7976931348623157e+308", "1e+23",
+        "9007199254740992.0", "0.0001", "1e-05", "9999999999999998.0", "1e+16"]
+
+
+@pytest.mark.parametrize("digits", range(1, 18))
+def test_float_text_of_shortest_forms(digits):
+    # digits-digit decimals from 1e-30 to 1e23 cross every layout of repr.
+    rng = np.random.default_rng(digits)
+    mantissas = rng.integers(10 ** (digits - 1), 10 ** digits, 2000, dtype=np.int64)
+    exponents = rng.integers(-30 - digits, 24 - digits, 2000)
+    values = [float(f"{m}e{e}") for m, e in zip(mantissas.tolist(), exponents.tolist())]
+    assert _reprs_mismatch(values) is None
+
+
+def _kernel_lengths(width, floats):
+    """Row counts around the kernel's threshold, a block of ``width`` cells and
+    a kernel call, which takes a few blocks when ``floats`` arrays are few."""
+    step = CSV_BLOCK_CELLS // width
+    span = step * max(1, FLOAT_TEXT_CHUNK // (step * floats))
+    return (FLOAT_TEXT_MIN_ROWS - 1, FLOAT_TEXT_MIN_ROWS, step + 1, span - 1, span + 1)
+
+
+@st.composite
+def kernel_tables(draw, width, fixed=0, others=("pooled", "range")):
+    """``width`` columns: one to four distinct float arrays, the others pooled
+    float arrays or ranges, in any order; as many rows as ``_kernel_lengths``
+    gives for a table of ``width + fixed`` cells a row."""
+    floats = draw(st.integers(1, min(width, 4)))
+    kinds = draw(st.permutations(
+        ["distinct"] * floats + [draw(st.sampled_from(others)) for _ in range(width - floats)]))
+    n = draw(st.sampled_from(_kernel_lengths(width + fixed, floats)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = np.array(draw(st.lists(st.sampled_from(POOL_VALUES), min_size=1, max_size=6)))
+    return [range(n) if kind == "range" else
+            draw(distinct_arrays(n)) if kind == "distinct" else pool[rng.integers(0, len(pool), n)]
+            for kind in kinds]
+
+
+@st.composite
+def distinct_arrays(draw, n):
+    """A float array of ``n`` rows, nearly all distinct: fatigue-like draws,
+    decimals of 1 to 17 digits, raw bit patterns, or a mix of them with the
+    values the kernel leaves to ``repr`` (zeros, subnormals, short dyadics,
+    values from 2**53 up)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    unit = rng.random(n)
+    digits = rng.integers(1, 18, n)
+    decimal = (rng.integers(1, 10 ** 17, n, dtype=np.int64) // 10 ** (17 - digits)
+               * 10.0 ** rng.integers(-25, 5, n).astype(float))
+    bits = rng.integers(0, 0x7FF0000000000000, n, dtype=np.uint64).view(np.float64)  # finite
+    odd = rng.choice([0.0, -0.0, 5e-324, 1e-310, 0.5, 3.0, 2.0 ** 53, 1e17, 1e300], n)
+    mixed = np.choose(rng.integers(0, 4, n), [unit, decimal, bits, odd])
+    kind = draw(st.sampled_from(("unit", "decimal", "bits", "mixed")))
+    array = {"unit": unit, "decimal": decimal, "bits": bits, "mixed": mixed}[kind]
+    return np.where(rng.random(n) < 0.3, -array, array)
+
+
+@EMIT
+@given(data=st.data(), width=st.sampled_from((1, 2, 3, 4, 17, 33)))
+def test_csv_blocks_with_kernel_columns_match_rowwise_lines(data, width):
+    columns = data.draw(kernel_tables(width))
+    rows = list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns)))
+    assert _first_difference("".join(csv_blocks(columns)), rowwise_csv_lines(rows)) is None
+
+
+@EMIT
+@given(data=st.data(), width=st.sampled_from((1, 2, 3, 16)))
+def test_serialize_with_kernel_columns_matches_rowwise(data, width):
+    *psfs, fatigue = data.draw(kernel_tables(width + 1, fixed=1, others=("pooled",)))
+    names = tuple(f"x{j}" for j in range(width))
+    columns = dict(zip(names, psfs))
+    fatigue = np.abs(np.asarray(fatigue, dtype=float))
+    columns["fatigue"] = np.where((fatigue > 0.0) & (fatigue < np.inf), fatigue, 0.5)
+    dataset = Dataset(names + ("fatigue",), columns)
+    got, expected = serialize(dataset), rowwise_serialize(dataset)
+    assert _first_difference(got.decode(), expected.decode()) is None
+
+
+def test_cli_import_and_short_columns_leave_the_kernel_unloaded():
+    code = ("import sys, numpy, ahft.cli\n"
+            "from ahft.dataset import FLOAT_TEXT_MIN_ROWS, csv_blocks\n"
+            "short = numpy.arange(FLOAT_TEXT_MIN_ROWS - 1) / 7.0\n"
+            "''.join(csv_blocks([short, short]))\n"
+            "print('ahft._floattext' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(ahft.__file__).parent.parent))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "False\n", "")
 
 
 def _assert_chart_matches_rowwise(x, y, *labels):
@@ -387,7 +548,7 @@ def test_cli_artifacts_match_rowwise(tmp_path, table3):
     se_shape = model.shape * ses[-1]
     rows.append(["Shape", float(model.shape), se_shape, "", "",
                  *positive_param_ci(model.shape, se_shape, DEFAULT_CONFIDENCE)])
-    assert (out / "regression.csv").read_text() == rowwise_csv_lines(rows)
+    assert _first_difference((out / "regression.csv").read_text(), rowwise_csv_lines(rows)) is None
 
     report = evaluate(model, holdout, 0.5)
     psf = list(holdout.psf_names)
@@ -396,12 +557,12 @@ def test_cli_artifacts_match_rowwise(tmp_path, table3):
              in zip(report.rows, *(holdout.column(c).tolist() for c in psf))]
     rows += [["mean_relative_error", report.mean_relative_error],
              ["max_relative_error", report.max_relative_error]]
-    assert (out / "validation.csv").read_text() == rowwise_csv_lines(rows)
+    assert _first_difference((out / "validation.csv").read_text(), rowwise_csv_lines(rows)) is None
 
     assert points >= FIXED_POINT_MIN_POINTS  # so the chart takes the fixed-point kernel
     grid = [1.0 + i * (4.0 / (points - 1)) for i in range(points)]
     curve = list(zip(grid, sweep_curve(model, "stress", grid, {"available_time": 0.1}).tolist()))
-    assert (out / "curve_stress.csv").read_text() == rowwise_csv_lines(
-        [("stress", "fatigue"), *curve])
+    assert _first_difference((out / "curve_stress.csv").read_text(),
+                             rowwise_csv_lines([("stress", "fatigue"), *curve])) is None
     assert _first_difference((out / "curve_stress.svg").read_text(), rowwise_line_chart(
         curve, "Fatigue vs stress", "stress", "fatigue")) is None
