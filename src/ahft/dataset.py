@@ -8,7 +8,8 @@ optional ``duration_hours`` column is accepted only when every value is 1.
 A :class:`Dataset` stores one float64 array per column; CSV ingestion
 parses with numpy's C tokenizer and checks whole columns at once, and
 CSV emission formats blocks of rows with one ``%s`` template, formatting
-each distinct value of a long, few-valued float column only once.
+each distinct value of a long, few-valued float column only once and the
+other long float columns by the array kernel of ``_floattext``.
 
 Two reference datasets from a lathing-workshop case study ship with the
 package: :func:`builtin_table3` (15 fitting instances over 8 PSFs) and
@@ -388,8 +389,14 @@ def _distinct_text(column):
 
 
 # A float64 array of at least FLOAT_TEXT_MIN_ROWS rows that is not pooled
-# is written by the array kernel of ``_floattext``, FLOAT_TEXT_CHUNK cells
-# or one block (whichever is more) per call.  Break-even, see CHANGES.md.
+# is written by the array kernel of ``_floattext``.  Break-even, csv_blocks
+# of one column of uniform draws (one Xeon core, fastest of 41): with repr
+# of each cell 0.10 / 0.22 / 0.30 / 0.38 / 0.54 / 0.72 / 1.34 ms at 128 /
+# 256 / 384 / 512 / 768 / 1024 / 2000 rows, by the kernel 0.25 / 0.32 /
+# 0.34 / 0.38 / 0.44 / 0.52 / 0.81 ms.  A call costs about 0.25 ms of
+# numpy calls, so each call takes the kernel arrays of whole blocks, at
+# least FLOAT_TEXT_CHUNK cells: several blocks when blocks are narrow (268
+# rows in the 61-column synthetic.csv of screen-wide).
 FLOAT_TEXT_MIN_ROWS = 512
 FLOAT_TEXT_CHUNK = 4096
 
@@ -417,11 +424,13 @@ def csv_blocks(columns, header=()):
         raise ValueError(f"columns of unequal length: {[len(c) for c in columns]}")
     if header:
         yield template % tuple(header)
-    pooled = {j: text for j, column in enumerate(columns)
-              if (text := _distinct_text(column)) is not None}
-    kernel = {j: i for i, j in enumerate(
-        j for j, column in enumerate(columns) if j not in pooled
-        and _is_float_array(column) and n >= FLOAT_TEXT_MIN_ROWS)}
+    pooled, kernel = {}, {}  # column -> (text, index), column -> place in a kernel call
+    for j, column in enumerate(columns):
+        distinct = _distinct_text(column)
+        if distinct is not None:
+            pooled[j] = distinct
+        elif _is_float_array(column) and n >= FLOAT_TEXT_MIN_ROWS:
+            kernel[j] = len(kernel)
     step = max(1, CSV_BLOCK_CELLS // k)
     if kernel:
         from ._floattext import reprs
@@ -429,15 +438,15 @@ def csv_blocks(columns, header=()):
     for start in range(0, n, step):
         m = min(step, n - start)
         if kernel and start % span == 0:
-            first, width = start, min(span, n - start)
-            floats = reprs(np.concatenate([columns[j][first:first + width] for j in kernel]))
+            first, length = start, min(span, n - start)
+            floats = reprs(np.concatenate([columns[j][first:first + length] for j in kernel]))
         cells = [None] * (m * k)
         for j, column in enumerate(columns):
             if j in pooled:
                 text, index = pooled[j]
                 part = text[index[start:start + m]].tolist()
             elif j in kernel:
-                offset = kernel[j] * width + start - first
+                offset = kernel[j] * length + start - first
                 part = floats[offset:offset + m]
             else:
                 part = column[start:start + m]
@@ -453,7 +462,9 @@ def serialize(dataset: Dataset) -> bytes:
     Floats are written in their shortest exact form (``repr``), so values
     survive the round trip bit-for-bit.  Every row ends with the
     ``duration_hours`` cell ``1.0``.  The rows are formatted by
-    :func:`csv_blocks`.
+    :func:`csv_blocks`: a long PSF column of a few levels once per distinct
+    value, a long column of distinct values (the fatigue of a synthetic
+    dataset, say) by the float text kernel.
     """
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerow(
