@@ -37,21 +37,24 @@ def _exponent_tables():
     ``mask`` are all zero, as they are for a power of two.  Every other b
     keeps a zero mask, so all its doubles go to ``repr``.
     """
-    pow5 = [1]
-    for i in range(325):
-        pow5.append(5 * pow5[-1])
-    e_lo, e_hi, mask, e10 = [0] * 2048, [0] * 2048, [0] * 2048, [0] * 2048
-    for b in range(1, 1076):
-        minus_e2 = 1077 - b
-        q = ((minus_e2 * 732923) >> 20) - 1  # log10(5**-e2) - 1
-        p = pow5[minus_e2 - q]
-        bits = p.bit_length()
-        e = (p << 125 >> bits) << (bits - 4 - q)  # top 125 bits, shifted by 121 - j
-        e_lo[b], e_hi[b] = e & 0xFFFFFFFFFFFFFFFF, e >> 64
-        mask[b] = (1 << min(q - 2, 52)) - 1 if q >= 2 else 0
-        e10[b] = q - minus_e2
-    return (np.array(e_lo, dtype=_U), np.array(e_hi, dtype=_U),
-            np.array(mask, dtype=_U), np.array(e10, dtype=np.intp))
+    top_lo, top_hi, pow5 = [], [], 1
+    for _ in range(326):
+        top = pow5 << 125 >> pow5.bit_length()  # the top 125 bits of 5**i
+        top_lo.append(top & 0xFFFFFFFFFFFFFFFF)
+        top_hi.append(top >> 64)
+        pow5 *= 5
+    top_lo, top_hi = np.array(top_lo, dtype=_U), np.array(top_hi, dtype=_U)
+    minus_e2 = 1077 - np.arange(1, 1076)
+    q = ((minus_e2 * 732923) >> 20) - 1  # log10(5**-e2) - 1
+    i = minus_e2 - q
+    shift = (((i * 1217359) >> 19) + 1 - 4 - q).astype(_U)  # 121 - j: bit length of 5**i - 4 - q
+    e_lo, e_hi, mask = np.zeros((3, 2048), dtype=_U)
+    e_lo[1:1076] = top_lo[i] << shift
+    e_hi[1:1076] = (top_hi[i] << shift) | (top_lo[i] >> _U(1) >> (_U(63) - shift))
+    mask[1:1076] = [(1 << min(v - 2, 52)) - 1 if v >= 2 else 0 for v in q.tolist()]
+    e10 = np.zeros(2048, dtype=np.intp)
+    e10[1:1076] = q - minus_e2
+    return e_lo, e_hi, mask, e10
 
 
 _E_LO, _E_HI, _REPR_MASK, _E10 = _exponent_tables()

@@ -357,7 +357,7 @@ def test_float_text_at_zeros_extremes_and_layout_switches():
     values = _with_neighbours([0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
                                1e23, 2.0 ** 53, 1e-4, 1e-5, 9999999999999998.0, 1e16])
     assert _reprs_mismatch(values) is None
-    assert [v for v in reprs(values[:10])] == [
+    assert reprs(values[:10]) == [
         "0.0", "5e-324", "2.2250738585072014e-308", "1.7976931348623157e+308", "1e+23",
         "9007199254740992.0", "0.0001", "1e-05", "9999999999999998.0", "1e+16"]
 
@@ -381,22 +381,6 @@ def _kernel_lengths(width, floats):
 
 
 @st.composite
-def kernel_tables(draw, width, fixed=0, others=("pooled", "range")):
-    """``width`` columns: one to four distinct float arrays, the others pooled
-    float arrays or ranges, in any order; as many rows as ``_kernel_lengths``
-    gives for a table of ``width + fixed`` cells a row."""
-    floats = draw(st.integers(1, min(width, 4)))
-    kinds = draw(st.permutations(
-        ["distinct"] * floats + [draw(st.sampled_from(others)) for _ in range(width - floats)]))
-    n = draw(st.sampled_from(_kernel_lengths(width + fixed, floats)))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    pool = np.array(draw(st.lists(st.sampled_from(POOL_VALUES), min_size=1, max_size=6)))
-    return [range(n) if kind == "range" else
-            draw(distinct_arrays(n)) if kind == "distinct" else pool[rng.integers(0, len(pool), n)]
-            for kind in kinds]
-
-
-@st.composite
 def distinct_arrays(draw, n):
     """A float array of ``n`` rows, nearly all distinct: fatigue-like draws,
     decimals of 1 to 17 digits, raw bit patterns, or a mix of them with the
@@ -415,6 +399,22 @@ def distinct_arrays(draw, n):
     return np.where(rng.random(n) < 0.3, -array, array)
 
 
+@st.composite
+def kernel_tables(draw, width, fixed=0, others=("pooled", "range")):
+    """``width`` columns: one to four distinct float arrays, the others pooled
+    float arrays or ranges, in any order; as many rows as ``_kernel_lengths``
+    gives for a table of ``width + fixed`` cells a row."""
+    floats = draw(st.integers(1, min(width, 4)))
+    kinds = draw(st.permutations(
+        ["distinct"] * floats + [draw(st.sampled_from(others)) for _ in range(width - floats)]))
+    n = draw(st.sampled_from(_kernel_lengths(width + fixed, floats)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = np.array(draw(st.lists(st.sampled_from(POOL_VALUES), min_size=1, max_size=6)))
+    return [range(n) if kind == "range" else
+            draw(distinct_arrays(n)) if kind == "distinct" else pool[rng.integers(0, len(pool), n)]
+            for kind in kinds]
+
+
 @EMIT
 @given(data=st.data(), width=st.sampled_from((1, 2, 3, 4, 17, 33)))
 def test_csv_blocks_with_kernel_columns_match_rowwise_lines(data, width):
@@ -429,7 +429,7 @@ def test_serialize_with_kernel_columns_matches_rowwise(data, width):
     *psfs, fatigue = data.draw(kernel_tables(width + 1, fixed=1, others=("pooled",)))
     names = tuple(f"x{j}" for j in range(width))
     columns = dict(zip(names, psfs))
-    fatigue = np.abs(np.asarray(fatigue, dtype=float))
+    fatigue = np.abs(fatigue)
     columns["fatigue"] = np.where((fatigue > 0.0) & (fatigue < np.inf), fatigue, 0.5)
     dataset = Dataset(names + ("fatigue",), columns)
     got, expected = serialize(dataset), rowwise_serialize(dataset)
