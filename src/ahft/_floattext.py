@@ -6,7 +6,7 @@ the shortest decimal that reads back as the same double and, among
 those, the closest to it, which is also what CPython's ``repr`` writes.
 Ryū needs only 64-bit integer arithmetic, so numpy runs it on whole
 ``uint64`` arrays.  The text is then laid out as ``repr`` lays it out:
-fixed notation for 1e-4 <= |x| < 1e16, else ``d.ddde-XX``.
+fixed notation for 1e-4 <= |x| < 1e16, ``d.ddde-XX`` below 1e-4.
 
 Only Ryū's common case runs here, for doubles below 2**53 whose exact
 scaled value is not an integer.  The rest (zeros, subnormals, powers of
