@@ -34,13 +34,11 @@ from .alt import (
     Prediction,
     coef_ci,
     fit_mle,
-    life_characteristic,
     load_model,
     log_likelihood,
     model_from_json,
     model_to_json,
     positive_param_ci,
-    predict_percentile,
     predict_with_interval,
     save_model,
     sweep_curve,
@@ -55,7 +53,6 @@ from .validation import (
     evaluate,
     generate_synthetic,
     recovery_check,
-    relative_error,
 )
 from . import errors
 
@@ -72,12 +69,12 @@ __all__ = [
     "variance_proportions",
     # alt
     "DEFAULT_CONFIDENCE", "DEFAULT_PERCENTILE", "FactorSpec", "GllWeibullModel",
-    "Prediction", "coef_ci", "fit_mle", "life_characteristic", "load_model", "log_likelihood",
-    "model_from_json", "model_to_json", "positive_param_ci", "predict_percentile",
+    "Prediction", "coef_ci", "fit_mle", "load_model", "log_likelihood",
+    "model_from_json", "model_to_json", "positive_param_ci",
     "predict_with_interval", "save_model", "sweep_curve", "wald_stats", "weibull_cdf",
     "weibull_quantile",
     # validation
     "RecoverySummary", "SyntheticSpec", "ValidationReport", "evaluate", "generate_synthetic",
-    "recovery_check", "relative_error",
+    "recovery_check",
     "errors",
 ]

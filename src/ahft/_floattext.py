@@ -1,17 +1,22 @@
-"""``repr`` of every element of a float64 array, computed on the array.
+"""``repr`` text of float64 arrays, computed on the array, as NUL-padded bytes.
 
-:func:`reprs` returns ``[repr(v) for v in values.tolist()]``.  The digits
-come from Ryū (Adams, "Ryū: fast float-to-string conversion", PLDI 2018):
-the shortest decimal that reads back as the same double and, among
-those, the closest to it, which is also what CPython's ``repr`` writes.
-Ryū needs only 64-bit integer arithmetic, so numpy runs it on whole
-``uint64`` arrays.  The text is then laid out as ``repr`` lays it out:
-fixed notation for 1e-4 <= |x| < 1e16, ``d.ddde-XX`` below 1e-4.
+:func:`float_rows` writes ``repr`` of each double of an array into a row
+of ``ROW_BYTES`` bytes, NUL wherever the text has no character, and
+:func:`digit_rows` the decimal digits of non-negative integers.  The
+rows go straight into the byte frames of ``dataset.csv_blocks``, which
+drops the NULs of a whole block at once, so no cell becomes a Python
+str.  The digits come from Ryū (Adams, "Ryū: fast float-to-string
+conversion", PLDI 2018): the shortest decimal that reads back as the
+same double and, among those, the closest to it, which is also what
+CPython's ``repr`` writes.  Ryū needs only 64-bit integer arithmetic,
+so numpy runs it on whole ``uint64`` arrays.  The text is then laid out
+as ``repr`` lays it out: fixed notation for 1e-4 <= |x| < 1e16,
+``d.ddde-XX`` below 1e-4.
 
 Only Ryū's common case runs here, for doubles below 2**53 whose exact
 scaled value is not an integer.  The rest (zeros, subnormals, powers of
 two, |x| >= 2**53, inf, nan, and short dyadics such as 0.5 or 3.0, Ryū's
-trailing-zero "general case") are left to ``repr`` one by one.
+trailing-zero "general case") get the bytes of ``repr``, one at a time.
 """
 
 from __future__ import annotations
@@ -87,15 +92,19 @@ def _byte_masks(first, stop):
 # 17 digits are laid out twice: at bytes 3-19 of words 0-2, where a mask
 # keeps the part before the point, and at bytes 0-16 of words 3-5, where a
 # mask keeps the part after it.  Sign and "0" of fixed notation below 1
-# take bytes 0-1, the point and up to three zeros bytes 20-23, the
-# exponent bytes 41-45 and the row separator byte 46.
+# take bytes 0-1, the point and up to three zeros bytes 20-23 and the
+# exponent bytes 41-45.  Byte 46 is left NUL for the caller's separator.
+ROW_BYTES = 48
+SEPARATOR = 46
 _BEFORE = np.array([_byte_masks(3, 3 + k) for k in range(17)], dtype=_U).T.copy()
 _AFTER = np.array([_byte_masks(lo, hi) for lo in range(18) for hi in range(18)],
                   dtype=_U).T.copy()
 _POINT = np.array([int.from_bytes(b"\0\0\0\0" + (b"." * dot + b"0" * z).ljust(4, b"\0"), "little")
                    for dot in (0, 1) for z in range(4)], dtype=_U)
-_EXPONENT = np.array([int.from_bytes((b"\0e-%02d" % x if x else b"\0").ljust(6, b"\0") + b"\n\0",
-                                     "little") for x in range(309)], dtype=_U)
+_EXPONENT = np.array([int.from_bytes((b"\0e-%02d" % x if x else b"").ljust(8, b"\0"), "little")
+                      for x in range(309)], dtype=_U)
+# _LEADING[n] keeps the last n of 16 bytes: the digits of an n-digit number.
+_LEADING = np.array([_byte_masks(16 - n, 16)[:2] for n in range(17)], dtype=_U)
 
 
 def _mul(a_lo, a_hi, e):
@@ -166,8 +175,8 @@ def _shortest(bits, b):
     return output, _E10[b] + r
 
 
-def _rows(bits, output, exp10):
-    """The ``repr`` text of each double and a newline: six words a row, NUL-padded."""
+def _rows(bits, output, exp10, rows):
+    """Write the ``repr`` text of each double into ``rows``: six words a row, NUL-padded."""
     n = np.searchsorted(_POW10[1:18], output, side="right") + 1  # digit count
     point = exp10 + n  # the value is 0.DDD * 10**point
     fixed = point > -4  # every common-case double is below 1e16
@@ -195,29 +204,47 @@ def _rows(bits, output, exp10):
     # unless n is 1, the other n - 1 digits, the exponent.
     split = np.where(large, point, ~fixed)
     keep = split * 18 + n
-    rows = np.empty((len(bits), 6), dtype=_U)
     for w in range(3):
         rows[:, w] = before[w] & _BEFORE[w][split]
         rows[:, 3 + w] = after[w] & _AFTER[w][keep]
     rows[:, 0] |= ((bits >> _U(63)) * _U(ord("-"))) | (small * _U(ord("0") << 8))
     rows[:, 2] |= _POINT[(fixed | (n > 1)) * 4 + small * -point]
     rows[:, 5] |= _EXPONENT[~fixed * (1 - point)]
-    return rows
 
 
-def reprs(values: np.ndarray) -> list[str]:
-    """``[repr(v) for v in values.tolist()]`` for a 1-D float64 array."""
+def float_rows(values: np.ndarray) -> np.ndarray:
+    """``repr`` of each double of a 1-D float64 array, one ``(ROW_BYTES,)`` uint8 row each.
+
+    A row holds the ASCII text from byte 0 and NUL everywhere else, byte
+    ``SEPARATOR`` included.
+    """
     bits = values.view(_U)
     b = ((bits >> _U(52)) & _U(0x7FF)).view(np.int64)
-    to_repr = (bits & _REPR_MASK[b]) == 0
-    if to_repr.any():
-        bits = np.where(to_repr, _COMMON, bits)
+    to_repr = np.flatnonzero((bits & _REPR_MASK[b]) == 0)
+    if len(to_repr):
+        bits = bits.copy()
+        bits[to_repr] = _COMMON
         b = ((bits >> _U(52)) & _U(0x7FF)).view(np.int64)
-    text = []
+    rows = np.empty((len(bits), 6), dtype=_U)
     for start in range(0, len(bits), _PASS):
         part = slice(start, start + _PASS)
-        rows = _rows(bits[part], *_shortest(bits[part], b[part]))
-        text += rows.tobytes().translate(None, b"\0").decode("ascii").splitlines()
-    for i in np.flatnonzero(to_repr).tolist():
-        text[i] = repr(float(values[i]))
+        _rows(bits[part], *_shortest(bits[part], b[part]), rows[part])
+    text = rows.view(np.uint8)
+    if len(to_repr):
+        reprs = [repr(v).encode("ascii") for v in values[to_repr].tolist()]
+        text[to_repr] = np.array(reprs, dtype=f"S{ROW_BYTES}")[:, None].view(np.uint8)
     return text
+
+
+def digit_rows(values: np.ndarray) -> np.ndarray:
+    """Decimal text of non-negative int64 values below 10**16, one ``(16,)`` uint8 row each.
+
+    The digits end at byte 15; NUL fills the bytes before them.
+    """
+    rows = np.empty((len(values), 2), dtype=_U)
+    high = values // 10 ** 8
+    for w, part in enumerate((high, values - high * 10 ** 8)):
+        chunk = part // 10000
+        rows[:, w] = _DIGITS4[chunk] | (_DIGITS4[part - chunk * 10000] << _U(32))
+    rows &= _LEADING[np.searchsorted(_POW10[1:16].view(np.int64), values, side="right") + 1]
+    return rows.view(np.uint8)

@@ -422,11 +422,6 @@ def _log_eta(z: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     return np.vecdot(z, alpha)
 
 
-def life_characteristic(model: GllWeibullModel, x: dict) -> float:
-    """eta(x) = exp(a0 + sum_j aj * g_j(x_j))."""
-    return float(np.exp(_design(x, model.factors)[0] @ model.alpha))
-
-
 def weibull_quantile(eta: float, shape: float, p: float) -> float:
     """Closed-form Weibull quantile t_p = eta * (-ln(1-p))**(1/shape)."""
     if not (0.0 < p < 1.0):
@@ -439,11 +434,6 @@ def weibull_cdf(t: float, eta: float, shape: float) -> float:
     if t <= 0.0:
         return 0.0
     return -math.expm1(-((t / eta) ** shape))
-
-
-def predict_percentile(model: GllWeibullModel, x: dict, p: float = DEFAULT_PERCENTILE) -> float:
-    """Fatigue level not exceeded with probability ``p`` at factor point ``x``."""
-    return weibull_quantile(life_characteristic(model, x), model.shape, p)
 
 
 def _check_in_range(model: GllWeibullModel, z: np.ndarray, values: np.ndarray) -> None:
@@ -468,7 +458,9 @@ def _check_in_range(model: GllWeibullModel, z: np.ndarray, values: np.ndarray) -
 
 
 def _percentiles(model: GllWeibullModel, z: np.ndarray, p: float) -> np.ndarray:
-    """:func:`predict_percentile` at every row of the design matrix ``z`` at once.
+    """The fatigue level not exceeded with probability ``p`` at every row of ``z``.
+
+    Row i gives ``weibull_quantile(exp(z[i] . alpha), shape, p)``.
 
     A point whose value is out of range raises :class:`NonPositiveValue`.
     """

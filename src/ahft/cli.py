@@ -60,11 +60,24 @@ def _load_dataset(spec: str) -> ds.Dataset:
         raise InputError(f"input file not found: {spec}") from None
 
 
-def _parse_factors(text: str) -> list[alt.FactorSpec]:
+def _parse_factors(text: str, one_per_name: bool = False) -> list[alt.FactorSpec]:
+    """The factor specs of ``--factors``; a repeated spec is an error.
+
+    With ``one_per_name`` a name may not repeat under another transform
+    either, as where each factor becomes a column of its own.
+    """
     items = [piece.strip() for piece in text.split(",") if piece.strip()]
     if not items:
         raise InputError("at least one factor required")
-    return [alt.parse_factor(piece) for piece in items]
+    factors = [alt.parse_factor(piece) for piece in items]
+    seen = set()
+    for factor in factors:
+        key = factor.name if one_per_name else factor
+        if key in seen:
+            what = "" if one_per_name else f" with the {factor.transform} transform"
+            raise InputError(f"--factors gives factor {factor.name!r}{what} twice")
+        seen.add(key)
+    return factors
 
 
 def _is_finite(value: float) -> bool:
@@ -90,10 +103,22 @@ def _parse_assignments(text: str) -> dict[str, float]:
         name, sep, value = piece.partition("=")
         if not sep:
             raise InputError(f"expected name=value, got {piece!r}")
-        values[ds.normalize_name(name)] = _finite(value, piece)
+        name = ds.normalize_name(name)
+        if name in values:
+            raise InputError(f"{name!r} is assigned twice in {text!r}")
+        values[name] = _finite(value, piece)
     if not values:
         raise InputError("no name=value assignments supplied")
     return values
+
+
+def _check_factor_names(names, model, option: str) -> None:
+    """Reject a name that is not a factor of ``model``: it would change nothing."""
+    factors = [f.name for f in model.factors]
+    for name in names:
+        if name not in factors:
+            raise InputError(f"{option} names {name!r}, which is not a factor of the model "
+                             f"(factors: {', '.join(factors)})")
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -217,6 +242,7 @@ def cmd_fit(args) -> int:
 def cmd_predict(args) -> int:
     model = alt.load_model(args.model)
     point = _parse_assignments(args.at)
+    _check_factor_names(point, model, "--at")
     out = _out_dir(args)
 
     prediction = alt.predict_with_interval(model, point, args.percentile, args.confidence)
@@ -265,12 +291,21 @@ def cmd_curves(args) -> int:
     model = alt.load_model(args.model)
     grid = np.sort(_parse_grid(args.grid), kind="stable")
     fixed = _parse_assignments(args.fixed) if args.fixed else {}
+    swept = [ds.normalize_name(f) for f in args.factor]
+    _check_factor_names(swept, model, "--factor")
+    for i, factor in enumerate(swept):
+        if factor in swept[:i]:
+            raise InputError(f"--factor gives {factor!r} twice")
+    _check_factor_names(fixed, model, "--fixed")
+    unused = [name for name in fixed if all(name == factor for factor in swept)]
+    if unused:
+        raise InputError(f"--fixed gives {unused[0]!r}, the factor every curve sweeps")
     out = _out_dir(args)
 
     # Every text is made before the first write: a curve that cannot be
     # computed or charted leaves no file behind.
     curves = []
-    for factor in [ds.normalize_name(f) for f in args.factor]:
+    for factor in swept:
         fatigue = alt.sweep_curve(model, factor, grid, fixed, args.percentile)
         curves.append((factor, fatigue,
                        list(ds.csv_blocks([grid, fatigue], (factor, "fatigue"))),
@@ -284,18 +319,23 @@ def cmd_curves(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    factors = _parse_factors(args.factors)
+    factors = _parse_factors(args.factors, one_per_name=True)
     true_alpha = tuple(_finite(a, f"--alpha {args.alpha}") for a in args.alpha.split(","))
     pools: dict[str, tuple[float, ...]] = {}
     for pool_arg in args.pool or []:
         name, sep, values = pool_arg.partition("=")
         if not sep:
             raise InputError(f"--pool expects name=v1|v2|..., got {pool_arg!r}")
-        pools[ds.normalize_name(name)] = tuple(
-            _finite(v, f"--pool {pool_arg}") for v in values.split("|"))
+        name = ds.normalize_name(name)
+        if name in pools:
+            raise InputError(f"--pool gives factor {name!r} twice")
+        pools[name] = tuple(_finite(v, f"--pool {pool_arg}") for v in values.split("|"))
     missing = [f.name for f in factors if f.name not in pools]
     if missing:
         raise InputError(f"no --pool given for factor(s): {', '.join(missing)}")
+    unused = [name for name in pools if name not in {f.name for f in factors}]
+    if unused:
+        raise InputError(f"--pool names {unused[0]!r}, which --factors does not")
 
     spec = validation.SyntheticSpec(
         true_alpha=true_alpha,

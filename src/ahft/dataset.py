@@ -6,10 +6,12 @@ multiplier, e.g. stress "extreme" = 5) and a required ``fatigue``
 response in (0, 1).  Every reading covers a one-hour exposure: an
 optional ``duration_hours`` column is accepted only when every value is 1.
 A :class:`Dataset` stores one float64 array per column; CSV ingestion
-parses with numpy's C tokenizer and checks whole columns at once, and
-CSV emission formats blocks of rows with one ``%s`` template, formatting
-each distinct value of a long, few-valued float column only once and the
-other long float columns by the array kernel of ``_floattext``.
+parses with numpy's C tokenizer and checks whole columns at once.  CSV
+emission formats blocks of rows with one ``%s`` template, or, for long
+tables of float arrays and ranges, lays each block out as one NUL-padded
+byte frame: each distinct value of a few-valued float column is
+formatted once, the other float columns by the array kernel of
+``_floattext``.
 
 Two reference datasets from a lathing-workshop case study ship with the
 package: :func:`builtin_table3` (15 fitting instances over 8 PSFs) and
@@ -364,7 +366,12 @@ def _is_float_array(column) -> bool:
 # 2.3, 12.4 and 24.9 ms.  The sort and take cost about 3 ms, so the
 # distinct text loses only when nearly every cell is distinct; "at most
 # half" leaves that margin.  The probe costs 10-40 us, more than a
-# 5-row column's text, hence the minimum length.
+# 5-row column's text, hence the minimum length.  In a byte frame the other
+# way is the float kernel, and the margin is smaller (csv_blocks of one
+# 2e4-row column, fastest of 15, interleaved): pooled 1.1 against 13.6 ms
+# for a 4-level pool of short dyadics, which the kernel leaves to repr;
+# 7.2 against 7.1 ms with 20% of the cells distinct, and 15.0 against
+# 7.2 ms with 45%.  Both routes keep the one rule.
 DISTINCT_PROBE_ROWS = 256
 
 
@@ -388,17 +395,98 @@ def _distinct_text(column):
     return text, index
 
 
-# A float64 array of at least FLOAT_TEXT_MIN_ROWS rows that is not pooled
-# is written by the array kernel of ``_floattext``.  Break-even, csv_blocks
-# of one column of uniform draws (one Xeon core, fastest of 41): with repr
-# of each cell 0.10 / 0.22 / 0.30 / 0.38 / 0.54 / 0.72 / 1.34 ms at 128 /
-# 256 / 384 / 512 / 768 / 1024 / 2000 rows, by the kernel 0.25 / 0.32 /
-# 0.34 / 0.38 / 0.44 / 0.52 / 0.81 ms.  A call costs about 0.25 ms of
-# numpy calls, so each call takes the kernel arrays of whole blocks, at
-# least FLOAT_TEXT_CHUNK cells: several blocks when blocks are narrow (268
-# rows in the 61-column synthetic.csv of screen-wide).
+# A table of at least FLOAT_TEXT_MIN_ROWS rows whose columns are all float
+# arrays and ranges is written as byte frames (``_frame_blocks``).
+# Break-even, csv_blocks of one column of uniform draws (one Xeon core,
+# numpy 2.4, fastest of 41, the two routes interleaved): by the template
+# 0.10 / 0.33 / 0.30 / 0.39 / 0.57 / 0.74 / 2.40 ms at 128 / 256 / 384 /
+# 512 / 768 / 1024 / 2000 rows, by the frame 0.20 / 0.46 / 0.29 / 0.32 /
+# 0.36 / 0.41 / 1.29 ms; 512 keeps the margin of the measurement's noise.
+# A kernel call costs about 0.25 ms of numpy calls, so each call takes the
+# kernel arrays of whole blocks, at least FLOAT_TEXT_CHUNK cells: several
+# blocks when blocks are narrow (268 rows in the 61-column synthetic.csv
+# of screen-wide).
 FLOAT_TEXT_MIN_ROWS = 512
 FLOAT_TEXT_CHUNK = 4096
+
+
+def _is_digit_range(column) -> bool:
+    """Whether ``column`` is a range of non-negative ints below 10**16."""
+    return (isinstance(column, range) and len(column) > 0
+            and min(column[0], column[-1]) >= 0 and max(column[0], column[-1]) < 10 ** 16)
+
+
+def _frame_blocks(columns, step):
+    """The rows of float arrays and digit ranges, ``step`` rows a block.
+
+    Each block is one ``(rows, width)`` uint8 frame in which every cell
+    has a slot of fixed width, padded with NUL bytes and ended by its
+    separator.  Pooled columns (:func:`_distinct_text`) take rows of one
+    byte table of the distinct values of them all, gathered for all of
+    them by one take; neighbouring pooled slots form one run.  Other float
+    columns take the rows of ``_floattext.float_rows``, with the separator
+    at byte ``SEPARATOR``, and ranges those of ``_floattext.digit_rows``.
+    One ``bytearray.translate`` drops the NULs of a block.
+    """
+    from . import _floattext as ft
+    n = len(columns[0])
+    separators = [ord(",")] * (len(columns) - 1) + [ord("\n")]
+    distinct = [_distinct_text(c) for c in columns]
+    pooled = [j for j, d in enumerate(distinct) if d is not None]
+    if pooled:
+        entries, index = [], np.empty((n, len(pooled)), dtype=np.intp)
+        for p, j in enumerate(pooled):
+            text, inverse = distinct[j]
+            index[:, p] = inverse + len(entries)
+            entries += [t.encode("ascii") + bytes([separators[j]]) for t in text.tolist()]
+        table = np.array(entries)[:, None].view(np.uint8)  # NUL-padded to the longest entry
+    slots, kernel, width = [], [], 0  # [kind, offset in the frame's rows, what it writes]
+    for j, column in enumerate(columns):
+        if distinct[j] is not None:
+            p = pooled.index(j)
+            if slots and slots[-1][0] == "pooled":
+                slots[-1][3] = p + 1  # the run's stop in the table's columns
+            else:
+                slots.append(["pooled", width, p, p + 1])
+            width += table.shape[1]
+        elif isinstance(column, range):
+            digits = len(str(max(column[0], column[-1])))
+            slots.append(["range", width, column, digits, separators[j]])
+            width += digits + 1
+        else:
+            slots.append(["kernel", width, len(kernel)])
+            kernel.append(j)
+            width += ft.SEPARATOR + 1
+    span = step * max(1, FLOAT_TEXT_CHUNK // (step * max(1, len(kernel))))
+    buffer = bytearray()
+    for start in range(0, n, step):
+        m = min(step, n - start)
+        if kernel and start % span == 0:
+            first, length = start, min(span, n - start)
+            floats = ft.float_rows(
+                np.concatenate([columns[j][first:first + length] for j in kernel]))
+            for q, j in enumerate(kernel):
+                floats[q * length:(q + 1) * length, ft.SEPARATOR] = separators[j]
+        if len(buffer) != m * width:
+            buffer = bytearray(m * width)
+        frame = np.frombuffer(buffer, dtype=np.uint8).reshape(m, width)
+        if pooled:
+            cells = table[index[start:start + m]]
+        for kind, offset, *rest in slots:
+            if kind == "pooled":
+                p, stop = rest
+                size = (stop - p) * table.shape[1]
+                frame[:, offset:offset + size].reshape(m, stop - p, -1)[...] = cells[:, p:stop]
+            elif kind == "range":
+                column, digits, separator = rest
+                part = column[start:start + m]
+                digit_text = ft.digit_rows(np.arange(part.start, part.stop, part.step))
+                frame[:, offset:offset + digits] = digit_text[:, -digits:]
+                frame[:, offset + digits] = separator
+            else:
+                at = rest[0] * length + start - first
+                frame[:, offset:offset + ft.SEPARATOR + 1] = floats[at:at + m, :ft.SEPARATOR + 1]
+        yield buffer.translate(None, b"\0").decode("ascii")
 
 
 def csv_blocks(columns, header=()):
@@ -408,14 +496,16 @@ def csv_blocks(columns, header=()):
     as many as the header has cells (``ValueError`` otherwise).  A cell is
     a str, int or Python float and is written as ``str`` of it, so a float
     in its shortest exact form.  The text comes in blocks of whole rows of
-    about ``CSV_BLOCK_CELLS`` cells: a block's cells are interleaved into
-    one list by strided slice assignment and formatted in one call by a
-    ``%s`` row template repeated per row.  Float arrays give the same text
-    by faster routes: a long one with few distinct values
-    (:func:`_distinct_text`) has each distinct value formatted once, and
-    any other one of at least ``FLOAT_TEXT_MIN_ROWS`` rows is formatted by
-    the array kernel ``_floattext.reprs``, the arrays of a few blocks in
-    one call.
+    about ``CSV_BLOCK_CELLS`` cells.  The reference route interleaves a
+    block's cells into one list by strided slice assignment and formats
+    them in one call by a ``%s`` row template repeated per row; a long
+    float column with few distinct values (:func:`_distinct_text`) has
+    each distinct value formatted once.  A table of at least
+    ``FLOAT_TEXT_MIN_ROWS`` rows of float arrays and ranges of
+    non-negative ints gives the same text by another route: each block is
+    built as one NUL-padded byte frame (:func:`_frame_blocks`), its long
+    distinct floats formatted by the array kernel of ``_floattext``, and
+    no cell becomes a Python str.
     """
     k = len(columns)
     template = ",".join(["%s"] * k) + "\n"
@@ -424,30 +514,22 @@ def csv_blocks(columns, header=()):
         raise ValueError(f"columns of unequal length: {[len(c) for c in columns]}")
     if header:
         yield template % tuple(header)
-    pooled, kernel = {}, {}  # column -> (text, index), column -> place in a kernel call
+    step = max(1, CSV_BLOCK_CELLS // k)
+    if n >= FLOAT_TEXT_MIN_ROWS and all(_is_float_array(c) or _is_digit_range(c) for c in columns):
+        yield from _frame_blocks(columns, step)
+        return
+    pooled = {}
     for j, column in enumerate(columns):
         distinct = _distinct_text(column)
         if distinct is not None:
             pooled[j] = distinct
-        elif _is_float_array(column) and n >= FLOAT_TEXT_MIN_ROWS:
-            kernel[j] = len(kernel)
-    step = max(1, CSV_BLOCK_CELLS // k)
-    if kernel:
-        from ._floattext import reprs
-        span = step * max(1, FLOAT_TEXT_CHUNK // (step * len(kernel)))
     for start in range(0, n, step):
         m = min(step, n - start)
-        if kernel and start % span == 0:
-            first, length = start, min(span, n - start)
-            floats = reprs(np.concatenate([columns[j][first:first + length] for j in kernel]))
         cells = [None] * (m * k)
         for j, column in enumerate(columns):
             if j in pooled:
                 text, index = pooled[j]
                 part = text[index[start:start + m]].tolist()
-            elif j in kernel:
-                offset = kernel[j] * length + start - first
-                part = floats[offset:offset + m]
             else:
                 part = column[start:start + m]
                 if isinstance(part, np.ndarray):
@@ -462,9 +544,13 @@ def serialize(dataset: Dataset) -> bytes:
     Floats are written in their shortest exact form (``repr``), so values
     survive the round trip bit-for-bit.  Every row ends with the
     ``duration_hours`` cell ``1.0``.  The rows are formatted by
-    :func:`csv_blocks`: a long PSF column of a few levels once per distinct
-    value, a long column of distinct values (the fatigue of a synthetic
-    dataset, say) by the float text kernel.
+    :func:`csv_blocks`.  A dataset of at least ``FLOAT_TEXT_MIN_ROWS`` rows
+    takes its byte frames, ``duration_hours`` as a float column of ones:
+    it is pooled, as a PSF column of a few levels is, and a long column of
+    distinct values (the fatigue of a synthetic dataset, say) is formatted
+    by the float text kernel.  A shorter one takes the ``%s`` template,
+    ``duration_hours`` as str cells, which the template copies without a
+    ``repr`` each.
     """
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerow(
@@ -472,7 +558,8 @@ def serialize(dataset: Dataset) -> bytes:
     )
     stored = dataset.columns
     columns = [stored[c] for c in dataset.psf_names + (FATIGUE,)]
-    out.writelines(csv_blocks(columns + [["1.0"] * dataset.n_rows]))
+    n = dataset.n_rows
+    out.writelines(csv_blocks(columns + [np.ones(n) if n >= FLOAT_TEXT_MIN_ROWS else ["1.0"] * n]))
     return out.getvalue().encode("utf-8")
 
 

@@ -90,10 +90,6 @@ class NonPositiveSE(InputError):
     """A standard error must be strictly positive."""
 
 
-class NonPositiveObserved(InputError):
-    """Relative error needs a strictly positive observed value."""
-
-
 class SingularProblem(AhftError):
     """The problem is numerically degenerate."""
 

@@ -48,7 +48,7 @@ from .alt import (
     fit_mle,
 )
 from .dataset import FATIGUE, Dataset
-from .errors import InputError, NonPositiveObserved
+from .errors import InputError
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -84,13 +84,6 @@ def _uniform(draws: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Relative error and hold-out evaluation
 # ---------------------------------------------------------------------------
-
-def relative_error(observed: float, predicted: float) -> float:
-    """|predicted - observed| / observed, the per-instance validation metric."""
-    if not (observed > 0 and math.isfinite(observed)):
-        raise NonPositiveObserved(f"observed value must be positive, got {observed!r}")
-    return abs(predicted - observed) / observed
-
 
 @dataclass(frozen=True, eq=False)
 class ValidationReport:

@@ -4,7 +4,8 @@ Each function here re-derives a quantity by a route deliberately
 different from the implementation under test: characteristic-polynomial
 roots instead of Jacobi rotations, per-row math-module sums instead of
 vectorized likelihoods, finite differences instead of analytic
-gradients, resampling instead of the delta method, the csv module and
+gradients, resampling instead of the delta method, one point at a time
+instead of a design matrix, the csv module and
 ``float`` cell by cell instead of numpy's tokenizer, one string per row
 or point instead of block templates, a stepped generator state instead
 of the counter form.  Keep it that way.
@@ -18,6 +19,7 @@ import math
 
 import numpy as np
 
+from ahft.alt import DEFAULT_PERCENTILE, _design, weibull_quantile
 from ahft.dataset import Dataset, normalize_name
 from ahft.errors import EmptyDataset, FatigueOutOfRange, InputError, MissingColumn, NonNumericCell
 
@@ -51,6 +53,35 @@ class SplitMix64:
 
     def choice_index(self, n: int) -> int:
         return self.next_u64() % n
+
+
+# ---------------------------------------------------------------------------
+# Scalar predictions and errors, one point at a time
+# ---------------------------------------------------------------------------
+
+def life_characteristic(model, x: dict) -> float:
+    """eta(x) = exp(a0 + sum_j aj * g_j(x_j)) at one factor point.
+
+    The pointwise reference for the batched ``alt._percentiles``: the
+    row's dot product ``row @ alpha``, which ``np.vecdot`` matches bit for bit.
+    """
+    return float(np.exp(_design(x, model.factors)[0] @ model.alpha))
+
+
+def predict_percentile(model, x: dict, p: float = DEFAULT_PERCENTILE) -> float:
+    """Fatigue level not exceeded with probability ``p`` at factor point ``x``."""
+    return weibull_quantile(life_characteristic(model, x), model.shape, p)
+
+
+class NonPositiveObserved(InputError):
+    """Relative error needs a strictly positive observed value."""
+
+
+def relative_error(observed: float, predicted: float) -> float:
+    """|predicted - observed| / observed for one hold-out instance."""
+    if not (observed > 0 and math.isfinite(observed)):
+        raise NonPositiveObserved(f"observed value must be positive, got {observed!r}")
+    return abs(predicted - observed) / observed
 
 
 def charpoly_eigenvalues(m: np.ndarray) -> np.ndarray:

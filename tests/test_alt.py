@@ -21,12 +21,10 @@ from ahft import (
     coef_ci,
     fit_mle,
     generate_synthetic,
-    life_characteristic,
     log_likelihood,
     model_from_json,
     model_to_json,
     positive_param_ci,
-    predict_percentile,
     predict_with_interval,
     save_model,
     load_model,
@@ -46,7 +44,12 @@ from ahft.errors import (
     TooFewRows,
     TransformDomainError,
 )
-from oracles import central_diff_gradient, naive_weibull_loglik
+from oracles import (
+    central_diff_gradient,
+    life_characteristic,
+    naive_weibull_loglik,
+    predict_percentile,
+)
 
 TWO_FACTORS = (FactorSpec("available_time"), FactorSpec("stress"))
 

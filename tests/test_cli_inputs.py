@@ -297,3 +297,64 @@ def test_one_point_overflow_names_no_row(tmp_path, capsys, model_doc, command):
     assert main(argv + ["--output-dir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "is out of range" in err and "at row" not in err
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["predict", "--at", "available_time=0.1,stress=5,stress=2"], "'stress' is assigned twice"),
+    (["predict", "--at", "available_time=0.1,Stress=5,stress=2"], "'stress' is assigned twice"),
+    (["predict", "--at", "available_time=0.1,stress=5,bogus=3"], "--at names 'bogus'"),
+    (["curves", "--factor", "stress", "--grid", "1,2", "--fixed", "available_time=0.1,bogus=1"],
+     "--fixed names 'bogus'"),
+    (["curves", "--factor", "stress", "--grid", "1,2", "--fixed", "available_time=0.1,stress=9"],
+     "--fixed gives 'stress'"),
+    (["curves", "--factor", "bogus", "--grid", "1,2", "--fixed", "available_time=0.1,stress=5"],
+     "--factor names 'bogus'"),
+    (["curves", "--factor", "stress", "--grid", "1,2",
+      "--fixed", "available_time=0.1,available_time=1"], "'available_time' is assigned twice"),
+    (["curves", "--factor", "stress", "--factor", "Stress", "--grid", "1,2",
+      "--fixed", "available_time=0.1"], "--factor gives 'stress' twice"),
+])
+def test_assignments_that_change_nothing_exit_two(tmp_path, capsys, model_doc, argv, name):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model_doc))
+    out = tmp_path / "out"
+    assert main([argv[0], "--model", str(path), *argv[1:], "-o", str(out)]) == 2
+    assert name in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_curves_may_fix_a_factor_that_another_curve_sweeps(tmp_path, model_doc):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model_doc))
+    assert main(["curves", "--model", str(path), "--factor", "stress", "--factor", "available_time",
+                 "--grid", "1,2", "--fixed", "available_time=0.1,stress=5",
+                 "-o", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["fit", "--input", "builtin:table3", "--factors", "stress,stress"],
+     "factor 'stress' with the identity transform twice"),
+    (["fit", "--input", "builtin:table3", "--factors", "available_time,Stress,stress:id"],
+     "factor 'stress' with the identity transform twice"),
+    (["fit", "--input", "builtin:table3", "--factors", "stress:log,stress:ln"],
+     "factor 'stress' with the log transform twice"),
+    (["simulate", "--factors", "f1,f1", "--alpha=-2,0.3,-0.1", "--shape", "3", "--pool", "f1=1|2",
+      "--n", "5"], "factor 'f1' twice"),
+    (["simulate", "--factors", "f1,f1:log", "--alpha=-2,0.3,-0.1", "--shape", "3",
+      "--pool", "f1=1|2", "--n", "5"], "factor 'f1' twice"),
+    (["simulate", "--factors", "f1", "--alpha=-2,0.3", "--shape", "3",
+      "--pool", "f1=1|2", "--pool", "F1=3|4", "--n", "5"], "--pool gives factor 'f1' twice"),
+    (["simulate", "--factors", "f1", "--alpha=-2,0.3", "--shape", "3",
+      "--pool", "f1=1|2", "--pool", "f2=3|4", "--n", "5"], "--pool names 'f2'"),
+])
+def test_repeated_factors_exit_two(tmp_path, capsys, argv, message):
+    assert main([*argv, "-o", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_factor_under_two_transforms_still_fits(tmp_path):
+    assert main(["fit", "--input", "builtin:table3", "--factors", "stress,stress:log",
+                 "-o", str(tmp_path)]) == 0
+    rows = (tmp_path / "regression.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in rows[1:]] == ["Intercept", "stress", "stress", "Shape"]

@@ -13,14 +13,13 @@ from ahft import (
     evaluate,
     generate_synthetic,
     load_csv,
-    predict_percentile,
     serialize,
     sweep_curve,
     weibull_quantile,
 )
 from ahft.errors import FatigueOutOfRange, InputError, NonNumericCell
 from ahft.validation import _splitmix64_stream
-from oracles import SplitMix64
+from oracles import SplitMix64, predict_percentile
 
 SEEDS = (0, 7, 2**64 - 1)
 POOLS = ((0.5, 1.0, 2.0, 5.0), (1.0, 2.0, 5.0), (0.01, 0.1, 1.0, 10.0), (3.0, 7.0), (0.2, 0.4, 0.8))

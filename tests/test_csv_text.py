@@ -3,10 +3,10 @@
 Ingest: ``load_csv`` parses with numpy's tokenizer and falls back to the
 csv module; on every input it must return a Dataset bit-identical to
 ``rowwise_load_csv`` or raise the same class with the same message.
-Emission: the block templates of ``csv_blocks`` and ``serialize`` must
-write the bytes of one string per row, on both sides of
-``FLOAT_TEXT_MIN_ROWS``, and the float text kernel of ``_floattext`` must
-write ``repr`` of every double.  ``svg.line_chart`` must write the bytes
+Emission: the block templates and byte frames of ``csv_blocks`` and
+``serialize`` must write the bytes of one string per row, on both sides
+of ``FLOAT_TEXT_MIN_ROWS``, and the float text kernel of ``_floattext``
+must write ``repr`` of every double.  ``svg.line_chart`` must write the bytes
 of one f-string per point, on both sides of ``FIXED_POINT_MIN_POINTS``,
 or raise where that reference would write a coordinate that is not
 finite; its fixed-point kernel must write ``'%.2f' % v`` for every double
@@ -25,7 +25,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import ahft
 from ahft import evaluate, load_csv, load_model, serialize, sweep_curve
-from ahft._floattext import _bounds, reprs
+from ahft._floattext import ROW_BYTES, SEPARATOR, _bounds, digit_rows, float_rows
 from ahft.alt import DEFAULT_CONFIDENCE, coef_ci, positive_param_ci, wald_stats
 from ahft.cli import main
 from ahft.dataset import (
@@ -296,13 +296,21 @@ def test_csv_blocks_keep_each_bit_pattern_of_a_pool_apart(n):
         list(csv_blocks([range(n), column[:-1]]))
 
 
-# Float text kernel: ``_floattext.reprs`` must write ``repr`` of every double,
-# by Ryū's digits on the array or by ``repr`` for the rows it leaves out.
+# Float text kernel: ``_floattext.float_rows`` must write ``repr`` of every
+# double, by Ryū's digits on the array or by ``repr`` for the rows it leaves
+# out, in rows NUL from byte SEPARATOR on.
+def _float_texts(values):
+    """The text of each row of ``float_rows(values)``, its NUL bytes dropped."""
+    rows = float_rows(np.asarray(values, dtype=np.float64))
+    assert rows.shape == (len(values), ROW_BYTES) and not rows[:, SEPARATOR:].any()
+    return [row.tobytes().replace(b"\0", b"").decode("ascii") for row in rows]
+
+
 def _reprs_mismatch(values):
-    """None when ``reprs(values)`` is ``repr`` of each value, else the first
-    value it misformats with both texts, kept short for the failure report."""
+    """None when ``float_rows(values)`` holds ``repr`` of each value, else the
+    first value it misformats with both texts, kept short for the failure report."""
     values = np.asarray(values, dtype=np.float64)
-    got, expected = reprs(values), [repr(v) for v in values.tolist()]
+    got, expected = _float_texts(values), [repr(v) for v in values.tolist()]
     if got == expected:
         return None
     return next(((v, a, b) for v, a, b in zip(values.tolist(), got, expected) if a != b),
@@ -357,7 +365,7 @@ def test_float_text_at_zeros_extremes_and_layout_switches():
     values = _with_neighbours([0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
                                1e23, 2.0 ** 53, 1e-4, 1e-5, 9999999999999998.0, 1e16])
     assert _reprs_mismatch(values) is None
-    assert reprs(values[:10]) == [
+    assert _float_texts(values[:10]) == [
         "0.0", "5e-324", "2.2250738585072014e-308", "1.7976931348623157e+308", "1e+23",
         "9007199254740992.0", "0.0001", "1e-05", "9999999999999998.0", "1e+16"]
 
@@ -434,6 +442,86 @@ def test_serialize_with_kernel_columns_matches_rowwise(data, width):
     dataset = Dataset(names + ("fatigue",), columns)
     got, expected = serialize(dataset), rowwise_serialize(dataset)
     assert _first_difference(got.decode(), expected.decode()) is None
+
+
+# Byte frames: a table of float arrays and ranges of at least
+# FLOAT_TEXT_MIN_ROWS rows is laid out block by block in NUL-padded slots.
+REPR_ONLY = (0.0, -0.0, 5e-324, 0.5, 3.0, 2.0 ** 53, 1e16, 1e-5, float("nan"), float("inf"),
+             float("-inf"), 1e-100, -1.7976931348623157e308)
+
+
+def _around_frame_block(width):
+    """Row counts one below, at and one above the first block boundary of a
+    table of ``width`` cells a row that the frames take."""
+    rows = CSV_BLOCK_CELLS // width
+    rows *= -(-FLOAT_TEXT_MIN_ROWS // rows)
+    return (rows - 1, rows, rows + 1)
+
+
+def _rows_of(columns):
+    return list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns)))
+
+
+def _assert_frames_match_rowwise(columns):
+    blocks = list(csv_blocks(columns))
+    assert _first_difference("".join(blocks), rowwise_csv_lines(_rows_of(columns))) is None
+    assert len(blocks) == -(-len(columns[0]) // max(1, CSV_BLOCK_CELLS // len(columns)))
+
+
+@st.composite
+def frame_tables(draw, width):
+    """``width`` pooled, distinct or range columns, the pools and the
+    distinct arrays sprinkled with the values the kernel leaves to repr,
+    the ranges counting up or down across a change of digit count."""
+    n = draw(st.sampled_from(_around_frame_block(width)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for _ in range(width):
+        kind = draw(st.sampled_from(("pooled", "pooled", "distinct", "range")))
+        if kind == "range":
+            first = draw(st.sampled_from((0, 10000 - n // 2, 10 ** 16 - n)))
+            column = range(first, first + n)
+            columns.append(column[::-1] if draw(st.booleans()) else column)
+            continue
+        odd = np.array(draw(st.lists(st.sampled_from(REPR_ONLY), min_size=1, max_size=4)))
+        if kind == "pooled":
+            pool = np.concatenate([odd, rng.choice(POOL_VALUES, draw(st.integers(0, 3)))])
+            columns.append(pool[rng.integers(0, len(pool), n)])
+        else:
+            column = draw(distinct_arrays(n))
+            spots = rng.random(n) < draw(st.sampled_from((0.001, 0.05, 0.5)))
+            columns.append(np.where(spots, odd[rng.integers(0, len(odd), n)], column))
+    return columns
+
+
+@EMIT
+@given(data=st.data(), width=st.sampled_from((1, 2, 61)))
+def test_csv_blocks_frames_match_rowwise_lines(data, width):
+    _assert_frames_match_rowwise(data.draw(frame_tables(width)))
+
+
+@pytest.mark.parametrize("width", (1, 2, 61))
+def test_csv_blocks_frames_write_repr_only_values_in_every_slot(width):
+    for n in _around_frame_block(width):
+        odd = np.resize(np.array(REPR_ONLY), n)
+        distinct = np.where(np.arange(n) % 7 == 3, odd, (np.arange(n) + 0.5) / 7.0)
+        kinds = [odd, distinct, range(9990, 9990 + n), range(n)]
+        _assert_frames_match_rowwise([kinds[j % 4] for j in range(width)])
+
+
+def test_digit_rows_at_every_digit_count():
+    values = np.array([0, 1, 9, 10, 99, 100, 9999, 10000, 123456789, 10 ** 15, 10 ** 16 - 1]
+                      + [10 ** k + d for k in range(16) for d in (-1, 0, 1)], dtype=np.int64)
+    values = values[values >= 0]
+    texts = [row.tobytes().lstrip(b"\0").decode() for row in digit_rows(values)]
+    assert texts == [str(v) for v in values.tolist()]
+
+
+def test_tables_with_ranges_the_frames_do_not_take_match_rowwise_lines():
+    # Negative ints and ints from 10**16 up are left to str by the template.
+    n = FLOAT_TEXT_MIN_ROWS + 1
+    for column in (range(-3, n - 3), range(10 ** 16 - 2, 10 ** 16 - 2 + n)):
+        _assert_frames_match_rowwise([column, np.arange(n) / 3.0])
 
 
 def test_cli_import_and_short_columns_leave_the_kernel_unloaded():

@@ -15,13 +15,12 @@ from ahft import (
     fit_mle,
     generate_synthetic,
     recovery_check,
-    relative_error,
     weibull_cdf,
     weibull_quantile,
 )
-from ahft.errors import DegenerateFactor, InputError, MissingFactor, NonPositiveObserved
+from ahft.errors import DegenerateFactor, InputError, MissingFactor
 from ahft.validation import _splitmix64_stream, redraw_below_one
-from oracles import SplitMix64, ks_statistic
+from oracles import NonPositiveObserved, SplitMix64, ks_statistic, relative_error
 
 CANONICAL_FACTORS = (FactorSpec("f1"), FactorSpec("f2"))
 CANONICAL_POOLS = ((0.5, 1.0, 2.0, 5.0), (1.0, 2.0, 5.0))
