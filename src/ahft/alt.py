@@ -44,7 +44,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .dataset import FATIGUE, Dataset, _decode, normalize_name
+from .dataset import FATIGUE, Dataset, _decode, normalize_name, write_artifact
 from .errors import (
     DegenerateFactor,
     InputError,
@@ -636,8 +636,7 @@ def _check_covariance(covariance: np.ndarray) -> None:
 
 
 def save_model(model: GllWeibullModel, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(model_to_json(model))
+    write_artifact(path, model_to_json(model))
 
 
 def load_model(path) -> GllWeibullModel:

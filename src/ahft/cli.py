@@ -146,14 +146,6 @@ def _parse_grid(text: str) -> np.ndarray:
     return np.array(grid)
 
 
-def _write(path: Path, data) -> None:
-    """Write ``data``: str, bytes, or an iterable of str blocks written as they come."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
-        for block in [data] if isinstance(data, (str, bytes)) else data:
-            fh.write(block.encode("utf-8") if isinstance(block, str) else block)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -169,16 +161,16 @@ def cmd_pca(args) -> int:
     labels = [f"PC{i + 1}" for i in range(n)]
     # eigen.csv: one row per statistic, one column per component.
     stats = (result.eigenvalues.tolist(), result.proportions.tolist(), result.cumulative.tolist())
-    _write(out / "eigen.csv", ds.csv_blocks(
+    ds.write_artifact(out / "eigen.csv", ds.csv_blocks(
         [("eigenvalue", "proportion", "cumulative"), *zip(*stats)], ["component"] + labels
     ))
-    _write(out / "loadings.csv", ds.csv_blocks(
+    ds.write_artifact(out / "loadings.csv", ds.csv_blocks(
         [result.column_names, *result.eigenvectors.T.tolist()], ["variable"] + labels
     ))
     components = range(1, n + 1)
-    _write(out / "scree.csv",
-           ds.csv_blocks([components, result.eigenvalues], ("component", "eigenvalue")))
-    _write(out / "scree.svg", svg.line_chart(
+    ds.write_artifact(out / "scree.csv",
+                      ds.csv_blocks([components, result.eigenvalues], ("component", "eigenvalue")))
+    ds.write_artifact(out / "scree.svg", svg.line_chart(
         components, result.eigenvalues, "Scree plot", "component", "eigenvalue"))
     lines = [
         f"retained_components: {selection.retained_components}",
@@ -186,7 +178,7 @@ def cmd_pca(args) -> int:
         "factors by importance score:",
     ]
     lines += [f"  {name}: {score!r}" for name, score in selection.selected_factors]
-    _write(out / "selection.txt", "\n".join(lines) + "\n")
+    ds.write_artifact(out / "selection.txt", "\n".join(lines) + "\n")
 
     print(
         f"pca: {n} components; {selection.retained_components} retained at "
@@ -207,7 +199,7 @@ def cmd_fit(args) -> int:
     except NoConvergence as exc:
         lines = [f"fit did not converge: {exc}"]
         lines += [f"{k}: {v!r}" for k, v in sorted(exc.diagnostics.items())]
-        _write(out / "diagnostics.txt", "\n".join(lines) + "\n")
+        ds.write_artifact(out / "diagnostics.txt", "\n".join(lines) + "\n")
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
 
@@ -227,9 +219,8 @@ def cmd_fit(args) -> int:
     se_shape = model.shape * float(ses[-1])
     lo, hi = alt.positive_param_ci(model.shape, se_shape, args.confidence)
     rows.append(["Shape", float(model.shape), se_shape, "", "", lo, hi])
-    out.mkdir(parents=True, exist_ok=True)
     alt.save_model(model, out / "model.json")
-    _write(out / "regression.csv", ds.csv_blocks(list(zip(*rows)), header))
+    ds.write_artifact(out / "regression.csv", ds.csv_blocks(list(zip(*rows)), header))
 
     print(
         f"fit: converged in {model.fit_meta.iterations} iterations; "
@@ -252,7 +243,7 @@ def cmd_predict(args) -> int:
         prediction.percentile_p, prediction.value, prediction.std_error,
         prediction.ci_lower, prediction.ci_upper,
     ]
-    _write(out / "prediction.csv", ds.csv_blocks(list(zip(row)), header))
+    ds.write_artifact(out / "prediction.csv", ds.csv_blocks(list(zip(row)), header))
 
     at = ", ".join(f"{name}={ds.number_text(point[name])}" for name in factor_names)
     print(
@@ -277,7 +268,8 @@ def cmd_validate(args) -> int:
             report.observed, report.predicted, report.relative_error]
     trailer = [("mean_relative_error", "max_relative_error"),
                (report.mean_relative_error, report.max_relative_error)]
-    _write(out / "validation.csv", chain(ds.csv_blocks(body, header), ds.csv_blocks(trailer)))
+    ds.write_artifact(out / "validation.csv",
+                      chain(ds.csv_blocks(body, header), ds.csv_blocks(trailer)))
 
     print(
         f"validate: {n} instances at p={args.percentile!r}; "
@@ -311,8 +303,8 @@ def cmd_curves(args) -> int:
                        list(ds.csv_blocks([grid, fatigue], (factor, "fatigue"))),
                        svg.line_chart(grid, fatigue, f"Fatigue vs {factor}", factor, "fatigue")))
     for factor, fatigue, csv_text, svg_text in curves:
-        _write(out / f"curve_{factor}.csv", csv_text)
-        _write(out / f"curve_{factor}.svg", svg_text)
+        ds.write_artifact(out / f"curve_{factor}.csv", csv_text)
+        ds.write_artifact(out / f"curve_{factor}.svg", svg_text)
         print(f"curves: {factor} over [{ds.number_text(grid[0])}, "
               f"{ds.number_text(grid[-1])}] -> fatigue {fatigue[0]:.6g} .. {fatigue[-1]:.6g}")
     return EXIT_OK
@@ -357,7 +349,7 @@ def cmd_simulate(args) -> int:
             f"row {i + 1}: drew fatigue {float(fatigue[i])!r}, but fatigue must lie "
             f"strictly in (0, 1); lower the --alpha intercept"
         )
-    _write(_out_dir(args) / "synthetic.csv", ds.serialize(data))
+    ds.write_artifact(_out_dir(args) / "synthetic.csv", ds.serialize(data))
     print(f"simulate: {args.n} rows (seed {args.seed}) written to synthetic.csv")
     return EXIT_OK
 

@@ -11,7 +11,9 @@ emission formats blocks of rows with one ``%s`` template, or, for long
 tables of float arrays and ranges, lays each block out as one NUL-padded
 byte frame: each distinct value of a few-valued float column is
 formatted once, the other float columns by the array kernel of
-``_floattext``.
+``_floattext``.  Every artifact of the package goes to disk through
+:func:`write_artifact`, which writes over an existing file instead of
+truncating it first.
 
 Two reference datasets from a lathing-workshop case study ship with the
 package: :func:`builtin_table3` (15 fitting instances over 8 PSFs) and
@@ -27,8 +29,10 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 import re
 from collections import namedtuple
+from pathlib import Path
 
 import numpy as np
 
@@ -536,6 +540,44 @@ def csv_blocks(columns, header=()):
                     part = part.tolist()
             cells[j::k] = part
         yield template * m % tuple(cells)
+
+
+# No O_TRUNC: an existing file is written over, then cut to length.
+_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+
+
+def write_artifact(path, data) -> None:
+    """Write ``data`` to ``path``: a str, bytes, or an iterable of str or
+    bytes blocks, written as they come; str is encoded as UTF-8.
+
+    A missing parent directory is created.  A new file gets the mode bits
+    ``open(path, "wb")`` would give it.  An existing file is not truncated
+    first: the new bytes are written over the old ones, then a longer old
+    file is cut to the new length (a same-size rerun skips that call, and
+    a device such as ``/dev/null`` is never cut).  On ext4, a truncate to
+    zero followed by a write trips the replace-via-truncate heuristic
+    (``auto_da_alloc``): it frees and discards the old blocks and starts
+    writeback on close, which cost several times the write itself for
+    each small artifact.  Every byte is still written on every call.
+
+    A block that raises leaves the blocks before it and no old tail.  A
+    run killed mid-write leaves a possibly incomplete file, as a
+    truncating write did; after SIGKILL it may also still hold the tail
+    of the old file beyond the bytes written.
+    """
+    try:
+        fd = os.open(path, _WRITE_FLAGS, 0o666)
+    except FileNotFoundError:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        fd = os.open(path, _WRITE_FLAGS, 0o666)
+    with open(fd, "wb") as fh:
+        end = 0
+        try:
+            for block in [data] if isinstance(data, (str, bytes)) else data:
+                end += fh.write(block.encode("utf-8") if isinstance(block, str) else block)
+        finally:
+            if os.fstat(fd).st_size > end:
+                os.ftruncate(fd, end)
 
 
 def serialize(dataset: Dataset) -> bytes:

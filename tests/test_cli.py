@@ -266,21 +266,30 @@ def test_simulate_exits_two_when_no_draw_below_one_is_representable(tmp_path, ca
 # ---------------------------------------------------------------------------
 
 def test_artifacts_byte_identical_across_runs(tmp_path):
-    outs = []
-    for name in ("one", "two"):
+    names = ("eigen.csv", "loadings.csv", "scree.csv", "scree.svg", "selection.txt",
+             "model.json", "regression.csv", "validation.csv", "synthetic.csv")
+
+    def simulate(out, n):
+        assert main(["simulate", "--factors", "f", "--alpha=-2,0", "--shape", "2",
+                     "--pool", "f=1|2", "--n", str(n), "--seed", "3",
+                     "--output-dir", str(out)]) == 0
+
+    runs = []
+    # Two fresh directories, then a rerun into the first after a longer
+    # simulate: every artifact is written over an older file of its name.
+    for name, longer_first in (("one", False), ("two", False), ("one", True)):
         out = tmp_path / name
+        if longer_first:
+            simulate(out, 200)
+            assert len((out / "synthetic.csv").read_bytes()) > len(runs[0]["synthetic.csv"])
         assert main(["pca", "--input", "builtin:table3", "--output-dir", str(out)]) == 0
         model = _fit_workshop(out)
         assert main(["validate", "--model", str(model), "--holdout", "builtin:table8",
                      "--output-dir", str(out)]) == 0
-        assert main(["simulate", "--factors", "f", "--alpha=-2,0", "--shape", "2",
-                     "--pool", "f=1|2", "--n", "20", "--seed", "3",
-                     "--output-dir", str(out)]) == 0
-        outs.append(out)
-    one, two = outs
-    for name in ("eigen.csv", "loadings.csv", "scree.csv", "scree.svg", "selection.txt",
-                 "model.json", "regression.csv", "validation.csv", "synthetic.csv"):
-        assert (one / name).read_bytes() == (two / name).read_bytes(), name
+        simulate(out, 20)
+        runs.append({artifact: (out / artifact).read_bytes() for artifact in names})
+    assert runs[1] == runs[0]
+    assert runs[2] == runs[0]
 
 
 def test_parser_is_reused_across_calls_in_one_process(tmp_path, capsys):

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis import HealthCheck, Phase, example, given, settings, strategies as st
 
 import ahft
 from ahft import evaluate, load_csv, load_model, serialize, sweep_curve
@@ -218,7 +218,10 @@ def test_serialize_matches_rowwise(n):
 # formatted once per pattern.  Pools mix the values whose repr a wrong key
 # would change (0.0 and -0.0 compare equal) with the extremes of repr.
 POOL_VALUES = (0.0, -0.0, 5e-324, 1e16, 1e-5, 1e308, -1e308, 0.5, 3.0, 0.1)
+# No shrink or explain phase: a failure is reported as first found, since
+# shrinking examples of 500 to 16 000 rows took minutes and hundreds of MB.
 EMIT = settings(max_examples=60, derandomize=True, deadline=None, database=None,
+                phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target),
                 suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 
 

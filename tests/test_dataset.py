@@ -1,6 +1,8 @@
-"""Dataset ingestion, validation, and standardization."""
+"""Dataset ingestion, validation, standardization, and the artifact writer."""
 
 import io
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from ahft.errors import (
     TooFewRows,
     ZeroVarianceColumn,
 )
+from ahft.dataset import write_artifact
 
 
 def _dataset(**cols):
@@ -226,3 +229,64 @@ def test_correlation_invariant_under_positive_affine_rescaling(scale, shift):
         _dataset(x=[scale * v + shift for v in base_x], y=base_y), ["x", "y"]
     )
     assert_allclose(moved, plain, atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# Artifact writer
+# ---------------------------------------------------------------------------
+
+# Blocks of either size: some stay in the write buffer, some go past it.
+BLOCKS = ["h" * 10, b"1" * 20_000, "2" * 30_000, b"3" * 10]
+
+
+def test_write_artifact_over_a_longer_file_leaves_no_old_tail(tmp_path):
+    path = tmp_path / "a.csv"
+    path.write_bytes(b"x" * 100_000)
+    write_artifact(path, BLOCKS)
+    written = b"".join(b if isinstance(b, bytes) else b.encode() for b in BLOCKS)
+    assert path.read_bytes() == written
+    write_artifact(path, written[::-1])
+    assert path.read_bytes() == written[::-1]
+    write_artifact(path, "short\n")
+    assert path.read_bytes() == b"short\n"
+
+
+def test_write_artifact_block_that_raises_leaves_only_earlier_blocks(tmp_path):
+    path = tmp_path / "a.csv"
+    path.write_bytes(b"x" * 100_000)
+
+    def blocks():
+        yield from BLOCKS[:3]
+        raise RuntimeError("block failed")
+
+    with pytest.raises(RuntimeError, match="block failed"):
+        write_artifact(path, blocks())
+    assert path.read_bytes() == b"h" * 10 + b"1" * 20_000 + b"2" * 30_000
+
+
+def test_write_artifact_creates_missing_nested_directories(tmp_path):
+    path = tmp_path / "one" / "two" / "three.txt"
+    write_artifact(path, "text\n")
+    assert path.read_bytes() == b"text\n"
+
+
+@pytest.mark.parametrize("mask", [0o002, 0o022, 0o077])
+def test_write_artifact_mode_matches_open_wb(tmp_path, mask):
+    old = os.umask(mask)
+    try:
+        with open(tmp_path / "reference", "wb"):
+            pass
+        write_artifact(tmp_path / "written", b"")
+    finally:
+        os.umask(old)
+    modes = [stat.S_IMODE(os.stat(tmp_path / name).st_mode) for name in ("reference", "written")]
+    assert modes[0] == modes[1]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+def test_write_artifact_through_a_symlink_to_dev_null(tmp_path):
+    link = tmp_path / "null.csv"
+    link.symlink_to("/dev/null")
+    write_artifact(link, ["x" * 100_000, b"y"])
+    assert link.is_symlink()
+    assert stat.S_ISCHR(os.stat("/dev/null").st_mode)
