@@ -19,6 +19,7 @@ from ahft import (
     serialize,
     standardize,
 )
+from ahft.dataset import write_artifact
 from ahft.errors import (
     EmptyDataset,
     FatigueOutOfRange,
@@ -28,7 +29,6 @@ from ahft.errors import (
     TooFewRows,
     ZeroVarianceColumn,
 )
-from ahft.dataset import write_artifact
 
 
 def _dataset(**cols):
