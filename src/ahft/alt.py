@@ -44,7 +44,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .dataset import FATIGUE, Dataset, _decode, normalize_name, write_artifact
+from .dataset import DURATION, FATIGUE, Dataset, _decode, normalize_name, write_artifact
 from .errors import (
     DegenerateFactor,
     InputError,
@@ -75,13 +75,23 @@ _TRANSFORM_ALIASES = {
 
 @dataclass(frozen=True)
 class FactorSpec:
-    """One model factor: a PSF column name plus its covariate transform."""
+    """One model factor: a PSF column name plus its covariate transform.
+
+    The names of the response and duration columns are reserved: a model
+    of the response on itself, or a synthetic file with two columns of
+    one name, is refused here, for the CLI, the library and saved models.
+    """
 
     name: str
     transform: str = "identity"
 
     def __post_init__(self):
         object.__setattr__(self, "name", normalize_name(self.name))
+        if self.name in (FATIGUE, DURATION):
+            raise InputError(
+                f"factor {self.name!r} is a reserved column name: "
+                f"{FATIGUE!r} is the response and {DURATION!r} the reading length"
+            )
         key = _TRANSFORM_ALIASES.get(str(self.transform).strip().lower())
         if key is None:
             raise InputError(

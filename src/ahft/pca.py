@@ -15,6 +15,15 @@ wrapper because the surrounding contract is part of the package API:
 a deterministic eigenvector sign convention (largest-magnitude entry
 positive, ties broken by lowest index), an explicit iteration budget with
 diagnostics on failure, and a tie flag for degenerate spectra.
+
+Its output is fixed to the bit, and three kinds of operation carry those
+bits: ``hypot`` and correctly rounded arithmetic for the rotation angles,
+two batched ``matmul`` calls per step that rotate the rows and then the
+columns, and closed-form writes of the rotated 2x2 blocks.  The rest of
+a step picks the pairs to skip and moves entries between buffers.  The
+rotations are not written elementwise as ``c*x - s*y``: BLAS kernels that
+fuse the multiply-add round once where that form rounds twice, so it
+would change last bits on such machines.
 """
 
 from __future__ import annotations
@@ -84,6 +93,14 @@ def eigen_symmetric(m: np.ndarray, max_sweeps: int = 60) -> tuple[np.ndarray, np
     :class:`NoConvergence` (with diagnostics) when the off-diagonal mass
     has not fallen below ``JACOBI_TOL * max(1, max|m|)`` after ``max_sweeps``
     full sweeps.
+
+    A step runs in place on buffers made once per call.  Its bits come
+    from the rotation angles (``hypot`` and correctly rounded
+    arithmetic), two batched ``matmul`` calls that rotate the rows and
+    then the columns, and the closed-form writes of the rotated 2x2
+    blocks.  The rotations stay matmul calls on these operands: a BLAS
+    kernel that fuses the multiply-add rounds ``c*x - s*y`` once where an
+    elementwise rotation rounds twice, so the two differ in last bits.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -114,56 +131,94 @@ def eigen_symmetric(m: np.ndarray, max_sweeps: int = 60) -> tuple[np.ndarray, np
     # buf = [A | V'] in the current layout: row i of each belongs to index
     # layout[i], and so does column i of A.
     buf = np.concatenate((padded[np.ix_(layout, layout)], np.eye(size)[layout]), axis=1)
+    block = buf[:, :size]
+    rows = buf.reshape(half, 2, width)
+    cols = block.T.reshape(half, 2, size)
+    row_out = np.empty((half, 2, width))
+    col_out = np.empty((half, 2, size))
+    row_flat, col_flat = row_out.reshape(size, width), col_out.reshape(size, size)
+    pair_flat = np.empty(4 * half)
+    pairs = pair_flat.reshape(4, half)     # a[p, q], a[q, p], a[p, p], a[q, q]
+    apq, _, app, aqq = pairs
+    swapped = pairs[1::-1]                 # a[q, p], a[p, q]
+    written = np.empty((4, half))          # the rotated blocks, in put order
     g = np.empty((half, 2, 2))
+    g_flat = g.reshape(half, 4)
+    unit = np.ones((4, half))              # rows 1, -t, t, 1 make g with c
+    t = unit[2]
+    minus_t = unit[1]
+    work = np.empty((4, half))
+    tau, h, c, scratch = work
+    c_col = c.reshape(half, 1)
+    skip = np.empty(half, dtype=bool)
 
     sweeps = 0
-    while sweeps < max_sweeps and max_offdiag(buf[:, :size]) > threshold:
-        sweeps += 1
-        for _ in range(size - 1):
-            apq, aqp, app, aqq = buf.take(here).reshape(4, half)
-            active = np.abs(apq) > threshold
-            # Rotation angles annihilating each active a[p, q], by the
-            # numerically stable tangent formula; t = 0 leaves a pair as is.
-            tau = (aqq - app) / np.where(active, 2.0 * apq, 1.0)
-            t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.hypot(1.0, tau))
-            t = np.where(active, t, 0.0)
-            c = 1.0 / np.hypot(1.0, t)
-            s = t * c
-            g[:, 0, 0] = g[:, 1, 1] = c
-            g[:, 0, 1] = -s
-            g[:, 1, 0] = s
-            # A <- J'AJ and V <- VJ.  Mixing the rows of each pair of
-            # [A | V'] gives J'A and (VJ)'; as A is symmetric, J'AJ is J'
-            # applied to the rows of (J'A)' = AJ.  Rows and columns then
-            # move to the next step's layout.
-            buf = (g @ buf.reshape(half, 2, width)).reshape(size, width)[sigma]
-            buf[:, :size] = (g @ buf[:, :size].T.reshape(half, 2, size)).reshape(size, size)[sigma]
-            # The rotated 2x2 blocks are known in closed form; writing them
-            # explicitly keeps the zeros exact.  A skipped pair gets back
-            # what the step left there: its diagonal, and its (p, q) and
-            # (q, p) entries swapped, since the step transposes A.
-            buf.put(there, np.concatenate((
-                np.where(active, 0.0, aqp), np.where(active, 0.0, apq),
-                app - t * apq, aqq + t * apq,
-            )))
+    # Only skipped pairs divide by zero or overflow, and their t is then
+    # replaced by 0; an active pair has |a[p, q]| > 1e-13 * max|a|.  The
+    # take indices are in range: mode="clip" only spares the copy through
+    # a temporary that the default mode makes for an out= argument.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        while sweeps < max_sweeps and max_offdiag(block) > threshold:
+            sweeps += 1
+            for _ in range(size - 1):
+                buf.take(here, out=pair_flat, mode="clip")
+                np.abs(apq, out=scratch)
+                np.less_equal(scratch, threshold, out=skip)
+                # Rotation angles annihilating each active a[p, q], by the
+                # numerically stable tangent formula
+                #   t = sign(tau) / (|tau| + hypot(1, tau))
+                #     = 1 / (tau + copysign(hypot(1, tau), tau + 0.0)),
+                # where adding 0.0 makes tau = -0.0 count as positive.
+                # t = 0 leaves a pair as is.
+                np.subtract(aqq, app, out=tau)
+                np.multiply(apq, 2.0, out=scratch)
+                np.divide(tau, scratch, out=tau)
+                np.hypot(1.0, tau, out=h)
+                np.add(tau, 0.0, out=scratch)
+                np.copysign(h, scratch, out=h)
+                np.add(tau, h, out=t)
+                np.divide(1.0, t, out=t)
+                np.copyto(t, 0.0, where=skip)
+                np.hypot(1.0, t, out=c)
+                np.divide(1.0, c, out=c)
+                np.negative(t, out=minus_t)
+                np.multiply(unit.T, c_col, out=g_flat)
+                # A <- J'AJ and V <- VJ.  Mixing the rows of each pair of
+                # [A | V'] gives J'A and (VJ)'; as A is symmetric, J'AJ is
+                # J' applied to the rows of (J'A)' = AJ.  Rows and columns
+                # then move to the next step's layout.
+                np.matmul(g, rows, out=row_out)
+                row_flat.take(sigma, axis=0, out=buf, mode="clip")
+                np.matmul(g, cols, out=col_out)
+                col_flat.take(sigma, axis=0, out=block, mode="clip")
+                # The rotated 2x2 blocks are known in closed form; writing
+                # them explicitly keeps the zeros exact.  A skipped pair
+                # gets back what the step left there: its diagonal, and its
+                # (p, q) and (q, p) entries swapped, since the step
+                # transposes A.
+                written.fill(0.0)
+                np.copyto(written[:2], swapped, where=skip)
+                np.multiply(t, apq, out=scratch)
+                np.subtract(app, scratch, out=written[2])
+                np.add(aqq, scratch, out=written[3])
+                buf.put(there, written)
 
-    a = buf[:, :size]
-    final_off = max_offdiag(a)
+    final_off = max_offdiag(block)
     if final_off > threshold:
         raise NoConvergence(
             f"Jacobi iteration did not converge in {max_sweeps} sweeps",
             diagnostics={"sweeps": sweeps, "max_offdiag": final_off},
         )
 
-    rows = np.argsort(layout)[:n]  # where each index ended up
-    values = np.diag(a)[rows]
+    place = np.argsort(layout)[:n]  # where each index ended up
+    values = np.diag(block)[place]
     order = np.argsort(-values, kind="stable")
     values = values[order]
-    vectors = buf[rows, size:size + n].T[:, order]
-    for j in range(n):
-        k = int(np.argmax(np.abs(vectors[:, j])))
-        if vectors[k, j] < 0:
-            vectors[:, j] = -vectors[:, j]
+    vectors = buf[place, size:size + n].T[:, order]
+    if n:
+        top = np.argmax(np.abs(vectors), axis=0)
+        flip = vectors[top, np.arange(n)] < 0
+        vectors[:, flip] = -vectors[:, flip]
     return values, vectors
 
 
@@ -256,23 +311,23 @@ def select_factors(pca: PcaResult, threshold: float, response: str) -> Selection
     is retained.  Each non-response column is scored by
     sum over retained components c of lambda_c * |loading|, and the
     columns are returned in descending score order (ties keep the
-    original column order).
+    original column order).  An analysis with no column besides the
+    response has nothing to rank and raises :class:`InputError`.
     """
     if not (0.0 < threshold <= 1.0):
         raise InputError(f"threshold must lie in (0, 1], got {threshold!r}")
     response = normalize_name(response)
     if response not in pca.column_names:
         raise InputError(f"response column {response!r} not in the analysis")
+    names = [c for c in pca.column_names if c != response]
+    if not names:
+        raise InputError(f"the analysis has no column besides the response {response!r}")
 
     k = int(np.searchsorted(pca.cumulative, threshold - _THRESHOLD_EPS, side="left")) + 1
     k = min(k, len(pca.cumulative))
 
-    names = [c for c in pca.column_names if c != response]
-    scores = []
-    for name in names:
-        row = pca.column_names.index(name)
-        loadings = np.abs(pca.eigenvectors[row, :k])
-        scores.append(float(np.sum(pca.eigenvalues[:k] * loadings)))
-    order = np.argsort(-np.asarray(scores), kind="stable")
-    ranked = tuple((names[i], scores[i]) for i in order)
+    rows = [i for i, c in enumerate(pca.column_names) if c != response]
+    scores = (pca.eigenvalues[:k] * np.abs(pca.eigenvectors[rows, :k])).sum(axis=1)
+    order = np.argsort(-scores, kind="stable")
+    ranked = tuple((names[i], float(scores[i])) for i in order)
     return SelectionResult(retained_components=k, selected_factors=ranked)

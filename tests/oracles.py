@@ -8,7 +8,9 @@ gradients, resampling instead of the delta method, one point at a time
 instead of a design matrix, the csv module and
 ``float`` cell by cell instead of numpy's tokenizer, one string per row
 or point instead of block templates, a stepped generator state instead
-of the counter form.  Keep it that way.
+of the counter form.  Keep it that way.  The one exception is
+``jacobi_reference``, a frozen copy of an earlier eigensolver that pins
+the bits of the current one.
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ import numpy as np
 
 from ahft.alt import DEFAULT_PERCENTILE, _design, weibull_quantile
 from ahft.dataset import Dataset, normalize_name
-from ahft.errors import EmptyDataset, FatigueOutOfRange, InputError, MissingColumn, NonNumericCell
+from ahft.errors import (EmptyDataset, FatigueOutOfRange, InputError, MissingColumn, NoConvergence,
+                         NonNumericCell, NotSymmetric)
+from ahft.pca import JACOBI_TOL, SYMMETRY_TOL, _round_robin
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +105,97 @@ def charpoly_eigenvalues(m: np.ndarray) -> np.ndarray:
         coeffs.append(-np.trace(mk) / k)
     roots = np.roots(coeffs)
     return np.sort(roots.real)[::-1]
+
+
+def jacobi_reference(m: np.ndarray, max_sweeps: int = 60) -> tuple[np.ndarray, np.ndarray]:
+    """Round-robin Jacobi rotations, the bit-for-bit reference of ``eigen_symmetric``.
+
+    The package's solver as it stood before each step ran in place on
+    preallocated buffers, kept word for word.  Unlike the other oracles
+    this takes the same route as the code under test: it pins the bits
+    (values, vectors and ``NoConvergence`` diagnostics), while
+    ``charpoly_eigenvalues`` pins the values.
+    """
+    m = np.asarray(m, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise InputError(f"expected a square matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise InputError("matrix entries must be finite")
+    asym = float(np.max(np.abs(m - m.T))) if m.size else 0.0
+    if asym > SYMMETRY_TOL:
+        raise NotSymmetric(f"matrix is asymmetric by {asym:.3e} (> {SYMMETRY_TOL:.0e})")
+
+    n = m.shape[0]
+    a = (m + m.T) / 2.0
+    threshold = JACOBI_TOL * max(1.0, float(np.max(np.abs(a)))) if n else JACOBI_TOL
+
+    def max_offdiag(x: np.ndarray) -> float:
+        if n < 2:
+            return 0.0
+        off = np.abs(x - np.diag(np.diag(x)))
+        return float(off.max())
+
+    # An odd n gets a phantom index with a zero row and column: its pair
+    # never passes the threshold, so that step leaves it out.
+    size = n + n % 2
+    half, width = size // 2, 2 * size
+    layout, sigma, here, there = _round_robin(size)
+    padded = np.zeros((size, size))
+    padded[:n, :n] = a
+    # buf = [A | V'] in the current layout: row i of each belongs to index
+    # layout[i], and so does column i of A.
+    buf = np.concatenate((padded[np.ix_(layout, layout)], np.eye(size)[layout]), axis=1)
+    g = np.empty((half, 2, 2))
+
+    sweeps = 0
+    while sweeps < max_sweeps and max_offdiag(buf[:, :size]) > threshold:
+        sweeps += 1
+        for _ in range(size - 1):
+            apq, aqp, app, aqq = buf.take(here).reshape(4, half)
+            active = np.abs(apq) > threshold
+            # Rotation angles annihilating each active a[p, q], by the
+            # numerically stable tangent formula; t = 0 leaves a pair as is.
+            tau = (aqq - app) / np.where(active, 2.0 * apq, 1.0)
+            t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.hypot(1.0, tau))
+            t = np.where(active, t, 0.0)
+            c = 1.0 / np.hypot(1.0, t)
+            s = t * c
+            g[:, 0, 0] = g[:, 1, 1] = c
+            g[:, 0, 1] = -s
+            g[:, 1, 0] = s
+            # A <- J'AJ and V <- VJ.  Mixing the rows of each pair of
+            # [A | V'] gives J'A and (VJ)'; as A is symmetric, J'AJ is J'
+            # applied to the rows of (J'A)' = AJ.  Rows and columns then
+            # move to the next step's layout.
+            buf = (g @ buf.reshape(half, 2, width)).reshape(size, width)[sigma]
+            buf[:, :size] = (g @ buf[:, :size].T.reshape(half, 2, size)).reshape(size, size)[sigma]
+            # The rotated 2x2 blocks are known in closed form; writing them
+            # explicitly keeps the zeros exact.  A skipped pair gets back
+            # what the step left there: its diagonal, and its (p, q) and
+            # (q, p) entries swapped, since the step transposes A.
+            buf.put(there, np.concatenate((
+                np.where(active, 0.0, aqp), np.where(active, 0.0, apq),
+                app - t * apq, aqq + t * apq,
+            )))
+
+    a = buf[:, :size]
+    final_off = max_offdiag(a)
+    if final_off > threshold:
+        raise NoConvergence(
+            f"Jacobi iteration did not converge in {max_sweeps} sweeps",
+            diagnostics={"sweeps": sweeps, "max_offdiag": final_off},
+        )
+
+    rows = np.argsort(layout)[:n]  # where each index ended up
+    values = np.diag(a)[rows]
+    order = np.argsort(-values, kind="stable")
+    values = values[order]
+    vectors = buf[rows, size:size + n].T[:, order]
+    for j in range(n):
+        k = int(np.argmax(np.abs(vectors[:, j])))
+        if vectors[k, j] < 0:
+            vectors[:, j] = -vectors[:, j]
+    return values, vectors
 
 
 def naive_weibull_loglik(alpha, shape, factor_rows, responses) -> float:

@@ -83,6 +83,14 @@ def test_parse_factor_transforms():
         parse_factor("x:cubic")
 
 
+@pytest.mark.parametrize("name", ["fatigue", " Fatigue", "duration_hours", "Duration-Hours"])
+def test_factor_spec_rejects_reserved_names(name):
+    with pytest.raises(InputError, match="reserved column name"):
+        FactorSpec(name)
+    with pytest.raises(InputError, match="reserved column name"):
+        parse_factor(f"{name}:log")
+
+
 def test_life_characteristic_intercept_only():
     assert life_characteristic(_model((), [0.0], 1.0), {}) == 1.0
 

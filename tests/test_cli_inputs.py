@@ -358,3 +358,38 @@ def test_a_factor_under_two_transforms_still_fits(tmp_path):
                  "-o", str(tmp_path)]) == 0
     rows = (tmp_path / "regression.csv").read_text().splitlines()
     assert [row.split(",")[0] for row in rows[1:]] == ["Intercept", "stress", "stress", "Shape"]
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["fit", "--input", "builtin:table3", "--factors", "fatigue"], "fatigue"),
+    (["fit", "--input", "builtin:table3", "--factors", "stress,Duration Hours:log"],
+     "duration_hours"),
+    (["simulate", "--factors", "fatigue", "--alpha=-2,0.3", "--shape", "3",
+      "--pool", "fatigue=0.5|1", "--n", "5"], "fatigue"),
+    (["simulate", "--factors", "duration_hours", "--alpha=-2,0.3", "--shape", "3",
+      "--n", "5"], "duration_hours"),
+])
+def test_reserved_names_as_factors_exit_two(tmp_path, capsys, argv, name):
+    # A fit of the response on itself, or a synthetic file that holds the
+    # response or duration twice, which fit could not read back.
+    assert main([*argv, "-o", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"factor {name!r} is a reserved column name" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_model_with_a_reserved_factor_name_exits_two(tmp_path, capsys, model_doc):
+    model_doc["factors"][1]["name"] = "Fatigue"
+    assert _predict(tmp_path, model_doc, at="available_time=0.1,fatigue=5") == 2
+    assert "factor 'fatigue' is a reserved column name" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["fatigue\n0.2\n0.5\n0.7\n",
+                                  "duration_hours,fatigue\n1,0.2\n1,0.5\n1,0.7\n"])
+def test_pca_without_a_psf_column_exits_two(tmp_path, capsys, text):
+    source = tmp_path / "response_only.csv"
+    source.write_text(text)
+    assert main(["pca", "--input", str(source), "-o", str(tmp_path / "out")]) == 2
+    assert "no column besides the response 'fatigue'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -1,14 +1,17 @@
 """Eigendecomposition and PSF screening.
 
-The eigen solver is checked against an independent oracle: roots of the
-characteristic polynomial (Faddeev-LeVerrier coefficients + companion
-matrix), never against another iterative eigensolver.
+The eigen solver's values are checked against an independent oracle:
+roots of the characteristic polynomial (Faddeev-LeVerrier coefficients +
+companion matrix), never against another iterative eigensolver.  Its
+bits are checked against ``jacobi_reference``, a frozen copy of the
+solver from before its steps ran on preallocated buffers.
 """
 
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from ahft import (
@@ -21,8 +24,8 @@ from ahft import (
     variance_proportions,
 )
 from ahft.errors import AllZeroSpectrum, InputError, NoConvergence, NotSymmetric
-from ahft.pca import _round_robin
-from oracles import charpoly_eigenvalues
+from ahft.pca import JACOBI_TOL, PcaResult, _round_robin
+from oracles import charpoly_eigenvalues, jacobi_reference
 
 
 def _random_symmetric(seed, n=5):
@@ -157,6 +160,109 @@ def test_eigen_wide_solve_raises_no_warning():
         eigen_symmetric(_random_symmetric(6, n=60))
 
 
+# ---------------------------------------------------------------------------
+# eigen_symmetric against jacobi_reference, bit for bit
+# ---------------------------------------------------------------------------
+
+# No shrink or explain phase: a failure is reported as first found.
+BITS = settings(max_examples=100, derandomize=True, deadline=None, database=None,
+                phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target),
+                suppress_health_check=[HealthCheck.too_slow])
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+def _outcome(solve, m, **kwargs):
+    """What a solver gives: the bits of (values, vectors), or the failure."""
+    try:
+        values, vectors = solve(m, **kwargs)
+    except NoConvergence as exc:
+        return ("NoConvergence", str(exc), exc.diagnostics)
+    return (values.shape, vectors.shape, _bits(values).tolist(), _bits(vectors).tolist())
+
+
+def _assert_same_bits(m, **kwargs):
+    expected = _outcome(jacobi_reference, m, **kwargs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _outcome(eigen_symmetric, m, **kwargs)
+    assert got == expected
+
+
+@st.composite
+def jacobi_matrices(draw):
+    """Symmetric matrices that steer every branch of a rotation step."""
+    n = draw(st.sampled_from(range(1, 13)) | st.sampled_from(range(13, 65)))
+    kind = draw(st.sampled_from(["random", "unit_diagonal", "interleaved",
+                                 "identity_block", "equicorrelated"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.normal(size=(n, n))
+    a = (a + a.T) / 2.0
+    if kind == "unit_diagonal":
+        # a[p, p] == a[q, q], so tau is +0.0 or -0.0 in the first sweep
+        np.fill_diagonal(a, 1.0)
+    elif kind == "interleaved":
+        # pairs across groups start at zero and stay skipped
+        group = rng.integers(0, draw(st.integers(2, 4)), size=n)
+        a[group[:, None] != group[None, :]] = 0.0
+    elif kind == "identity_block":
+        # a tied eigenvalue 1 over the block
+        k = draw(st.integers(0, n))
+        a[:k, :] = a[:, :k] = 0.0
+        a[:k, :k] = np.eye(k)
+    elif kind == "equicorrelated":
+        # vectors with entries of equal magnitude tie in the sign rule
+        a = np.full((n, n), draw(st.sampled_from([0.5, -0.25, 1.0])))
+        np.fill_diagonal(a, 1.0)
+    a *= draw(st.sampled_from([1.0, 1.0, 1e-3, 1e6]))
+    zeros = draw(st.sampled_from([0.0, 0.0, 0.25, 0.75]))
+    zero = np.triu(rng.random((n, n)) < zeros, 1)
+    negative = zero & (rng.random((n, n)) < 0.5)
+    a[zero | zero.T] = 0.0
+    a[negative | negative.T] = -0.0
+    if n > 1:
+        # off-diagonals on both sides of the skip threshold, and tiny ones
+        # whose tau overflows
+        threshold = JACOBI_TOL * max(1.0, float(np.max(np.abs(a))))
+        edges = [np.nextafter(threshold, np.inf), threshold, np.nextafter(threshold, 0.0),
+                 1e-300, -5e-324]
+        count = draw(st.integers(0, 4))
+        i = rng.integers(0, n, size=count)
+        j = (i + rng.integers(1, n, size=count)) % n
+        picks = [draw(st.sampled_from(edges)) * draw(st.sampled_from([1.0, -1.0]))
+                 for _ in range(count)]
+        a[i, j] = a[j, i] = picks
+    return a
+
+
+@BITS
+@given(m=jacobi_matrices())
+def test_eigen_bits_match_reference(m):
+    _assert_same_bits(m)
+
+
+def _screen(columns, rows=2000, seed=3):
+    """Correlation of ``columns`` PSF-like columns that share two factors."""
+    rng = np.random.default_rng(seed)
+    shared = rng.normal(size=(rows, 2))
+    x = shared @ rng.normal(size=(2, columns)) + rng.normal(size=(rows, columns))
+    return np.corrcoef(x, rowvar=False)
+
+
+def test_eigen_bits_match_reference_on_table3_and_a_wide_screen(table3):
+    _assert_same_bits(correlation_matrix(table3, table3.column_names))
+    _assert_same_bits(_screen(60))
+
+
+@pytest.mark.parametrize("max_sweeps", [0, 1, 2])
+@pytest.mark.parametrize("n", [2, 5, 9, 30])
+def test_eigen_budget_diagnostics_match_reference(n, max_sweeps):
+    _assert_same_bits(_random_symmetric(40 + n, n=n), max_sweeps=max_sweeps)
+    _assert_same_bits(_screen(n), max_sweeps=max_sweeps)
+
+
 @pytest.mark.parametrize("size", [2, 4, 8, 62])
 def test_round_robin_pairs_every_two_indices_once_per_sweep(size):
     layout, sigma, _, _ = _round_robin(size)
@@ -268,6 +374,36 @@ def test_select_scores_match_direct_recomputation(table3):
         assert score == pytest.approx(expected, rel=1e-12)
     scores = [s for _, s in selection.selected_factors]
     assert all(a >= b for a, b in zip(scores, scores[1:]))
+
+
+def _per_name_scores(pca, k, response):
+    """The scores as one numpy sum per PSF, by name."""
+    names = [c for c in pca.column_names if c != response]
+    return [(name, float(np.sum(pca.eigenvalues[:k]
+                                  * np.abs(pca.eigenvectors[pca.column_names.index(name), :k]))))
+            for name in names]
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("n", [2, 9, 60])
+def test_select_scores_match_per_name_sums_bit_for_bit(n, seed):
+    rng = np.random.default_rng(seed)
+    values = np.sort(rng.exponential(size=n))[::-1]
+    vectors, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    proportions = values / values.sum()
+    names = tuple(f"psf_{i}" for i in range(n - 1)) + ("fatigue",)
+    names = tuple(rng.permutation(names).tolist())
+    pca = PcaResult(names, values, vectors, proportions, np.cumsum(proportions), False)
+    for threshold in (0.3, 0.65, 0.9, 0.99, 1.0):
+        selection = select_factors(pca, threshold, "fatigue")
+        expected = dict(_per_name_scores(pca, selection.retained_components, "fatigue"))
+        assert dict(selection.selected_factors) == expected
+        assert all(type(score) is float for _, score in selection.selected_factors)
+
+
+def test_select_without_a_psf_column_is_an_input_error():
+    with pytest.raises(InputError, match="no column besides the response 'fatigue'"):
+        select_factors(run_pca(_dataset(fatigue=[0.2, 0.5, 0.7])), 0.65, "fatigue")
 
 
 def test_select_ranks_response_copy_first():
