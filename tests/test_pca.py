@@ -376,12 +376,14 @@ def test_select_scores_match_direct_recomputation(table3):
     assert all(a >= b for a, b in zip(scores, scores[1:]))
 
 
-def _per_name_scores(pca, k, response):
-    """The scores as one numpy sum per PSF, by name."""
+def _per_name_ranking(pca, k, response):
+    """The ranking with one numpy sum per PSF, looked up by name."""
     names = [c for c in pca.column_names if c != response]
-    return [(name, float(np.sum(pca.eigenvalues[:k]
-                                  * np.abs(pca.eigenvectors[pca.column_names.index(name), :k]))))
-            for name in names]
+    scores = [float(np.sum(pca.eigenvalues[:k]
+                           * np.abs(pca.eigenvectors[pca.column_names.index(name), :k])))
+              for name in names]
+    order = np.argsort(-np.asarray(scores), kind="stable")
+    return tuple((names[i], scores[i]) for i in order)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -396,8 +398,8 @@ def test_select_scores_match_per_name_sums_bit_for_bit(n, seed):
     pca = PcaResult(names, values, vectors, proportions, np.cumsum(proportions), False)
     for threshold in (0.3, 0.65, 0.9, 0.99, 1.0):
         selection = select_factors(pca, threshold, "fatigue")
-        expected = dict(_per_name_scores(pca, selection.retained_components, "fatigue"))
-        assert dict(selection.selected_factors) == expected
+        expected = _per_name_ranking(pca, selection.retained_components, "fatigue")
+        assert selection.selected_factors == expected
         assert all(type(score) is float for _, score in selection.selected_factors)
 
 
