@@ -90,7 +90,7 @@ class FactorSpec:
         if self.name in (FATIGUE, DURATION):
             raise InputError(
                 f"factor {self.name!r} is a reserved column name: "
-                f"{FATIGUE!r} is the response and {DURATION!r} the reading length"
+                f"{FATIGUE!r} is the response and {DURATION!r} the reading duration"
             )
         key = _TRANSFORM_ALIASES.get(str(self.transform).strip().lower())
         if key is None:

@@ -319,15 +319,14 @@ def select_factors(pca: PcaResult, threshold: float, response: str) -> Selection
     response = normalize_name(response)
     if response not in pca.column_names:
         raise InputError(f"response column {response!r} not in the analysis")
-    names = [c for c in pca.column_names if c != response]
-    if not names:
+    rows = [i for i, c in enumerate(pca.column_names) if c != response]
+    if not rows:
         raise InputError(f"the analysis has no column besides the response {response!r}")
 
     k = int(np.searchsorted(pca.cumulative, threshold - _THRESHOLD_EPS, side="left")) + 1
     k = min(k, len(pca.cumulative))
 
-    rows = [i for i, c in enumerate(pca.column_names) if c != response]
     scores = (pca.eigenvalues[:k] * np.abs(pca.eigenvectors[rows, :k])).sum(axis=1)
     order = np.argsort(-scores, kind="stable")
-    ranked = tuple((names[i], float(scores[i])) for i in order)
+    ranked = tuple((pca.column_names[rows[i]], float(scores[i])) for i in order)
     return SelectionResult(retained_components=k, selected_factors=ranked)

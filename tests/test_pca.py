@@ -251,9 +251,10 @@ def _screen(columns, rows=2000, seed=3):
     return np.corrcoef(x, rowvar=False)
 
 
-def test_eigen_bits_match_reference_on_table3_and_a_wide_screen(table3):
+def test_eigen_bits_match_reference_on_table3_a_wide_screen_and_no_columns(table3):
     _assert_same_bits(correlation_matrix(table3, table3.column_names))
     _assert_same_bits(_screen(60))
+    _assert_same_bits(np.zeros((0, 0)))
 
 
 @pytest.mark.parametrize("max_sweeps", [0, 1, 2])
