@@ -23,10 +23,9 @@ from __future__ import annotations
 
 import numpy as np
 
-_U = np.uint64
+from .svg import _HIDDEN_BIT, _MANTISSA, _U
+
 _LOW32 = _U(0xFFFFFFFF)
-_MANTISSA = _U((1 << 52) - 1)
-_HIDDEN_BIT = _U(1 << 52)
 
 
 def _exponent_tables():

@@ -33,6 +33,16 @@ the inverse observed information (negative Hessian) at the optimum, in
 the (alpha, ln beta) parameterization.  Quantile prediction inverts the
 Weibull CDF at the requested percentile, t_p = eta * (-ln(1-p))**(1/beta),
 with a delta-method standard error.
+
+The fit's output is fixed to the bit, and two kinds of operation carry
+those bits: the BLAS calls on their operands as they stand (the gemv
+``z @ alpha`` and ``z.T @ v``, and the gemm ``ze.T @ z`` on the
+C-contiguous ``(n, k)`` buffer of ``z * e[:, None]``), and the
+elementwise ops and sums in the order the formulas above are written.
+One workspace per fit holds the n-vectors, which every step writes
+with ``out=``.  The product ``z * e`` is not kept in a ``(k, n)`` layout,
+although that would fill faster: ``zet @ z`` calls BLAS with other
+transpose flags, whose kernel may round the last bit differently.
 """
 
 from __future__ import annotations
@@ -204,37 +214,90 @@ def _response(dataset: Dataset, response: str) -> np.ndarray:
     return dataset.column(response)
 
 
+class _Workspace:
+    """The log-likelihood and its derivatives over one fit's ``z`` and ``ln t``.
+
+    The n-vectors ``u``, ``bu`` and ``e = exp(bu)``, two scratch vectors
+    and the C-contiguous ``(n, k)`` buffer of ``z * e[:, None]`` are made
+    once, and every step writes into them with ``out=``.  ``key`` holds
+    the bytes of the theta whose ``u``, ``bu`` and ``e`` the buffers hold,
+    set only by a :meth:`loglik` whose total is finite, so its exp did not
+    overflow.  :meth:`derivatives` at that theta, as after an accepted
+    line-search trial, reuses them; anywhere else it computes them with
+    its own exp, which warns on overflow.
+    """
+
+    __slots__ = ("z", "logt", "u", "bu", "e", "s1", "s2", "ze", "key")
+
+    def __init__(self, z: np.ndarray, logt: np.ndarray):
+        self.z, self.logt = z, logt
+        self.u, self.bu, self.e, self.s1, self.s2 = np.empty((5, len(logt)))
+        self.ze = np.empty(z.shape)
+        self.key = None
+
+    def _terms(self, theta: np.ndarray, beta: float) -> None:
+        """u = ln t - z.alpha and bu = beta * u into their buffers."""
+        self.key = None
+        np.matmul(self.z, theta[:-1], out=self.u)
+        np.subtract(self.logt, self.u, out=self.u)
+        np.multiply(beta, self.u, out=self.bu)
+
+    def loglik(self, theta: np.ndarray) -> float:
+        phi = theta[-1]
+        if phi > 700.0:  # exp would overflow; such a trial is never an optimum
+            return -math.inf
+        self._terms(theta, math.exp(phi))
+        bu, e, s = self.bu, self.e, self.s1
+        with np.errstate(over="ignore"):
+            np.exp(bu, out=e)
+            np.add(phi, bu, out=s)
+            np.subtract(s, self.logt, out=s)
+            np.subtract(s, e, out=s)
+            total = float(np.sum(s))
+        if not math.isfinite(total):
+            return -math.inf
+        self.key = theta.tobytes()
+        return total
+
+    def derivatives(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Gradient and Hessian of the log-likelihood from one exp(beta*u)."""
+        z, bu, e, s1, s2, ze = self.z, self.bu, self.e, self.s1, self.s2, self.ze
+        phi = theta[-1]
+        beta = math.exp(phi)
+        if theta.tobytes() != self.key:
+            self._terms(theta, beta)
+            np.exp(bu, out=e)
+        np.subtract(e, 1.0, out=s1)
+        g_alpha = beta * (z.T @ s1)
+        np.subtract(1.0, e, out=s1)
+        np.multiply(bu, s1, out=s1)         # bu * (1 - e), used twice
+        np.add(1.0, s1, out=s2)
+        g_phi = float(np.sum(s2))
+        k = z.shape[1]
+        h = np.empty((k + 1, k + 1))
+        for j in range(k):
+            np.multiply(z[:, j], e, out=ze[:, j])
+        h[:k, :k] = -(beta * beta) * (ze.T @ z)
+        np.add(1.0, bu, out=s2)
+        np.multiply(e, s2, out=s2)
+        np.subtract(s2, 1.0, out=s2)
+        cross = beta * (z.T @ s2)
+        h[:k, k] = cross
+        h[k, :k] = cross
+        np.multiply(bu, bu, out=s2)
+        np.multiply(s2, e, out=s2)
+        np.subtract(s1, s2, out=s1)
+        h[k, k] = float(np.sum(s1))
+        return np.concatenate([g_alpha, [g_phi]]), h
+
+
 def _loglik(theta: np.ndarray, z: np.ndarray, logt: np.ndarray) -> float:
-    phi = theta[-1]
-    if phi > 700.0:  # exp would overflow; such a trial is never an optimum
-        return -math.inf
-    beta = math.exp(phi)
-    u = logt - z @ theta[:-1]
-    bu = beta * u
-    with np.errstate(over="ignore"):
-        e = np.exp(bu)
-        total = float(np.sum(phi + bu - logt - e))
-    return total if math.isfinite(total) else -math.inf
+    return _Workspace(z, logt).loglik(theta)
 
 
 def _derivatives(theta: np.ndarray, z: np.ndarray,
                  logt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient and Hessian of the log-likelihood from one exp(beta*u)."""
-    phi = theta[-1]
-    beta = math.exp(phi)
-    u = logt - z @ theta[:-1]
-    bu = beta * u
-    e = np.exp(bu)
-    g_alpha = beta * (z.T @ (e - 1.0))
-    g_phi = float(np.sum(1.0 + bu * (1.0 - e)))
-    k = z.shape[1]
-    h = np.empty((k + 1, k + 1))
-    h[:k, :k] = -(beta * beta) * ((z * e[:, None]).T @ z)
-    cross = beta * (z.T @ (e * (1.0 + bu) - 1.0))
-    h[:k, k] = cross
-    h[k, :k] = cross
-    h[k, k] = float(np.sum(bu * (1.0 - e) - bu * bu * e))
-    return np.concatenate([g_alpha, [g_phi]]), h
+    return _Workspace(z, logt).derivatives(theta)
 
 
 # ---------------------------------------------------------------------------
@@ -278,11 +341,12 @@ def fit_mle(dataset: Dataset, factors, max_iterations: int = 200) -> GllWeibullM
             )
     logt = np.log(t)
 
+    work = _Workspace(z, logt)
     theta = np.zeros(n_params)
     theta[0] = math.log(float(np.mean(t)))
-    ll = _loglik(theta, z, logt)
+    ll = work.loglik(theta)
     for iterations in range(1, max_iterations + 1):
-        g, h = _derivatives(theta, z, logt)
+        g, h = work.derivatives(theta)
         grad_norm = float(np.max(np.abs(g)))
         if grad_norm < GRADIENT_TOL:
             break
@@ -304,7 +368,7 @@ def fit_mle(dataset: Dataset, factors, max_iterations: int = 200) -> GllWeibullM
         tie_tol = 1e-12 * max(1.0, abs(ll))
         for _ in range(60):
             trial = theta + scale * step
-            ll_trial = _loglik(trial, z, logt)
+            ll_trial = work.loglik(trial)
             if math.isfinite(ll_trial) and ll_trial >= ll - tie_tol:
                 theta, ll = trial, ll_trial
                 improved = True
@@ -314,7 +378,7 @@ def fit_mle(dataset: Dataset, factors, max_iterations: int = 200) -> GllWeibullM
             break  # no ascent direction left; final gradient check decides
     else:
         # The budget ran out after a step moved theta: evaluate the end point.
-        g, h = _derivatives(theta, z, logt)
+        g, h = work.derivatives(theta)
         grad_norm = float(np.max(np.abs(g)))
 
     if not grad_norm < GRADIENT_TOL:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 from itertools import chain
@@ -80,16 +81,12 @@ def _parse_factors(text: str, one_per_name: bool = False) -> list[alt.FactorSpec
     return factors
 
 
-def _is_finite(value: float) -> bool:
-    return abs(value) <= sys.float_info.max  # False for inf and nan
-
-
 def _finite(text: str, piece: str) -> float:
     try:
         value = float(text)
     except ValueError:
         raise InputError(f"cannot parse {text!r} as a number in {piece!r}") from None
-    if not _is_finite(value):
+    if not math.isfinite(value):
         raise InputError(f"{text!r} in {piece!r} is not a finite number")
     return value
 
@@ -137,7 +134,7 @@ def _parse_grid(text: str) -> np.ndarray:
         if count == 1:
             return np.array([start])
         step = (stop - start) / (count - 1)
-        if not _is_finite(step):
+        if not math.isfinite(step):
             raise InputError(f"grid range {text!r} is too wide to step through")
         return start + np.arange(count) * step
     grid = [_finite(piece, text) for piece in text.split(",") if piece.strip()]

@@ -28,6 +28,7 @@ would change last bits on such machines.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -40,6 +41,10 @@ SYMMETRY_TOL = 1e-10
 EIGENVALUE_TIE_TOL = 1e-10
 NEGATIVE_CLAMP_TOL = 1e-10
 JACOBI_TOL = 1e-13
+# A matrix with an entry above this is scaled by a power of two first, so
+# that neither (m + m.T) / 2 nor a rotation overflows; every other matrix
+# takes the solver unscaled.
+PRESCALE_CUT = 2.0 ** 960
 
 
 @lru_cache(maxsize=32)
@@ -94,6 +99,12 @@ def eigen_symmetric(m: np.ndarray, max_sweeps: int = 60) -> tuple[np.ndarray, np
     has not fallen below ``JACOBI_TOL * max(1, max|m|)`` after ``max_sweeps``
     full sweeps.
 
+    A matrix with max|m| above ``PRESCALE_CUT`` is solved as m * 2**-s,
+    with max|m| * 2**-s in [1, 2), and its eigenvalues are scaled back by
+    2**s; :class:`InputError` says when one of them exceeds the float
+    range.  Scaling by a power of two is exact, so this changes no bit
+    that the unscaled solve would have got right.
+
     A step runs in place on buffers made once per call.  Its bits come
     from the rotation angles (``hypot`` and correctly rounded
     arithmetic), two batched ``matmul`` calls that rotate the rows and
@@ -112,6 +123,10 @@ def eigen_symmetric(m: np.ndarray, max_sweeps: int = 60) -> tuple[np.ndarray, np
         raise NotSymmetric(f"matrix is asymmetric by {asym:.3e} (> {SYMMETRY_TOL:.0e})")
 
     n = m.shape[0]
+    big = float(np.max(np.abs(m))) if n else 0.0
+    shift = math.frexp(big)[1] - 1 if big > PRESCALE_CUT else 0
+    if shift:
+        m = np.ldexp(m, -shift)
     a = (m + m.T) / 2.0
     threshold = JACOBI_TOL * max(1.0, float(np.max(np.abs(a)))) if n else JACOBI_TOL
 
@@ -207,13 +222,19 @@ def eigen_symmetric(m: np.ndarray, max_sweeps: int = 60) -> tuple[np.ndarray, np
     if final_off > threshold:
         raise NoConvergence(
             f"Jacobi iteration did not converge in {max_sweeps} sweeps",
-            diagnostics={"sweeps": sweeps, "max_offdiag": final_off},
+            diagnostics={"sweeps": sweeps, "max_offdiag": math.ldexp(final_off, shift)},
         )
 
     place = np.argsort(layout)[:n]  # where each index ended up
     values = np.diag(block)[place]
     order = np.argsort(-values, kind="stable")
     values = values[order]
+    if shift:
+        with np.errstate(over="raise"):
+            try:
+                values = np.ldexp(values, shift)
+            except FloatingPointError:
+                raise InputError("an eigenvalue exceeds the float range") from None
     vectors = buf[place, size:size + n].T[:, order]
     if n:
         top = np.argmax(np.abs(vectors), axis=0)

@@ -8,9 +8,11 @@ gradients, resampling instead of the delta method, one point at a time
 instead of a design matrix, the csv module and
 ``float`` cell by cell instead of numpy's tokenizer, one string per row
 or point instead of block templates, a stepped generator state instead
-of the counter form.  Keep it that way.  The one exception is
-``jacobi_reference``, a frozen copy of an earlier eigensolver that pins
-the bits of the current one.
+of the counter form.  Keep it that way.  The exceptions are frozen
+copies of earlier code that pin the bits of the current code:
+``jacobi_reference``, an earlier eigensolver, and ``loglik_reference``,
+``derivatives_reference`` and ``newton_reference``, the likelihood
+kernels and Newton loop of the fit before it ran on one workspace.
 """
 
 from __future__ import annotations
@@ -21,10 +23,10 @@ import math
 
 import numpy as np
 
-from ahft.alt import DEFAULT_PERCENTILE, _design, weibull_quantile
+from ahft.alt import DEFAULT_PERCENTILE, GRADIENT_TOL, _design, weibull_quantile
 from ahft.dataset import Dataset, normalize_name
 from ahft.errors import (EmptyDataset, FatigueOutOfRange, InputError, MissingColumn, NoConvergence,
-                         NonNumericCell, NotSymmetric)
+                         NonNumericCell, NotSymmetric, SingularInformation)
 from ahft.pca import JACOBI_TOL, SYMMETRY_TOL, _round_robin
 
 
@@ -196,6 +198,118 @@ def jacobi_reference(m: np.ndarray, max_sweeps: int = 60) -> tuple[np.ndarray, n
         if vectors[k, j] < 0:
             vectors[:, j] = -vectors[:, j]
     return values, vectors
+
+
+# ---------------------------------------------------------------------------
+# The Newton fit as it stood before its workspace, the bit-for-bit reference
+# ---------------------------------------------------------------------------
+
+def loglik_reference(theta: np.ndarray, z: np.ndarray, logt: np.ndarray) -> float:
+    """The log-likelihood kernel with fresh arrays, word for word as it stood."""
+    phi = theta[-1]
+    if phi > 700.0:  # exp would overflow; such a trial is never an optimum
+        return -math.inf
+    beta = math.exp(phi)
+    u = logt - z @ theta[:-1]
+    bu = beta * u
+    with np.errstate(over="ignore"):
+        e = np.exp(bu)
+        total = float(np.sum(phi + bu - logt - e))
+    return total if math.isfinite(total) else -math.inf
+
+
+def derivatives_reference(theta: np.ndarray, z: np.ndarray,
+                          logt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient and Hessian of the log-likelihood from one exp(beta*u)."""
+    phi = theta[-1]
+    beta = math.exp(phi)
+    u = logt - z @ theta[:-1]
+    bu = beta * u
+    e = np.exp(bu)
+    g_alpha = beta * (z.T @ (e - 1.0))
+    g_phi = float(np.sum(1.0 + bu * (1.0 - e)))
+    k = z.shape[1]
+    h = np.empty((k + 1, k + 1))
+    h[:k, :k] = -(beta * beta) * ((z * e[:, None]).T @ z)
+    cross = beta * (z.T @ (e * (1.0 + bu) - 1.0))
+    h[:k, k] = cross
+    h[k, :k] = cross
+    h[k, k] = float(np.sum(bu * (1.0 - e) - bu * bu * e))
+    return np.concatenate([g_alpha, [g_phi]]), h
+
+
+def newton_reference(z: np.ndarray, t: np.ndarray,
+                     max_iterations: int = 200) -> tuple[np.ndarray, float, int, np.ndarray]:
+    """``fit_mle``'s Newton loop and covariance on a design and its lifetimes.
+
+    Returns ``(theta, log-likelihood, iterations, covariance)``; raises
+    as ``fit_mle`` raised, with the same message and diagnostics.
+    """
+    logt = np.log(t)
+    n_params = z.shape[1] + 1
+
+    theta = np.zeros(n_params)
+    theta[0] = math.log(float(np.mean(t)))
+    ll = loglik_reference(theta, z, logt)
+    for iterations in range(1, max_iterations + 1):
+        g, h = derivatives_reference(theta, z, logt)
+        grad_norm = float(np.max(np.abs(g)))
+        if grad_norm < GRADIENT_TOL:
+            break
+        step = None
+        try:
+            candidate = np.linalg.solve(h, -g)
+            if np.all(np.isfinite(candidate)) and float(candidate @ g) > 0.0:
+                step = candidate
+        except np.linalg.LinAlgError:
+            pass
+        if step is None:
+            # Hessian unusable here; fall back to a scaled ascent step.
+            step = g / max(1.0, grad_norm)
+        scale = 1.0
+        improved = False
+        # Ties are accepted: near the optimum the Newton step improves the
+        # objective by less than one ulp, and rejecting it would strand the
+        # gradient just above tolerance.
+        tie_tol = 1e-12 * max(1.0, abs(ll))
+        for _ in range(60):
+            trial = theta + scale * step
+            ll_trial = loglik_reference(trial, z, logt)
+            if math.isfinite(ll_trial) and ll_trial >= ll - tie_tol:
+                theta, ll = trial, ll_trial
+                improved = True
+                break
+            scale *= 0.5
+        if not improved:
+            break  # no ascent direction left; final gradient check decides
+    else:
+        # The budget ran out after a step moved theta: evaluate the end point.
+        g, h = derivatives_reference(theta, z, logt)
+        grad_norm = float(np.max(np.abs(g)))
+
+    if not grad_norm < GRADIENT_TOL:
+        raise NoConvergence(
+            f"fit did not converge in {iterations} iterations "
+            f"(gradient max-norm {grad_norm:.3e})",
+            diagnostics={
+                "iterations": iterations,
+                "gradient_max_norm": grad_norm,
+                "theta": theta.tolist(),
+                "log_likelihood": ll,
+            },
+        )
+
+    information = -h
+    try:
+        covariance = np.linalg.inv(information)
+    except np.linalg.LinAlgError:
+        raise SingularInformation(
+            "observed information matrix is singular at the optimum"
+        ) from None
+    if not np.all(np.isfinite(covariance)):
+        raise SingularInformation("observed information produced non-finite covariance")
+    covariance = (covariance + covariance.T) / 2.0
+    return theta, ll, iterations, covariance
 
 
 def naive_weibull_loglik(alpha, shape, factor_rows, responses) -> float:
