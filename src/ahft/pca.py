@@ -102,8 +102,9 @@ def eigen_symmetric(m: np.ndarray, max_sweeps: int = 60) -> tuple[np.ndarray, np
     A matrix with max|m| above ``PRESCALE_CUT`` is solved as m * 2**-s,
     with max|m| * 2**-s in [1, 2), and its eigenvalues are scaled back by
     2**s; :class:`InputError` says when one of them exceeds the float
-    range.  Scaling by a power of two is exact, so this changes no bit
-    that the unscaled solve would have got right.
+    range.  Scaling by a power of two is exact short of subnormals, so
+    the values and vectors are those of the unscaled solve, had it not
+    overflowed.
 
     A step runs in place on buffers made once per call.  Its bits come
     from the rotation angles (``hypot`` and correctly rounded

@@ -264,6 +264,52 @@ def test_eigen_budget_diagnostics_match_reference(n, max_sweeps):
     _assert_same_bits(_screen(n), max_sweeps=max_sweeps)
 
 
+# ---------------------------------------------------------------------------
+# Finite input near overflow: solved after a power-of-two prescale
+# ---------------------------------------------------------------------------
+
+NEAR_OVERFLOW = [
+    [[1e308, 1e300], [1e300, -1e308]],
+    [[1e308, 0.0], [0.0, 1e308]],
+    [[1e308, 5e307, 0.0], [5e307, -3e307, 1e300], [0.0, 1e300, 7e307]],
+    _random_symmetric(7, n=6) * 4e307,
+    _random_symmetric(8, n=9) * 2.0 ** 961,
+]
+
+
+@pytest.mark.parametrize("m", NEAR_OVERFLOW)
+def test_eigen_near_overflow_is_finite(m):
+    m = np.array(m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values, vectors = eigen_symmetric(m)
+    expected = np.linalg.eigvalsh(m)[::-1]
+    assert np.all(np.isfinite(values))
+    assert np.all(np.abs(values - expected) <= 1e-12 * np.abs(expected).max())
+    assert_allclose(vectors.T @ vectors, np.eye(len(m)), atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_eigen_prescale_is_exact(seed):
+    """Above the cut the solve is the unscaled one's, scaled by a power of two."""
+    m = _random_symmetric(seed, n=7)
+    values, vectors = eigen_symmetric(np.ldexp(m, 1000))
+    small_values, small_vectors = eigen_symmetric(m)
+    assert np.ldexp(small_values, 1000).view(np.uint64).tolist() == values.view(np.uint64).tolist()
+    assert small_vectors.view(np.uint64).tolist() == vectors.view(np.uint64).tolist()
+
+
+def test_eigen_near_overflow_budget_diagnostics_are_unscaled():
+    with pytest.raises(NoConvergence) as info:
+        eigen_symmetric(np.array(NEAR_OVERFLOW[0]), max_sweeps=0)
+    assert info.value.diagnostics == {"sweeps": 0, "max_offdiag": 1e300}
+
+
+def test_eigen_beyond_the_float_range_is_an_input_error():
+    with pytest.raises(InputError, match="exceeds the float range"):
+        eigen_symmetric(np.full((2, 2), 1e308))
+
+
 @pytest.mark.parametrize("size", [2, 4, 8, 62])
 def test_round_robin_pairs_every_two_indices_once_per_sweep(size):
     layout, sigma, _, _ = _round_robin(size)
