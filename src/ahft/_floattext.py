@@ -74,11 +74,12 @@ _DIGITS4 = (_DIGITS2[:, None] | (_DIGITS2 << _U(16))).ravel()
 _ZEROS4 = np.where(_ZEROS2 == 2, _ZEROS2[:, None] + 2, _ZEROS2).ravel()
 # A double that takes the common case; rows bound for repr compute it instead.
 _COMMON = np.float64(0.3).view(_U)
-# Doubles per pass: bounds the kernel's arrays, about 40 of _PASS words at
-# once, whatever the call's length.  Passes of 2048 to 16384 doubles gave
-# the cohort workload's validate, curves and simulate the same wall time
-# within 5% (one Xeon core, median of 12).
-_PASS = 4096
+# Doubles per pass: bounds the kernel's arrays, about 40 of PASS words at
+# once, whatever the call's length; the byte frames of ``dataset`` also
+# hand the kernel at least PASS doubles a call.  Passes of 2048 to 16384
+# doubles gave the cohort workload's validate, curves and simulate the
+# same wall time within 5% (one Xeon core, median of 12).
+PASS = 4096
 
 
 def _byte_masks(first, stop):
@@ -225,8 +226,8 @@ def float_rows(values: np.ndarray) -> np.ndarray:
         bits[to_repr] = _COMMON
         b = ((bits >> _U(52)) & _U(0x7FF)).view(np.int64)
     rows = np.empty((len(bits), 6), dtype=_U)
-    for start in range(0, len(bits), _PASS):
-        part = slice(start, start + _PASS)
+    for start in range(0, len(bits), PASS):
+        part = slice(start, start + PASS)
         _rows(bits[part], *_shortest(bits[part], b[part]), rows[part])
     text = rows.view(np.uint8)
     if len(to_repr):

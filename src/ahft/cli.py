@@ -10,8 +10,8 @@ variable, or the working directory); stdout carries a short human
 summary.  Artifacts are byte-identical across runs for identical inputs
 and seed.
 
-Exit codes: 0 success, 2 bad input or usage, 3 fit did not converge,
-4 numerically singular problem.
+Exit codes: 0 success, 2 bad input or usage (an input too large for
+memory included), 3 fit did not converge, 4 numerically singular problem.
 """
 
 from __future__ import annotations
@@ -136,7 +136,11 @@ def _parse_grid(text: str) -> np.ndarray:
         step = (stop - start) / (count - 1)
         if not math.isfinite(step):
             raise InputError(f"grid range {text!r} is too wide to step through")
-        return start + np.arange(count) * step
+        try:
+            steps = np.arange(count)
+        except (ValueError, MemoryError):  # numpy cannot index or allocate the array
+            raise InputError(f"--grid count {count} is too large for an array") from None
+        return start + steps * step
     grid = [_finite(piece, text) for piece in text.split(",") if piece.strip()]
     if not grid:
         raise InputError("grid is empty")
@@ -326,6 +330,10 @@ def cmd_simulate(args) -> int:
     if unused:
         raise InputError(f"--pool names {unused[0]!r}, which --factors does not")
 
+    # numpy indexes no array of more bytes than intp holds; at such a size
+    # np.arange of the n(F+1) draws can even come back empty.
+    if args.n * (len(factors) + 1) * 8 > np.iinfo(np.intp).max:
+        raise InputError(f"--n {args.n} is too large for an array of its draws")
     spec = validation.SyntheticSpec(
         true_alpha=true_alpha,
         true_shape=args.shape,
@@ -334,7 +342,10 @@ def cmd_simulate(args) -> int:
         n=args.n,
         seed=args.seed,
     )
-    data = validation.redraw_below_one(spec, validation.generate_synthetic(spec))
+    try:
+        data = validation.redraw_below_one(spec, validation.generate_synthetic(spec))
+    except MemoryError as exc:
+        raise InputError(f"--n {args.n} is too large: {exc}") from None
     # Fitting data is fatigue in (0, 1) and the redraw keeps every response
     # below 1; should rounding still reach 1, refuse to write a file that
     # fit would refuse to read.
@@ -445,6 +456,9 @@ def main(argv=None) -> int:
         return EXIT_SINGULAR
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_INPUT
 
 

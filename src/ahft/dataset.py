@@ -9,11 +9,11 @@ A :class:`Dataset` stores one float64 array per column; CSV ingestion
 parses with numpy's C tokenizer and checks whole columns at once.  CSV
 emission formats blocks of rows with one ``%s`` template, or, for long
 tables of float arrays and ranges, lays each block out as one NUL-padded
-byte frame: each distinct value of a few-valued float column is
-formatted once, the other float columns by the array kernel of
-``_floattext``.  Every artifact of the package goes to disk through
-:func:`write_artifact`, which writes over an existing file instead of
-truncating it first.
+byte frame.  Only the frames pool: each distinct value of a few-valued
+float column is formatted once, the other float columns by the array
+kernel of ``_floattext``.  Every artifact of the package goes to disk
+through :func:`write_artifact`, which writes over an existing file
+instead of truncating it first.
 
 Two reference datasets from a lathing-workshop case study ship with the
 package: :func:`builtin_table3` (15 fitting instances over 8 PSFs) and
@@ -360,43 +360,34 @@ def _is_float_array(column) -> bool:
     return isinstance(column, np.ndarray) and column.ndim == 1 and column.dtype == np.float64
 
 
-# A float column of at least DISTINCT_PROBE_ROWS rows whose first
-# DISTINCT_PROBE_ROWS cells, and then all of whose cells, hold at most
-# half distinct bit patterns is formatted once per distinct value.
-# Break-even, timeit of a 2e4-row column formatted by one %s template
-# (one Xeon core, fastest of 15): per cell 6.1 ms for a 4-level pool,
-# 22.1 ms with 43% of the cells distinct and 22.2 ms all distinct; once
-# per distinct value (np.unique on the bits, repr of the uniques, a take)
-# 2.3, 12.4 and 24.9 ms.  The sort and take cost about 3 ms, so the
-# distinct text loses only when nearly every cell is distinct; "at most
-# half" leaves that margin.  The probe costs 10-40 us, more than a
-# 5-row column's text, hence the minimum length.  In a byte frame the other
-# way is the float kernel, and the margin is smaller (csv_blocks of one
-# 2e4-row column, fastest of 15, interleaved): pooled 1.1 against 13.6 ms
-# for a 4-level pool of short dyadics, which the kernel leaves to repr;
-# 7.2 against 7.1 ms with 20% of the cells distinct, and 15.0 against
-# 7.2 ms with 45%.  Both routes keep the one rule.
+# A float column of a byte frame whose first DISTINCT_PROBE_ROWS cells,
+# and then all of whose cells, hold at most half distinct bit patterns is
+# formatted once per distinct value (``_pool``); the other way is the
+# float kernel.  Break-even, csv_blocks of one 2e4-row column (one Xeon
+# core, fastest of 33, the two ways interleaved): a PSF column of catalog
+# levels takes 0.5-0.9 ms pooled against 9.0-13.8 ms by the kernel.  A
+# column drawn uniformly from 1-45% as many values as it has rows never
+# pools, since its first DISTINCT_PROBE_ROWS cells are mostly distinct.
+# Fresh values scattered through a few-level pool pass the probe: pooled
+# 3.7 against 10.4 ms at 10% of the cells, 9.0 against 9.3 ms at 35% and
+# 11.0 against 8.5 ms at 45%, a loss that no workload's column reaches.
 DISTINCT_PROBE_ROWS = 256
 
 
-def _distinct_text(column):
-    """``(text, index)`` for a float column with few distinct values, else None.
+def _pool(column):
+    """``(values, index)`` for a float array with few distinct values, else None.
 
-    ``text`` holds ``repr`` of each distinct bit pattern (so ``-0.0``
-    stays apart from ``0.0``) as an object array, and ``index`` says which
-    of them each row holds: ``text[index[a:b]].tolist()`` is the text of
-    rows ``a`` to ``b``.
+    ``values`` lists each distinct bit pattern as a float (so ``-0.0``
+    stays apart from ``0.0``), and ``index`` says which of them each row
+    holds.
     """
-    if not (_is_float_array(column) and len(column) >= DISTINCT_PROBE_ROWS):
-        return None
     bits = column.view(np.uint64)
     if 2 * len(np.unique(bits[:DISTINCT_PROBE_ROWS])) > DISTINCT_PROBE_ROWS:
         return None
     keys, index = np.unique(bits, return_inverse=True)
     if 2 * len(keys) > len(bits):
         return None
-    text = np.array([repr(v) for v in keys.view(np.float64).tolist()], dtype=object)
-    return text, index
+    return keys.view(np.float64).tolist(), index
 
 
 # A table of at least FLOAT_TEXT_MIN_ROWS rows whose columns are all float
@@ -407,11 +398,10 @@ def _distinct_text(column):
 # 512 / 768 / 1024 / 2000 rows, by the frame 0.20 / 0.46 / 0.29 / 0.32 /
 # 0.36 / 0.41 / 1.29 ms; 512 keeps the margin of the measurement's noise.
 # A kernel call costs about 0.25 ms of numpy calls, so each call takes the
-# kernel arrays of whole blocks, at least FLOAT_TEXT_CHUNK cells: several
-# blocks when blocks are narrow (268 rows in the 61-column synthetic.csv
-# of screen-wide).
+# kernel arrays of whole blocks, at least one pass of the kernel
+# (``_floattext.PASS`` cells): several blocks when blocks are narrow (268
+# rows in the 61-column synthetic.csv of screen-wide).
 FLOAT_TEXT_MIN_ROWS = 512
-FLOAT_TEXT_CHUNK = 4096
 
 
 def _is_digit_range(column) -> bool:
@@ -425,7 +415,7 @@ def _frame_blocks(columns, step):
 
     Each block is one ``(rows, width)`` uint8 frame in which every cell
     has a slot of fixed width, padded with NUL bytes and ended by its
-    separator.  Pooled columns (:func:`_distinct_text`) take rows of one
+    separator.  Pooled float columns (:func:`_pool`) take rows of one
     byte table of the distinct values of them all, gathered for all of
     them by one take; neighbouring pooled slots form one run.  Other float
     columns take the rows of ``_floattext.float_rows``, with the separator
@@ -435,18 +425,18 @@ def _frame_blocks(columns, step):
     from . import _floattext as ft
     n = len(columns[0])
     separators = [ord(",")] * (len(columns) - 1) + [ord("\n")]
-    distinct = [_distinct_text(c) for c in columns]
-    pooled = [j for j, d in enumerate(distinct) if d is not None]
+    pools = [None if isinstance(c, range) else _pool(c) for c in columns]
+    pooled = [j for j, p in enumerate(pools) if p is not None]
     if pooled:
         entries, index = [], np.empty((n, len(pooled)), dtype=np.intp)
         for p, j in enumerate(pooled):
-            text, inverse = distinct[j]
+            values, inverse = pools[j]
             index[:, p] = inverse + len(entries)
-            entries += [t.encode("ascii") + bytes([separators[j]]) for t in text.tolist()]
+            entries += [repr(v).encode("ascii") + bytes([separators[j]]) for v in values]
         table = np.array(entries)[:, None].view(np.uint8)  # NUL-padded to the longest entry
     slots, kernel, width = [], [], 0  # [kind, offset in the frame's rows, what it writes]
     for j, column in enumerate(columns):
-        if distinct[j] is not None:
+        if pools[j] is not None:
             p = pooled.index(j)
             if slots and slots[-1][0] == "pooled":
                 slots[-1][3] = p + 1  # the run's stop in the table's columns
@@ -461,7 +451,7 @@ def _frame_blocks(columns, step):
             slots.append(["kernel", width, len(kernel)])
             kernel.append(j)
             width += ft.SEPARATOR + 1
-    span = step * max(1, FLOAT_TEXT_CHUNK // (step * max(1, len(kernel))))
+    span = step * max(1, ft.PASS // (step * max(1, len(kernel))))
     buffer = bytearray()
     for start in range(0, n, step):
         m = min(step, n - start)
@@ -502,14 +492,13 @@ def csv_blocks(columns, header=()):
     in its shortest exact form.  The text comes in blocks of whole rows of
     about ``CSV_BLOCK_CELLS`` cells.  The reference route interleaves a
     block's cells into one list by strided slice assignment and formats
-    them in one call by a ``%s`` row template repeated per row; a long
-    float column with few distinct values (:func:`_distinct_text`) has
-    each distinct value formatted once.  A table of at least
-    ``FLOAT_TEXT_MIN_ROWS`` rows of float arrays and ranges of
+    them in one call by a ``%s`` row template repeated per row.  A table
+    of at least ``FLOAT_TEXT_MIN_ROWS`` rows of float arrays and ranges of
     non-negative ints gives the same text by another route: each block is
-    built as one NUL-padded byte frame (:func:`_frame_blocks`), its long
-    distinct floats formatted by the array kernel of ``_floattext``, and
-    no cell becomes a Python str.
+    built as one NUL-padded byte frame (:func:`_frame_blocks`), a float
+    column with few distinct values formatted once per value and the
+    others by the array kernel of ``_floattext``, and no cell becomes a
+    Python str.
     """
     k = len(columns)
     template = ",".join(["%s"] * k) + "\n"
@@ -522,23 +511,12 @@ def csv_blocks(columns, header=()):
     if n >= FLOAT_TEXT_MIN_ROWS and all(_is_float_array(c) or _is_digit_range(c) for c in columns):
         yield from _frame_blocks(columns, step)
         return
-    pooled = {}
-    for j, column in enumerate(columns):
-        distinct = _distinct_text(column)
-        if distinct is not None:
-            pooled[j] = distinct
     for start in range(0, n, step):
         m = min(step, n - start)
         cells = [None] * (m * k)
         for j, column in enumerate(columns):
-            if j in pooled:
-                text, index = pooled[j]
-                part = text[index[start:start + m]].tolist()
-            else:
-                part = column[start:start + m]
-                if isinstance(part, np.ndarray):
-                    part = part.tolist()
-            cells[j::k] = part
+            part = column[start:start + m]
+            cells[j::k] = part.tolist() if isinstance(part, np.ndarray) else part
         yield template * m % tuple(cells)
 
 

@@ -2,8 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from ahft import alt, validation
 from ahft.cli import main
 
 
@@ -393,3 +395,65 @@ def test_pca_without_a_psf_column_exits_two(tmp_path, capsys, text):
     assert main(["pca", "--input", str(source), "-o", str(tmp_path / "out")]) == 2
     assert "no column besides the response 'fatigue'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+SIMULATE = ["simulate", "--factors", "f1,f2", "--alpha=-2,0.3,-0.1", "--shape", "3",
+            "--pool", "f1=0.5|1|2|5", "--pool", "f2=1|2|5"]
+
+
+def _curves(tmp_path, model_doc, grid):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model_doc))
+    return ["curves", "--model", str(path), "--factor", "stress", "--grid", grid,
+            "--fixed", "available_time=0.1"]
+
+
+def _assert_exits_two(tmp_path, capsys, argv, words):
+    assert main(argv + ["--output-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert words in err and "Traceback" not in err, err
+    assert not (tmp_path / "out").exists()
+
+
+# Counts numpy refuses before it allocates anything: 2**62 eight-byte
+# cells are more bytes than intp holds, and 10**20 is more than it indexes.
+@pytest.mark.parametrize("count", [2 ** 62, 10 ** 20])
+def test_huge_counts_name_their_option(tmp_path, capsys, model_doc, count):
+    _assert_exits_two(tmp_path, capsys, _curves(tmp_path, model_doc, f"1:5:{count}"),
+                      f"--grid count {count} is too large")
+    _assert_exits_two(tmp_path, capsys, SIMULATE + ["--n", str(count)],
+                      f"--n {count} is too large")
+
+
+def test_grid_numpy_cannot_allocate_names_the_option(tmp_path, capsys, model_doc, monkeypatch):
+    arange = np.arange
+
+    def refuse_large(*args, **kwargs):
+        if args and isinstance(args[0], int) and args[0] >= 10 ** 9:
+            raise MemoryError("Unable to allocate 7.11 PiB")
+        return arange(*args, **kwargs)
+
+    monkeypatch.setattr(np, "arange", refuse_large)
+    _assert_exits_two(tmp_path, capsys, _curves(tmp_path, model_doc, "1:5:1000000000000000"),
+                      "--grid count 1000000000000000 is too large")
+
+
+def test_draws_numpy_cannot_allocate_name_the_option(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 14.2 PiB")
+
+    monkeypatch.setattr(validation, "_splitmix64_stream", refuse)
+    _assert_exits_two(tmp_path, capsys, SIMULATE + ["--n", "20"],
+                      "--n 20 is too large: Unable to allocate 14.2 PiB")
+
+
+@pytest.mark.parametrize("message, words", [
+    ("Unable to allocate 1 TiB", "error: Unable to allocate 1 TiB"),
+    ("", "error: out of memory"),
+])
+def test_memory_error_exits_two(tmp_path, capsys, model_doc, monkeypatch, message, words):
+    def refuse(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(alt, "sweep_curve", refuse)
+    _assert_exits_two(tmp_path, capsys, _curves(tmp_path, model_doc, "1:5:9"), words)

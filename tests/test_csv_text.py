@@ -25,13 +25,12 @@ from hypothesis import HealthCheck, Phase, example, given, settings, strategies 
 
 import ahft
 from ahft import evaluate, load_csv, load_model, serialize, sweep_curve
-from ahft._floattext import ROW_BYTES, SEPARATOR, _bounds, digit_rows, float_rows
+from ahft._floattext import PASS, ROW_BYTES, SEPARATOR, _bounds, digit_rows, float_rows
 from ahft.alt import DEFAULT_CONFIDENCE, coef_ci, positive_param_ci, wald_stats
 from ahft.cli import main
 from ahft.dataset import (
     CSV_BLOCK_CELLS,
     DISTINCT_PROBE_ROWS,
-    FLOAT_TEXT_CHUNK,
     FLOAT_TEXT_MIN_ROWS,
     Dataset,
     _has_long_line,
@@ -214,9 +213,10 @@ def test_serialize_matches_rowwise(n):
     assert _first_difference(serialize(data).decode(), rowwise_serialize(data).decode()) is None
 
 
-# Distinct-value text: long float columns with few bit patterns are
-# formatted once per pattern.  Pools mix the values whose repr a wrong key
-# would change (0.0 and -0.0 compare equal) with the extremes of repr.
+# Distinct-value text: float columns of the byte frames with few bit
+# patterns are formatted once per pattern; the template formats every
+# cell.  Pools mix the values whose repr a wrong key would change (0.0 and
+# -0.0 compare equal) with the extremes of repr.
 POOL_VALUES = (0.0, -0.0, 5e-324, 1e16, 1e-5, 1e308, -1e308, 0.5, 3.0, 0.1)
 # No shrink or explain phase: a failure is reported as first found, since
 # shrinking examples of 500 to 16 000 rows took minutes and hundreds of MB.
@@ -226,9 +226,10 @@ EMIT = settings(max_examples=60, derandomize=True, deadline=None, database=None,
 
 
 def _lengths(width):
-    """Row counts around the distinct-value probe and around a block of ``width`` cells."""
+    """Row counts around the distinct-value probe, the frames' threshold and a
+    block of ``width`` cells: pooled columns on both sides of the frames."""
     return (DISTINCT_PROBE_ROWS - 1, DISTINCT_PROBE_ROWS, DISTINCT_PROBE_ROWS + 1,
-            *_around_block(width))
+            FLOAT_TEXT_MIN_ROWS - 1, FLOAT_TEXT_MIN_ROWS, *_around_block(width))
 
 
 @st.composite
@@ -387,7 +388,7 @@ def _kernel_lengths(width, floats):
     """Row counts around the kernel's threshold, a block of ``width`` cells and
     a kernel call, which takes a few blocks when ``floats`` arrays are few."""
     step = CSV_BLOCK_CELLS // width
-    span = step * max(1, FLOAT_TEXT_CHUNK // (step * floats))
+    span = step * max(1, PASS // (step * floats))
     return (FLOAT_TEXT_MIN_ROWS - 1, FLOAT_TEXT_MIN_ROWS, step + 1, span - 1, span + 1)
 
 
