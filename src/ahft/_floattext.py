@@ -1,7 +1,7 @@
 """``repr`` text of float64 arrays, computed on the array, as NUL-padded bytes.
 
 :func:`float_rows` writes ``repr`` of each double of an array into a row
-of ``ROW_BYTES`` bytes, NUL wherever the text has no character, and
+of ``ROW_BYTES`` bytes, from byte 0 and NUL after it, and
 :func:`digit_rows` the decimal digits of non-negative integers.  The
 rows go straight into the byte frames of ``dataset.csv_blocks``, which
 drops the NULs of a whole block at once, so no cell becomes a Python
@@ -10,8 +10,10 @@ conversion", PLDI 2018): the shortest decimal that reads back as the
 same double and, among those, the closest to it, which is also what
 CPython's ``repr`` writes.  Ryū needs only 64-bit integer arithmetic,
 so numpy runs it on whole ``uint64`` arrays.  The text is then laid out
-as ``repr`` lays it out: fixed notation for 1e-4 <= |x| < 1e16,
-``d.ddde-XX`` below 1e-4.
+as ``repr`` lays it out, fixed notation for 1e-4 <= |x| < 1e16 and
+``d.ddde-XX`` below 1e-4, by masks and byte shifts of words chosen per
+layout.  Those shifts count on numpy's ``uint64`` shifts by 64 bits or
+more giving 0, as its baseline and SIMD loops both do.
 
 Only Ryū's common case runs here, for doubles below 2**53 whose exact
 scaled value is not an integer.  The rest (zeros, subnormals, powers of
@@ -82,27 +84,77 @@ _COMMON = np.float64(0.3).view(_U)
 PASS = 4096
 
 
+def _words(x):
+    """The three 64-bit words of the 24 bytes of x, a non-negative int, low first."""
+    return [(x >> 64 * w) & 0xFFFFFFFFFFFFFFFF for w in range(3)]
+
+
 def _byte_masks(first, stop):
     """Three words with 0xFF in bytes [first, stop) of their 24 bytes."""
-    mask = (1 << 8 * stop) - (1 << 8 * first)
-    return [(mask >> 64 * w) & 0xFFFFFFFFFFFFFFFF for w in range(3)]
+    return _words((1 << 8 * stop) - (1 << 8 * first))
 
 
-# Each row of text is six words, NUL wherever a row has no character.  The
-# 17 digits are laid out twice: at bytes 3-19 of words 0-2, where a mask
-# keeps the part before the point, and at bytes 0-16 of words 3-5, where a
-# mask keeps the part after it.  Sign and "0" of fixed notation below 1
-# take bytes 0-1, the point and up to three zeros bytes 20-23 and the
-# exponent bytes 41-45.  Byte 46 is left NUL for the caller's separator.
-ROW_BYTES = 48
-SEPARATOR = 46
-_BEFORE = np.array([_byte_masks(3, 3 + k) for k in range(17)], dtype=_U).T.copy()
-_AFTER = np.array([_byte_masks(lo, hi) for lo in range(18) for hi in range(18)],
-                  dtype=_U).T.copy()
-_POINT = np.array([int.from_bytes(b"\0\0\0\0" + (b"." * dot + b"0" * z).ljust(4, b"\0"), "little")
-                   for dot in (0, 1) for z in range(4)], dtype=_U)
-_EXPONENT = np.array([int.from_bytes((b"\0e-%02d" % x if x else b"").ljust(8, b"\0"), "little")
-                      for x in range(309)], dtype=_U)
+def _layout_tables():
+    """Per layout key: where the digits and the point go, and what comes in front.
+
+    The key is ``(sign * 21 + max(point, -4) + 4) * 18 + n`` for a value
+    ``0.DDD * 10**point`` of n digits.  The text after its prefix is the
+    digits, at bytes 0-16 of three words, under ``before``, the digits
+    one byte on under ``after``, and the point of ``point``:
+
+    - fixed notation from 1 up: digits [0, point), the point, digits
+      [point, n);
+    - fixed notation below 1: the n digits, after a prefix "0." and
+      -point zeros;
+    - the exponent form: one digit, the point unless n is 1, the other
+      n - 1 digits (the exponent follows, ``_EXPONENT``).
+
+    ``prefix`` holds the sign and that "0." and zeros, and ``shift`` their
+    length in bits: the text moves up by it.
+    """
+    before, after, point, prefix, shift = [], [], [], [], []
+    for sign in (0, 1):
+        for kz in range(-4, 17):
+            for n in range(18):
+                lead = b"-" * sign
+                if kz > 0:
+                    k, dot = kz, True
+                elif kz == -4:
+                    k, dot = 1, n > 1
+                else:
+                    k, dot, lead = n, False, lead + b"0." + b"0" * -kz
+                before.append(_byte_masks(0, k))
+                after.append(_byte_masks(k + 1, n + 1) if dot else [0, 0, 0])
+                point.append(_words(dot * ord(".") << 8 * k))
+                prefix.append(int.from_bytes(lead.ljust(8, b"\0"), "little"))
+                shift.append(8 * len(lead))
+    return (*(np.array(t, dtype=_U).T.copy() for t in (before, after, point)),
+            np.array(prefix, dtype=_U), np.array(shift, dtype=_U))
+
+
+# Each row of text is four words: ``repr`` from byte 0, NUL after it.  The
+# longest text, such as -2.2250738585072014e-308, is 24 characters, so
+# byte 24 is always NUL and is left for the caller's separator.
+ROW_BYTES = 32
+SEPARATOR = 24
+_BEFORE, _AFTER, _POINT, _PREFIX, _SHIFT = _layout_tables()
+
+
+def _exponent_marks():
+    """``_EXPONENT[w][x * 18 + n]``: word w of "e-XX" for 10**-x after n digits and their point.
+
+    Only the exponent form, from e-05 on, has a mark; its n digits and
+    point (unless n is 1) leave it at byte n + (n > 1) of the unsigned
+    text.  A shift by 64 or more gives 0, so each word takes its part.
+    """
+    marks = np.array([int.from_bytes(b"e-%02d" % x, "little") * (x > 4) for x in range(309)],
+                     dtype=_U)[:, None]
+    at = np.array([8 * (n + (n > 1)) for n in range(18)], dtype=_U)
+    return np.array([((marks << (at - _U(64 * w))) | (marks >> (_U(64 * w) - at))).ravel()
+                     for w in range(3)])
+
+
+_EXPONENT = _exponent_marks()
 # _LEADING[n] keeps the last n of 16 bytes: the digits of an n-digit number.
 _LEADING = np.array([_byte_masks(16 - n, 16)[:2] for n in range(17)], dtype=_U)
 
@@ -175,41 +227,43 @@ def _shortest(bits, b):
     return output, _E10[b] + r
 
 
+def _eight(x):
+    """The eight decimal digits of each x < 10**8 as ASCII bytes of a word."""
+    high = x // _U(10000)
+    low = x - high * _U(10000)
+    return _DIGITS4[high.view(np.int64)] | (_DIGITS4[low.view(np.int64)] << _U(32))
+
+
 def _rows(bits, output, exp10, rows):
-    """Write the ``repr`` text of each double into ``rows``: six words a row, NUL-padded."""
+    """Write the ``repr`` text of each double into ``rows``: four words a row, from byte 0."""
     n = np.searchsorted(_POW10[1:18], output, side="right") + 1  # digit count
-    point = exp10 + n  # the value is 0.DDD * 10**point
-    fixed = point > -4  # every common-case double is below 1e16
-    large = fixed & (point > 0)
-    small = fixed & ~large
+    point = exp10 + n  # the value is 0.DDD * 10**point; every common-case double is below 1e16
+    sign = (bits >> _U(63)).view(np.int64)
+    key = (np.maximum(point, -4) + sign * 21) * 18 + (n + 72)  # as in _layout_tables
 
-    # The 17 digits left-aligned, after three zeros: five 4-digit words.
+    # The 17 digits, left-aligned, at bytes 0-16, and again one byte on.
     left = output * _POW10[17 - n]
-    high = left // _U(10 ** 8)
-    low = left - high * _U(10 ** 8)
-    top = high // _U(10 ** 8)
-    high -= top * _U(10 ** 8)
-    digits = [_DIGITS4[top.view(np.int64)]]
-    for part in (high, low):
-        chunk = part // _U(10000)
-        digits += [_DIGITS4[chunk.view(np.int64)],
-                   _DIGITS4[(part - chunk * _U(10000)).view(np.int64)]]
-    before = [digits[0] | (digits[1] << _U(32)), digits[2] | (digits[3] << _U(32)), digits[4]]
-    after = [(before[0] >> _U(24)) | (before[1] << _U(40)),
-             (before[1] >> _U(24)) | (before[2] << _U(40)), before[2] >> _U(24)]
+    top = left // _U(10 ** 9)
+    rest = left - top * _U(10 ** 9)
+    middle = rest // _U(10)
+    digits = [_eight(top), _eight(middle), rest - middle * _U(10) + _U(ord("0"))]
+    later = [digits[0] << _U(8), (digits[1] << _U(8)) | (digits[0] >> _U(56)),
+             (digits[2] << _U(8)) | (digits[1] >> _U(56))]
+    text = [(digits[w] & _BEFORE[w][key]) | (later[w] & _AFTER[w][key]) | _POINT[w][key]
+            for w in range(3)]
 
-    # Fixed notation from 1 up: digits [0, point), the point, digits
-    # [point, n); a common-case double is no integer, so point < n.  Below
-    # 1: "0.", -point zeros, n digits.  Exponent form: one digit, the point
-    # unless n is 1, the other n - 1 digits, the exponent.
-    split = np.where(large, point, ~fixed)
-    keep = split * 18 + n
-    for w in range(3):
-        rows[:, w] = before[w] & _BEFORE[w][split]
-        rows[:, 3 + w] = after[w] & _AFTER[w][keep]
-    rows[:, 0] |= ((bits >> _U(63)) * _U(ord("-"))) | (small * _U(ord("0") << 8))
-    rows[:, 2] |= _POINT[(fixed | (n > 1)) * 4 + small * -point]
-    rows[:, 5] |= _EXPONENT[~fixed * (1 - point)]
+    if point.min() < -3:  # "e-XX" after the digits of the exponent form
+        at = np.maximum(1 - point, 0) * 18 + n
+        for w in range(3):
+            text[w] |= _EXPONENT[w][at]
+
+    # The sign and "0." and zeros go in front: shift the text by their length.
+    shift = _SHIFT[key]
+    back = _U(64) - shift  # a shift by 64 gives 0
+    np.bitwise_or(text[0] << shift, _PREFIX[key], out=rows[:, 0])
+    np.bitwise_or(text[1] << shift, text[0] >> back, out=rows[:, 1])
+    np.bitwise_or(text[2] << shift, text[1] >> back, out=rows[:, 2])
+    rows[:, 3] = 0
 
 
 def float_rows(values: np.ndarray) -> np.ndarray:
@@ -225,7 +279,7 @@ def float_rows(values: np.ndarray) -> np.ndarray:
         bits = bits.copy()
         bits[to_repr] = _COMMON
         b = ((bits >> _U(52)) & _U(0x7FF)).view(np.int64)
-    rows = np.empty((len(bits), 6), dtype=_U)
+    rows = np.empty((len(bits), ROW_BYTES // 8), dtype=_U)
     for start in range(0, len(bits), PASS):
         part = slice(start, start + PASS)
         _rows(bits[part], *_shortest(bits[part], b[part]), rows[part])

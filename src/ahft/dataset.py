@@ -32,6 +32,7 @@ import math
 import os
 import re
 from collections import namedtuple
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -394,13 +395,11 @@ def _pool(column):
 # arrays and ranges is written as byte frames (``_frame_blocks``).
 # Break-even, csv_blocks of one column of uniform draws (one Xeon core,
 # numpy 2.4, fastest of 41, the two routes interleaved): by the template
-# 0.10 / 0.33 / 0.30 / 0.39 / 0.57 / 0.74 / 2.40 ms at 128 / 256 / 384 /
-# 512 / 768 / 1024 / 2000 rows, by the frame 0.20 / 0.46 / 0.29 / 0.32 /
-# 0.36 / 0.41 / 1.29 ms; 512 keeps the margin of the measurement's noise.
-# A kernel call costs about 0.25 ms of numpy calls, so each call takes the
-# kernel arrays of whole blocks, at least one pass of the kernel
-# (``_floattext.PASS`` cells): several blocks when blocks are narrow (268
-# rows in the 61-column synthetic.csv of screen-wide).
+# 0.09 / 0.19 / 0.28 / 0.31 / 0.37 / 0.54 / 0.74 / 1.47 ms at 128 / 256 /
+# 384 / 448 / 512 / 768 / 1024 / 2000 rows, by the frame 0.22 / 0.25 /
+# 0.26 / 0.27 / 0.30 / 0.32 / 0.38 / 0.53 ms.  The narrower frames moved
+# the break-even little, to about 350 rows; 512 keeps the margin of the
+# measurement's noise, and no table of the pipeline lies between.
 FLOAT_TEXT_MIN_ROWS = 512
 
 
@@ -410,77 +409,88 @@ def _is_digit_range(column) -> bool:
             and min(column[0], column[-1]) >= 0 and max(column[0], column[-1]) < 10 ** 16)
 
 
+def _frame_slots(columns):
+    """Each column's slot of a frame row: ``(width, text)``.
+
+    ``text(a, b)`` gives the slot bytes of rows [a, b) as a ``(b - a,
+    width)`` uint8 array: the cell's text, NUL bytes, and the separator
+    (a comma, or a newline after the last column) somewhere after the
+    text.  A pooled float column (:func:`_pool`) takes the rows of a byte
+    table of its distinct values, as wide as its longest entry.  Another
+    float column takes the rows of ``_floattext.float_rows`` up to byte
+    ``SEPARATOR``, and a range those of ``_floattext.digit_rows``, as
+    many bytes as its largest value has digits.
+    """
+    from . import _floattext as ft
+    separators = [ord(",")] * (len(columns) - 1) + [ord("\n")]
+    slots = []
+    for column, separator in zip(columns, separators):
+        pool = None if isinstance(column, range) else _pool(column)
+        if pool is not None:
+            values, index = pool
+            table = np.array([repr(v).encode("ascii") + bytes([separator]) for v in values])
+            table = table[:, None].view(np.uint8)  # NUL-padded to the column's longest entry
+            slots.append((table.shape[1], partial(_pooled_text, table, index)))
+        elif isinstance(column, range):
+            width = len(str(max(column[0], column[-1]))) + 1
+            slots.append((width, partial(_range_text, ft, column, width, separator)))
+        else:
+            slots.append((ft.SEPARATOR + 1, partial(_float_text, ft, column, separator)))
+    return slots
+
+
+def _pooled_text(table, index, a, b):
+    return table.take(index[a:b], axis=0)
+
+
+def _float_text(ft, column, separator, a, b):
+    rows = ft.float_rows(column[a:b])
+    rows[:, ft.SEPARATOR] = separator
+    return rows[:, :ft.SEPARATOR + 1]
+
+
+def _range_text(ft, column, width, separator, a, b):
+    part = column[a:b]
+    rows = np.empty((len(part), width), dtype=np.uint8)
+    rows[:, :-1] = ft.digit_rows(np.arange(part.start, part.stop, part.step))[:, 17 - width:]
+    rows[:, -1] = separator
+    return rows
+
+
 def _frame_blocks(columns, step):
     """The rows of float arrays and digit ranges, ``step`` rows a block.
 
-    Each block is one ``(rows, width)`` uint8 frame in which every cell
-    has a slot of fixed width, padded with NUL bytes and ended by its
-    separator.  Pooled float columns (:func:`_pool`) take rows of one
-    byte table of the distinct values of them all, gathered for all of
-    them by one take; neighbouring pooled slots form one run.  Other float
-    columns take the rows of ``_floattext.float_rows``, with the separator
-    at byte ``SEPARATOR``, and ranges those of ``_floattext.digit_rows``.
-    One ``bytearray.translate`` drops the NULs of a block.
+    Each block is cut from a ``(rows, width)`` uint8 frame that holds
+    each row's slots (:func:`_frame_slots`) side by side, so ``width`` is
+    the sum of the slot widths.  The frame is filled a span of
+    ``_floattext.PASS`` rows or a whole multiple of it at a time, at
+    least a block: each column runs its kernel once a span, in full
+    passes but the last.  The rows of a block that a span does not
+    finish are held for the next span.  One ``bytearray.translate``
+    drops the NULs of a block.
     """
     from . import _floattext as ft
     n = len(columns[0])
-    separators = [ord(",")] * (len(columns) - 1) + [ord("\n")]
-    pools = [None if isinstance(c, range) else _pool(c) for c in columns]
-    pooled = [j for j, p in enumerate(pools) if p is not None]
-    if pooled:
-        entries, index = [], np.empty((n, len(pooled)), dtype=np.intp)
-        for p, j in enumerate(pooled):
-            values, inverse = pools[j]
-            index[:, p] = inverse + len(entries)
-            entries += [repr(v).encode("ascii") + bytes([separators[j]]) for v in values]
-        table = np.array(entries)[:, None].view(np.uint8)  # NUL-padded to the longest entry
-    slots, kernel, width = [], [], 0  # [kind, offset in the frame's rows, what it writes]
-    for j, column in enumerate(columns):
-        if pools[j] is not None:
-            p = pooled.index(j)
-            if slots and slots[-1][0] == "pooled":
-                slots[-1][3] = p + 1  # the run's stop in the table's columns
-            else:
-                slots.append(["pooled", width, p, p + 1])
-            width += table.shape[1]
-        elif isinstance(column, range):
-            digits = len(str(max(column[0], column[-1])))
-            slots.append(["range", width, column, digits, separators[j]])
-            width += digits + 1
-        else:
-            slots.append(["kernel", width, len(kernel)])
-            kernel.append(j)
-            width += ft.SEPARATOR + 1
-    span = step * max(1, ft.PASS // (step * max(1, len(kernel))))
-    buffer = bytearray()
-    for start in range(0, n, step):
-        m = min(step, n - start)
-        if kernel and start % span == 0:
-            first, length = start, min(span, n - start)
-            floats = ft.float_rows(
-                np.concatenate([columns[j][first:first + length] for j in kernel]))
-            for q, j in enumerate(kernel):
-                floats[q * length:(q + 1) * length, ft.SEPARATOR] = separators[j]
-        if len(buffer) != m * width:
-            buffer = bytearray(m * width)
-        frame = np.frombuffer(buffer, dtype=np.uint8).reshape(m, width)
-        if pooled:
-            cells = table[index[start:start + m]]
-        for kind, offset, *rest in slots:
-            if kind == "pooled":
-                p, stop = rest
-                size = (stop - p) * table.shape[1]
-                frame[:, offset:offset + size].reshape(m, stop - p, -1)[...] = cells[:, p:stop]
-            elif kind == "range":
-                column, digits, separator = rest
-                part = column[start:start + m]
-                digit_text = ft.digit_rows(np.arange(part.start, part.stop, part.step))
-                frame[:, offset:offset + digits] = digit_text[:, -digits:]
-                frame[:, offset + digits] = separator
-            else:
-                at = rest[0] * length + start - first
-                frame[:, offset:offset + ft.SEPARATOR + 1] = floats[at:at + m, :ft.SEPARATOR + 1]
-        yield buffer.translate(None, b"\0").decode("ascii")
+    slots, width = [], 0
+    for size, text in _frame_slots(columns):
+        slots.append((width, size, text))
+        width += size
+    span = ft.PASS * -(-step // ft.PASS)
+    held = bytearray()  # rows of the last span after its last whole block
+    for first in range(0, n, span):
+        stop = min(n, first + span)
+        buffer = held + bytearray((stop - first) * width)
+        frame = np.frombuffer(buffer, dtype=np.uint8).reshape(-1, width)
+        for offset, size, text in slots:
+            # One item of ``size`` bytes a row: numpy copies it as a whole.
+            slot = frame[len(held) // width:, offset:offset + size]
+            slot.view(f"V{size}")[...] = text(first, stop).view(f"V{size}")
+        rows = len(frame)
+        done = rows if stop == n else rows - rows % step
+        for start in range(0, done, step):
+            block = buffer[start * width:min(start + step, done) * width] if rows > step else buffer
+            yield block.translate(None, b"\0").decode("ascii")
+        held = buffer[done * width:]
 
 
 def csv_blocks(columns, header=()):

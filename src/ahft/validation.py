@@ -163,6 +163,10 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     valid fatigue values.
     """
     width = len(spec.factors) + 1
+    # numpy indexes no array of more bytes than intp holds; at such a size
+    # np.arange of the draws can even come back empty.
+    if spec.n * width * 8 > np.iinfo(np.intp).max:
+        raise InputError(f"n = {spec.n} is too large for an array of its {width} draws a row")
     draws = _splitmix64_stream(spec.seed, spec.n * width).reshape(spec.n, width)
     columns = {}
     for f, pool, draw in zip(spec.factors, spec.factor_value_pools, draws.T):

@@ -33,6 +33,7 @@ from ahft.dataset import (
     DISTINCT_PROBE_ROWS,
     FLOAT_TEXT_MIN_ROWS,
     Dataset,
+    _frame_slots,
     _has_long_line,
     _tokenized_columns,
     csv_blocks,
@@ -384,11 +385,59 @@ def test_float_text_of_shortest_forms(digits):
     assert _reprs_mismatch(values) is None
 
 
-def _kernel_lengths(width, floats):
+def _compact_mismatch(values):
+    """None when each row of ``float_rows(values)`` holds ``repr`` of its value
+    from byte 0 and NUL from the text's end on, else the first value whose row
+    does not, with the row."""
+    values = np.asarray(values, dtype=np.float64)
+    rows = float_rows(values)
+    assert rows.shape == (len(values), ROW_BYTES) and rows.dtype == np.uint8
+    for value, row in zip(values.tolist(), rows):
+        text = repr(value).encode("ascii")
+        if row[:len(text)].tobytes() != text or row[len(text):].any():
+            return value, row.tobytes()
+    return None
+
+
+def _longest_texts(n, seed):
+    """``n`` doubles whose ``repr`` takes 24 characters: negative, 17
+    significant digits and a three-digit exponent, such as
+    -1.2345678901234567e-100."""
+    rng = np.random.default_rng(seed)
+    values = []
+    while len(values) < n:
+        mantissa = int(rng.integers(10 ** 16, 10 ** 17, dtype=np.int64))
+        value = float(f"-{mantissa}e{int(rng.integers(-307, -99)) - 16}")
+        if len(repr(value)) == 24:
+            values.append(value)
+    return np.array(values)
+
+
+def test_float_rows_write_each_text_from_byte_zero():
+    values = np.concatenate([
+        _longest_texts(200, 1), [-2.2250738585072014e-308, -1.2345678901234567e-100],
+        np.random.default_rng(2).random(500), _doubles(np.arange(1, 2047), 12345, 1), REPR_ONLY])
+    assert _compact_mismatch(values) is None
+    assert SEPARATOR == max(len(repr(v)) for v in values.tolist()) == 24
+
+
+def test_float_rows_at_the_layout_switches():
+    # One significant digit from 1e-8 to 9e8 crosses every switch of repr's
+    # layout: "0.0001" and "0.001", then "1e-05" with no point, then
+    # "1.5e-05"; with their neighbours, which take 16 or 17 digits.
+    single = [d * 10.0 ** k for d in range(1, 10) for k in range(-8, 9)]
+    two = [float(f"{d}.5e{k}") for d in range(1, 10) for k in range(-8, 9)]
+    assert _compact_mismatch(_with_neighbours(single + two + [1e-4, 9.999e-05, 0.00015])) is None
+    assert _compact_mismatch(_with_neighbours(REPR_ONLY[:8]).tolist() + list(REPR_ONLY)) is None
+    assert [t.rstrip(b"\0") for t in float_rows(np.array([1e-4, 1e-05, 1.5e-05, 0.00015]))
+            .view(f"S{ROW_BYTES}").ravel()] == [b"0.0001", b"1e-05", b"1.5e-05", b"0.00015"]
+
+
+def _kernel_lengths(width):
     """Row counts around the kernel's threshold, a block of ``width`` cells and
-    a kernel call, which takes a few blocks when ``floats`` arrays are few."""
+    a span of the frames: whole kernel passes, at least a block."""
     step = CSV_BLOCK_CELLS // width
-    span = step * max(1, PASS // (step * floats))
+    span = PASS * -(-step // PASS)
     return (FLOAT_TEXT_MIN_ROWS - 1, FLOAT_TEXT_MIN_ROWS, step + 1, span - 1, span + 1)
 
 
@@ -419,7 +468,7 @@ def kernel_tables(draw, width, fixed=0, others=("pooled", "range")):
     floats = draw(st.integers(1, min(width, 4)))
     kinds = draw(st.permutations(
         ["distinct"] * floats + [draw(st.sampled_from(others)) for _ in range(width - floats)]))
-    n = draw(st.sampled_from(_kernel_lengths(width + fixed, floats)))
+    n = draw(st.sampled_from(_kernel_lengths(width + fixed)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     pool = np.array(draw(st.lists(st.sampled_from(POOL_VALUES), min_size=1, max_size=6)))
     return [range(n) if kind == "range" else
@@ -511,6 +560,35 @@ def test_csv_blocks_frames_write_repr_only_values_in_every_slot(width):
         distinct = np.where(np.arange(n) % 7 == 3, odd, (np.arange(n) + 0.5) / 7.0)
         kinds = [odd, distinct, range(9990, 9990 + n), range(n)]
         _assert_frames_match_rowwise([kinds[j % 4] for j in range(width)])
+
+
+@pytest.mark.parametrize("width", (1, 2, 3, 61))
+def test_csv_blocks_frames_write_the_longest_texts_in_every_slot(width):
+    # 24 characters fill a kernel slot up to its separator; here they fill
+    # kernel and pooled slots at every position, past a block and a span.
+    step = CSV_BLOCK_CELLS // width
+    n = max(FLOAT_TEXT_MIN_ROWS, PASS * -(-step // PASS)) + 1
+    longest = _longest_texts(n, width)
+    kinds = [longest, longest[np.arange(n) % 3], range(n)]
+    for first in range(3):
+        _assert_frames_match_rowwise([kinds[(first + j) % 3] for j in range(width)])
+
+
+def test_frame_width_is_the_sum_of_the_slot_widths():
+    # A pooled slot is as wide as its own longest entry and separator, a
+    # kernel slot holds the 24 characters of the longest text and its
+    # separator, a range slot its largest value's digits and separator.
+    n = FLOAT_TEXT_MIN_ROWS
+    columns = [range(7, 7 + n), np.resize([0.5, 10.0], n), np.arange(n) / 7.0,
+               np.resize([-1.2345678901234567e-100, 1.0], n), np.resize([2.0], n), range(n)]
+    slots = _frame_slots(columns)
+    assert [width for width, _ in slots] == [4, 5, SEPARATOR + 1, 25, 4, 4]
+    for width, text in slots:
+        assert text(100, 300).shape == (200, width)
+    frame = np.concatenate([text(0, n) for _, text in slots], axis=1)
+    assert frame.shape == (n, sum(width for width, _ in slots)) == (n, 67)
+    expected = rowwise_csv_lines(_rows_of(columns)).encode("ascii")
+    assert frame.tobytes().replace(b"\0", b"") == expected
 
 
 def test_digit_rows_at_every_digit_count():

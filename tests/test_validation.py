@@ -257,6 +257,14 @@ def test_synthetic_spec_validation():
         SyntheticSpec((0.0, 1.0), 1.0, f, ("ab",), n=5, seed=0)
 
 
+@pytest.mark.parametrize("n", (2**62, 10**20))
+def test_generate_rejects_a_count_too_large_for_its_draws(n):
+    # At n = 2**62 the stream's np.arange stops above 2**63 and comes back
+    # empty; the count is named instead of a failed reshape.
+    with pytest.raises(InputError, match=f"n = {n} is too large"):
+        generate_synthetic(_canonical_spec(n, seed=1))
+
+
 # ---------------------------------------------------------------------------
 # recovery_check
 # ---------------------------------------------------------------------------
