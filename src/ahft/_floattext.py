@@ -77,10 +77,13 @@ _ZEROS4 = np.where(_ZEROS2 == 2, _ZEROS2[:, None] + 2, _ZEROS2).ravel()
 # A double that takes the common case; rows bound for repr compute it instead.
 _COMMON = np.float64(0.3).view(_U)
 # Doubles per pass: bounds the kernel's arrays, about 40 of PASS words at
-# once, whatever the call's length; the byte frames of ``dataset`` also
-# hand the kernel at least PASS doubles a call.  Passes of 2048 to 16384
-# doubles gave the cohort workload's validate, curves and simulate the
-# same wall time within 5% (one Xeon core, median of 12).
+# once, whatever the call's length; the byte frames of ``dataset`` hand
+# the kernel a column in spans of whole passes.  csv_blocks of the cohort
+# workload's tables (one Xeon core, median of 12 rounds, the pass sizes
+# interleaved) at passes of 2048 / 4096 / 8192 / 16384 doubles:
+# validation.csv's body 15.3 / 14.5 / 13.9 / 15.0 ms, the 10,000-point
+# curve 5.1 / 4.1 / 3.8 / 3.5 ms, synthetic.csv 6.4 / 5.6 / 5.3 / 7.1 ms.
+# 8192 saves 4-8% for twice the arrays and frames, so 4096 stays.
 PASS = 4096
 
 

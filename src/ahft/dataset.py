@@ -9,9 +9,10 @@ A :class:`Dataset` stores one float64 array per column; CSV ingestion
 parses with numpy's C tokenizer and checks whole columns at once.  CSV
 emission formats blocks of rows with one ``%s`` template, or, for long
 tables of float arrays and ranges, lays each block out as one NUL-padded
-byte frame.  Only the frames pool: each distinct value of a few-valued
-float column is formatted once, the other float columns by the array
-kernel of ``_floattext``.  Every artifact of the package goes to disk
+byte frame, each column's slot as wide as its longest text.  Only the
+frames pool: each distinct value of a few-valued float column is
+formatted once, the other float columns by the array kernel of
+``_floattext``.  Every artifact of the package goes to disk
 through :func:`write_artifact`, which writes over an existing file
 instead of truncating it first.
 
@@ -479,7 +480,8 @@ def _frame_blocks(columns, step):
     held = bytearray()  # rows of the last span after its last whole block
     for first in range(0, n, span):
         stop = min(n, first + span)
-        buffer = held + bytearray((stop - first) * width)
+        buffer = bytearray(len(held) + (stop - first) * width)
+        buffer[:len(held)] = held
         frame = np.frombuffer(buffer, dtype=np.uint8).reshape(-1, width)
         for offset, size, text in slots:
             # One item of ``size`` bytes a row: numpy copies it as a whole.
@@ -505,10 +507,11 @@ def csv_blocks(columns, header=()):
     them in one call by a ``%s`` row template repeated per row.  A table
     of at least ``FLOAT_TEXT_MIN_ROWS`` rows of float arrays and ranges of
     non-negative ints gives the same text by another route: each block is
-    built as one NUL-padded byte frame (:func:`_frame_blocks`), a float
-    column with few distinct values formatted once per value and the
-    others by the array kernel of ``_floattext``, and no cell becomes a
-    Python str.
+    cut from a NUL-padded byte frame (:func:`_frame_blocks`) in which each
+    column's slot is as wide as its longest text, a float column with few
+    distinct values formatted once per value and the others by the array
+    kernel of ``_floattext`` a span of whole kernel passes at a time, and
+    no cell becomes a Python str.
     """
     k = len(columns)
     template = ",".join(["%s"] * k) + "\n"
