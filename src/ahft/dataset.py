@@ -490,7 +490,7 @@ def _frame_blocks(columns, step):
         rows = len(frame)
         done = rows if stop == n else rows - rows % step
         for start in range(0, done, step):
-            block = buffer[start * width:min(start + step, done) * width] if rows > step else buffer
+            block = buffer[start * width:(start + step) * width] if rows > step else buffer
             yield block.translate(None, b"\0").decode("ascii")
         held = buffer[done * width:]
 
