@@ -106,7 +106,7 @@ def _layout_tables():
     one byte on under ``after``, and the point of ``point``:
 
     - fixed notation from 1 up: digits [0, point), the point, digits
-      [point, n);
+      [point, n) (a common-case double is no integer, so point < n);
     - fixed notation below 1: the n digits, after a prefix "0." and
       -point zeros;
     - the exponent form: one digit, the point unless n is 1, the other
@@ -144,7 +144,7 @@ _BEFORE, _AFTER, _POINT, _PREFIX, _SHIFT = _layout_tables()
 
 
 def _exponent_marks():
-    """``_EXPONENT[w][x * 18 + n]``: word w of "e-XX" for 10**-x after n digits and their point.
+    """``_EXPONENT[w][x * 18 + n]``: word w of "e-XX" for 10**-x after n digits.
 
     Only the exponent form, from e-05 on, has a mark; its n digits and
     point (unless n is 1) leave it at byte n + (n > 1) of the unsigned

@@ -574,7 +574,7 @@ def test_csv_blocks_frames_write_the_longest_texts_in_every_slot(width):
         _assert_frames_match_rowwise([kinds[(first + j) % 3] for j in range(width)])
 
 
-def test_frame_width_is_the_sum_of_the_slot_widths():
+def test_frame_width_is_the_sum_of_the_slot_widths(monkeypatch):
     # A pooled slot is as wide as its own longest entry and separator, a
     # kernel slot holds the 24 characters of the longest text and its
     # separator, a range slot its largest value's digits and separator.
@@ -586,9 +586,14 @@ def test_frame_width_is_the_sum_of_the_slot_widths():
     for width, text in slots:
         assert text(100, 300).shape == (200, width)
     frame = np.concatenate([text(0, n) for _, text in slots], axis=1)
-    assert frame.shape == (n, sum(width for width, _ in slots)) == (n, 67)
     expected = rowwise_csv_lines(_rows_of(columns)).encode("ascii")
     assert frame.tobytes().replace(b"\0", b"") == expected
+    # csv_blocks lays the rows out in one frame of that width.
+    frames, frombuffer = [], np.frombuffer
+    monkeypatch.setattr(np, "frombuffer", lambda buffer, **kw: frames.append(len(buffer))
+                        or frombuffer(buffer, **kw))
+    assert "".join(csv_blocks(columns)).encode("ascii") == expected
+    assert frames == [n * sum(width for width, _ in slots)] == [n * 67]
 
 
 def test_digit_rows_at_every_digit_count():
