@@ -234,7 +234,7 @@ def _eight(x):
     """The eight decimal digits of each x < 10**8 as ASCII bytes of a word."""
     high = x // _U(10000)
     low = x - high * _U(10000)
-    return _DIGITS4[high.view(np.int64)] | (_DIGITS4[low.view(np.int64)] << _U(32))
+    return _DIGITS4.take(high.view(np.int64)) | (_DIGITS4.take(low.view(np.int64)) << _U(32))
 
 
 def _rows(bits, output, exp10, rows):
@@ -245,25 +245,28 @@ def _rows(bits, output, exp10, rows):
     key = (np.maximum(point, -4) + sign * 21) * 18 + (n + 72)  # as in _layout_tables
 
     # The 17 digits, left-aligned, at bytes 0-16, and again one byte on.
-    left = output * _POW10[17 - n]
+    left = output * _POW10.take(17 - n)
     top = left // _U(10 ** 9)
     rest = left - top * _U(10 ** 9)
     middle = rest // _U(10)
-    digits = [_eight(top), _eight(middle), rest - middle * _U(10) + _U(ord("0"))]
-    later = [digits[0] << _U(8), (digits[1] << _U(8)) | (digits[0] >> _U(56)),
-             (digits[2] << _U(8)) | (digits[1] >> _U(56))]
-    text = [(digits[w] & _BEFORE[w][key]) | (later[w] & _AFTER[w][key]) | _POINT[w][key]
-            for w in range(3)]
+    text = [_eight(top), _eight(middle), rest - middle * _U(10) + _U(ord("0"))]
+    later = [text[0] << _U(8), (text[1] << _U(8)) | (text[0] >> _U(56)),
+             (text[2] << _U(8)) | (text[1] >> _U(56))]
+    for w in range(3):
+        text[w] &= _BEFORE[w].take(key)
+        later[w] &= _AFTER[w].take(key)
+        text[w] |= later[w]
+        text[w] |= _POINT[w].take(key)
 
     if point.min() < -3:  # "e-XX" after the digits of the exponent form
         at = np.maximum(1 - point, 0) * 18 + n
         for w in range(3):
-            text[w] |= _EXPONENT[w][at]
+            text[w] |= _EXPONENT[w].take(at)
 
     # The sign and "0." and zeros go in front: shift the text by their length.
-    shift = _SHIFT[key]
+    shift = _SHIFT.take(key)
     back = _U(64) - shift  # a shift by 64 gives 0
-    np.bitwise_or(text[0] << shift, _PREFIX[key], out=rows[:, 0])
+    np.bitwise_or(text[0] << shift, _PREFIX.take(key), out=rows[:, 0])
     np.bitwise_or(text[1] << shift, text[0] >> back, out=rows[:, 1])
     np.bitwise_or(text[2] << shift, text[1] >> back, out=rows[:, 2])
     rows[:, 3] = 0
