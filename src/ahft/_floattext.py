@@ -77,10 +77,10 @@ _ZEROS4 = np.where(_ZEROS2 == 2, _ZEROS2[:, None] + 2, _ZEROS2).ravel()
 # A double that takes the common case; rows bound for repr compute it instead.
 _COMMON = np.float64(0.3).view(_U)
 # Doubles per pass: bounds the kernel's arrays, about 40 of PASS words at
-# once, whatever the call's length; the byte frames of ``dataset`` hand
-# the kernel a column in spans of whole passes.  csv_blocks of the cohort
-# workload's tables (one Xeon core, median of 12 rounds, the pass sizes
-# interleaved) at passes of 2048 / 4096 / 8192 / 16384 doubles:
+# once, whatever the call's length.  The byte frames of ``dataset`` hand
+# the kernel a column in spans of whole passes, each span one block.
+# csv_blocks of the cohort workload's tables (one Xeon core, median of 12
+# rounds, pass sizes interleaved) at 2048 / 4096 / 8192 / 16384 doubles:
 # validation.csv's body 15.3 / 14.5 / 13.9 / 15.0 ms, the 10,000-point
 # curve 5.1 / 4.1 / 3.8 / 3.5 ms, synthetic.csv 6.4 / 5.6 / 5.3 / 7.1 ms.
 # 8192 saves 4-8% for twice the arrays and frames, so 4096 stays.
@@ -301,10 +301,8 @@ def digit_rows(values: np.ndarray) -> np.ndarray:
 
     The digits end at byte 15; NUL fills the bytes before them.
     """
-    rows = np.empty((len(values), 2), dtype=_U)
-    high = values // 10 ** 8
-    for w, part in enumerate((high, values - high * 10 ** 8)):
-        chunk = part // 10000
-        rows[:, w] = _DIGITS4[chunk] | (_DIGITS4[part - chunk * 10000] << _U(32))
-    rows &= _LEADING[np.searchsorted(_POW10[1:16].view(np.int64), values, side="right") + 1]
+    x = values.view(_U)
+    high = x // _U(10 ** 8)
+    rows = np.column_stack([_eight(high), _eight(x - high * _U(10 ** 8))])
+    rows &= _LEADING[np.searchsorted(_POW10[1:16], x, side="right") + 1]
     return rows.view(np.uint8)

@@ -459,16 +459,13 @@ def _range_text(ft, column, width, separator, a, b):
 
 
 def _frame_blocks(columns, step):
-    """The rows of float arrays and digit ranges, ``step`` rows a block.
+    """The rows of float arrays and digit ranges, one block a span.
 
-    Each block is cut from a ``(rows, width)`` uint8 frame that holds
-    each row's slots (:func:`_frame_slots`) side by side, so ``width`` is
-    the sum of the slot widths.  The frame is filled a span of
-    ``_floattext.PASS`` rows or a whole multiple of it at a time, at
-    least a block: each column runs its kernel once a span, in full
-    passes but the last.  The rows of a block that a span does not
-    finish are held for the next span.  One ``bytearray.translate``
-    drops the NULs of a block.
+    A span is the fewest whole ``_floattext.PASS`` rows that hold ``step``
+    rows, so each column runs its kernel once a block, in full passes but
+    the last.  A block is a ``(rows, width)`` uint8 frame of each row's
+    slots (:func:`_frame_slots`) side by side, ``width`` the sum of the
+    slot widths, and one ``bytearray.translate`` drops its NULs.
     """
     from . import _floattext as ft
     n = len(columns[0])
@@ -477,22 +474,15 @@ def _frame_blocks(columns, step):
         slots.append((width, size, text))
         width += size
     span = ft.PASS * -(-step // ft.PASS)
-    held = bytearray()  # rows of the last span after its last whole block
     for first in range(0, n, span):
         stop = min(n, first + span)
-        buffer = bytearray(len(held) + (stop - first) * width)
-        buffer[:len(held)] = held
+        buffer = bytearray((stop - first) * width)
         frame = np.frombuffer(buffer, dtype=np.uint8).reshape(-1, width)
         for offset, size, text in slots:
             # One item of ``size`` bytes a row: numpy copies it as a whole.
-            slot = frame[len(held) // width:, offset:offset + size]
-            slot.view(f"V{size}")[...] = text(first, stop).view(f"V{size}")
-        rows = len(frame)
-        done = rows if stop == n else rows - rows % step
-        for start in range(0, done, step):
-            block = buffer[start * width:(start + step) * width] if rows > step else buffer
-            yield block.translate(None, b"\0").decode("ascii")
-        held = buffer[done * width:]
+            slot = frame[:, offset:offset + size].view(f"V{size}")
+            slot[...] = text(first, stop).view(f"V{size}")
+        yield buffer.translate(None, b"\0").decode("ascii")
 
 
 def csv_blocks(columns, header=()):
@@ -501,17 +491,17 @@ def csv_blocks(columns, header=()):
     ``columns`` are equally long lists, tuples, ranges or float arrays,
     as many as the header has cells (``ValueError`` otherwise).  A cell is
     a str, int or Python float and is written as ``str`` of it, so a float
-    in its shortest exact form.  The text comes in blocks of whole rows of
-    about ``CSV_BLOCK_CELLS`` cells.  The reference route interleaves a
-    block's cells into one list by strided slice assignment and formats
+    in its shortest exact form.  The text comes in blocks of whole rows.
+    The reference route takes about ``CSV_BLOCK_CELLS`` cells a block,
+    interleaves them into one list by strided slice assignment and formats
     them in one call by a ``%s`` row template repeated per row.  A table
     of at least ``FLOAT_TEXT_MIN_ROWS`` rows of float arrays and ranges of
     non-negative ints gives the same text by another route: each block is
-    cut from a NUL-padded byte frame (:func:`_frame_blocks`) in which each
-    column's slot is as wide as its longest text, a float column with few
-    distinct values formatted once per value and the others by the array
-    kernel of ``_floattext`` a span of whole kernel passes at a time, and
-    no cell becomes a Python str.
+    the fewest whole kernel passes of rows that hold a reference block,
+    laid out as one NUL-padded byte frame (:func:`_frame_blocks`) in which
+    each column's slot is as wide as its longest text, a float column with
+    few distinct values formatted once per value and the others by the
+    array kernel of ``_floattext``, and no cell becomes a Python str.
     """
     k = len(columns)
     template = ",".join(["%s"] * k) + "\n"

@@ -433,12 +433,24 @@ def test_float_rows_at_the_layout_switches():
             .view(f"S{ROW_BYTES}").ravel()] == [b"0.0001", b"1e-05", b"1.5e-05", b"0.00015"]
 
 
+def _span(width):
+    """Rows of a frame block of ``width`` cells a row: the fewest whole
+    kernel passes that hold a block of the template route."""
+    step = max(1, CSV_BLOCK_CELLS // width)
+    return PASS * -(-step // PASS)
+
+
+def _around_frame_block(width):
+    """Row counts one below, at and one above the first block boundary of a
+    table of ``width`` cells a row that the frames take."""
+    span = _span(width)
+    return (span - 1, span, span + 1)
+
+
 def _kernel_lengths(width):
-    """Row counts around the kernel's threshold, a block of ``width`` cells and
-    a span of the frames: whole kernel passes, at least a block."""
-    step = CSV_BLOCK_CELLS // width
-    span = PASS * -(-step // PASS)
-    return (FLOAT_TEXT_MIN_ROWS - 1, FLOAT_TEXT_MIN_ROWS, step + 1, span - 1, span + 1)
+    """Row counts around the kernel's threshold and the first frame block
+    of ``width`` cells a row."""
+    return (FLOAT_TEXT_MIN_ROWS - 1, FLOAT_TEXT_MIN_ROWS, *_around_frame_block(width))
 
 
 @st.composite
@@ -503,22 +515,15 @@ REPR_ONLY = (0.0, -0.0, 5e-324, 0.5, 3.0, 2.0 ** 53, 1e16, 1e-5, float("nan"), f
              float("-inf"), 1e-100, -1.7976931348623157e308)
 
 
-def _around_frame_block(width):
-    """Row counts one below, at and one above the first block boundary of a
-    table of ``width`` cells a row that the frames take."""
-    rows = CSV_BLOCK_CELLS // width
-    rows *= -(-FLOAT_TEXT_MIN_ROWS // rows)
-    return (rows - 1, rows, rows + 1)
-
-
 def _rows_of(columns):
     return list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns)))
 
 
-def _assert_frames_match_rowwise(columns):
+def _assert_frames_match_rowwise(columns, framed=True):
     blocks = list(csv_blocks(columns))
     assert _first_difference("".join(blocks), rowwise_csv_lines(_rows_of(columns))) is None
-    assert len(blocks) == -(-len(columns[0]) // max(1, CSV_BLOCK_CELLS // len(columns)))
+    rows = _span(len(columns)) if framed else max(1, CSV_BLOCK_CELLS // len(columns))
+    assert len(blocks) == -(-len(columns[0]) // rows)
 
 
 @st.composite
@@ -548,7 +553,7 @@ def frame_tables(draw, width):
 
 
 @EMIT
-@given(data=st.data(), width=st.sampled_from((1, 2, 61)))
+@given(data=st.data(), width=st.sampled_from((1, 2, 6, 61)))
 def test_csv_blocks_frames_match_rowwise_lines(data, width):
     _assert_frames_match_rowwise(data.draw(frame_tables(width)))
 
@@ -565,9 +570,8 @@ def test_csv_blocks_frames_write_repr_only_values_in_every_slot(width):
 @pytest.mark.parametrize("width", (1, 2, 3, 61))
 def test_csv_blocks_frames_write_the_longest_texts_in_every_slot(width):
     # 24 characters fill a kernel slot up to its separator; here they fill
-    # kernel and pooled slots at every position, past a block and a span.
-    step = CSV_BLOCK_CELLS // width
-    n = max(FLOAT_TEXT_MIN_ROWS, PASS * -(-step // PASS)) + 1
+    # kernel and pooled slots at every position, past a block.
+    n = _span(width) + 1
     longest = _longest_texts(n, width)
     kinds = [longest, longest[np.arange(n) % 3], range(n)]
     for first in range(3):
@@ -608,7 +612,7 @@ def test_tables_with_ranges_the_frames_do_not_take_match_rowwise_lines():
     # Negative ints and ints from 10**16 up are left to str by the template.
     n = FLOAT_TEXT_MIN_ROWS + 1
     for column in (range(-3, n - 3), range(10 ** 16 - 2, 10 ** 16 - 2 + n)):
-        _assert_frames_match_rowwise([column, np.arange(n) / 3.0])
+        _assert_frames_match_rowwise([column, np.arange(n) / 3.0], framed=False)
 
 
 def test_cli_import_and_short_columns_leave_the_kernel_unloaded():
