@@ -638,9 +638,10 @@ def model_from_json(text: str) -> GllWeibullModel:
         raise InputError(f"model file is not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise InputError(f"not a {FORMAT_NAME} document")
-    if doc.get("format_version") != FORMAT_VERSION:
+    version = doc.get("format_version")
+    if type(version) is not int or version != FORMAT_VERSION:
         raise InputError(
-            f"unsupported format_version {doc.get('format_version')!r} "
+            f"unsupported format_version {version!r} "
             f"(expected {FORMAT_VERSION})"
         )
     try:
@@ -649,14 +650,17 @@ def model_from_json(text: str) -> GllWeibullModel:
         fit_meta = None
         if meta is not None:
             fit_meta = FitMeta(
-                log_likelihood=float(meta["log_likelihood"]),
-                iterations=int(meta["iterations"]),
-                converged=bool(meta["converged"]),
+                log_likelihood=float(_typed(meta, "log_likelihood", (int, float), "a number")),
+                iterations=_typed(meta, "iterations", (int,), "an integer"),
+                converged=_typed(meta, "converged", (bool,), "a boolean"),
             )
+        shape = _numbers(doc, "shape")
+        if shape.ndim:
+            raise InputError(f"model field 'shape' must be a number, got {doc['shape']!r}")
         model = GllWeibullModel(
             factors=factors,
             alpha=_numbers(doc, "alpha"),
-            shape=float(_numbers(doc, "shape")),
+            shape=float(shape),
             covariance=_numbers(doc, "covariance"),
             fit_meta=fit_meta,
         )
@@ -680,12 +684,32 @@ def _factor(i: int, entry: dict) -> FactorSpec:
     return FactorSpec(entry["name"], entry["transform"])
 
 
+def _typed(meta: dict, key: str, types: tuple, kind: str):
+    """A ``fit_meta`` entry of one of the JSON ``types``; InputError names it."""
+    value = meta[key]
+    if type(value) not in types:  # type, not isinstance: a bool is no number
+        raise InputError(f"model field 'fit_meta.{key}' must be {kind}, got {value!r}")
+    return value
+
+
 def _numbers(doc: dict, field: str) -> np.ndarray:
-    """A numeric model field as a float array; InputError names the field."""
+    """A numeric model field as a float array; InputError names the field.
+
+    Every entry must be a JSON number: numpy would also read a bool or a
+    numeric string as a float.
+    """
+    value = doc[field]
+    # Lists nest at most two deep: a deeper list is a leaf, and no number.
+    rows = value if isinstance(value, list) else [value]
+    if not all(type(v) in (int, float)
+               for row in rows for v in (row if isinstance(row, list) else [row])):
+        raise InputError(f"model field {field!r} must hold numbers only")
     try:
-        values = np.array(doc[field], dtype=float)
-    except ValueError:
+        values = np.array(value, dtype=float)
+    except ValueError:  # ragged rows
         raise InputError(f"model field {field!r} must hold numbers only") from None
+    except OverflowError:
+        raise InputError(f"model field {field!r} has non-finite entries") from None
     if not np.all(np.isfinite(values)):
         raise InputError(f"model field {field!r} has non-finite entries")
     return values

@@ -6,6 +6,7 @@ gradient.  The delta-method SE is checked against a frozen
 parametric-bootstrap value.
 """
 
+import json
 import math
 
 import numpy as np
@@ -448,6 +449,16 @@ def test_model_json_rejects_bad_documents(table3_model):
         model_from_json(good.replace('"format_version": 1', '"format_version": 2'))
     with pytest.raises(InputError):
         model_from_json("{}")
+    for version in ("true", "1.0"):
+        with pytest.raises(InputError, match="format_version"):
+            model_from_json(good.replace('"format_version": 1', f'"format_version": {version}'))
+    for key, value in [("log_likelihood", True), ("log_likelihood", "30.4"),
+                       ("iterations", 1.5), ("iterations", True), ("iterations", "12"),
+                       ("converged", "no"), ("converged", 1), ("converged", None)]:
+        doc = json.loads(good)
+        doc["fit_meta"][key] = value
+        with pytest.raises(InputError, match=rf"'fit_meta\.{key}'"):
+            model_from_json(json.dumps(doc))
 
 
 def test_save_and_load_model(tmp_path, table3_model):

@@ -49,6 +49,15 @@ def test_csv_of_two_undecodable_bytes_exits_two(tmp_path, capsys):
     ("shape", "four"),
     ("covariance", [["a"] * 4] * 4),
     ("covariance", [[1.0, 2.0], [3.0]]),
+    # numpy reads numeric strings and booleans as floats; JSON does not.
+    ("alpha", ["3.99", 0.1, 0.2]),
+    ("alpha", [-2.0, True, 0.2]),
+    ("shape", "3.99"),
+    ("shape", True),
+    ("shape", [3.99]),
+    ("covariance", [["0"] * 4] * 4),
+    ("covariance", [[True] * 4] * 4),
+    ("covariance", [[[0.0]] * 4] * 4),
 ])
 def test_model_with_non_numeric_field_exits_two(tmp_path, capsys, model_doc, field, value):
     model_doc[field] = value
