@@ -69,6 +69,7 @@ def test_model_with_non_numeric_field_exits_two(tmp_path, capsys, model_doc, fie
     ("alpha", lambda doc: doc["alpha"].__setitem__(1, float("nan"))),
     ("shape", lambda doc: doc.__setitem__("shape", float("inf"))),
     ("covariance", lambda doc: doc["covariance"][2].__setitem__(2, float("inf"))),
+    ("alpha", lambda doc: doc["alpha"].__setitem__(1, 10 ** 400)),  # an int past any double
 ])
 def test_model_with_non_finite_entry_exits_two(tmp_path, capsys, model_doc, field, edit):
     edit(model_doc)
