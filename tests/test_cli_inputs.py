@@ -69,13 +69,19 @@ def test_model_with_non_numeric_field_exits_two(tmp_path, capsys, model_doc, fie
     ("alpha", lambda doc: doc["alpha"].__setitem__(1, float("nan"))),
     ("shape", lambda doc: doc.__setitem__("shape", float("inf"))),
     ("covariance", lambda doc: doc["covariance"][2].__setitem__(2, float("inf"))),
-    ("alpha", lambda doc: doc["alpha"].__setitem__(1, 10 ** 400)),  # an int past any double
 ])
 def test_model_with_non_finite_entry_exits_two(tmp_path, capsys, model_doc, field, edit):
     edit(model_doc)
     assert _predict(tmp_path, model_doc) == 2
     err = capsys.readouterr().err
     assert repr(field) in err and "non-finite" in err
+
+
+def test_model_with_int_past_any_double_exits_two(tmp_path, capsys, model_doc):
+    model_doc["alpha"][1] = 10 ** 400
+    assert _predict(tmp_path, model_doc) == 2
+    err = capsys.readouterr().err
+    assert "'alpha'" in err and "non-finite" in err
 
 
 def test_model_with_negative_variance_exits_two(tmp_path, capsys, model_doc):
