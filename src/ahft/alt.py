@@ -696,21 +696,24 @@ def _numbers(doc: dict, field: str) -> np.ndarray:
     """A numeric model field as a float array; InputError names the field.
 
     Every entry must be a JSON number: numpy would also read a bool or a
-    numeric string as a float.
+    numeric string as a float.  The faults are named in a fixed order: a
+    JSON type, then ragged rows or an integer past any double (from the
+    one array conversion), then a non-finite entry.
     """
     value = doc[field]
     # Lists nest at most two deep: a deeper list is a leaf, and no number.
     rows = value if isinstance(value, list) else [value]
-    if not all(type(v) in (int, float)
-               for row in rows for v in (row if isinstance(row, list) else [row])):
+    leaves = [v for row in rows for v in (row if isinstance(row, list) else [row])]
+    if not all(type(v) in (int, float) for v in leaves):
         raise InputError(f"model field {field!r} must hold numbers only")
     try:
         values = np.array(value, dtype=float)
     except ValueError:  # ragged rows
         raise InputError(f"model field {field!r} must hold numbers only") from None
-    except OverflowError:
+    except OverflowError:  # an integer past any double
         raise InputError(f"model field {field!r} has non-finite entries") from None
-    if not np.all(np.isfinite(values)):
+    # Every int converted above, so none overflows isfinite here.
+    if not all(map(math.isfinite, leaves)):
         raise InputError(f"model field {field!r} has non-finite entries")
     return values
 
@@ -727,8 +730,10 @@ def _check_covariance(covariance: np.ndarray) -> None:
                 f"model field 'covariance' has a negative variance {variance!r} at [{i}][{i}]"
             )
     shift = 1e-10 * max(variances) + 1e-300  # the floor keeps a zero matrix valid
+    shifted = covariance.copy()
+    shifted.reshape(-1)[:: len(variances) + 1] += shift  # the diagonal, as a view
     try:
-        np.linalg.cholesky(covariance + shift * np.eye(len(variances)))
+        np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
         raise InputError("model field 'covariance' is not positive semidefinite") from None
 

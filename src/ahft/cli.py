@@ -366,21 +366,31 @@ def cmd_simulate(args) -> int:
 # Parser and entry point
 # ---------------------------------------------------------------------------
 
-@functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and reused by later ones."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's parser by name, built once."""
     parser = argparse.ArgumentParser(
         prog="ahft",
         description="Accelerated human-fatigue testing: PSF screening, "
                     "Weibull log-linear fitting, prediction, validation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands: dict[str, argparse.ArgumentParser] = {}
+
+    def add(name, help):
+        commands[name] = sub.add_parser(name, help=help)
+        return commands[name]
 
     def common(p):
         p.add_argument("--output-dir", "-o", default=None,
                        help="artifact directory (default: $AHFT_OUTPUT_DIR or '.')")
 
-    p = sub.add_parser("pca", help="screen PSFs by principal components")
+    p = add("pca", "screen PSFs by principal components")
     p.add_argument("--input", required=True,
                    help="CSV path, builtin:table3, or builtin:table8")
     p.add_argument("--threshold", type=float, default=0.65,
@@ -388,7 +398,7 @@ def _parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_pca)
 
-    p = sub.add_parser("fit", help="fit the Weibull log-linear model")
+    p = add("fit", "fit the Weibull log-linear model")
     p.add_argument("--input", required=True)
     p.add_argument("--factors", required=True,
                    help="comma-separated, each name[:identity|log|reciprocal]")
@@ -397,7 +407,7 @@ def _parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("predict", help="percentile fatigue at a factor point")
+    p = add("predict", "percentile fatigue at a factor point")
     p.add_argument("--model", required=True, help="model.json from fit")
     p.add_argument("--at", required=True, help="factor values, e.g. available_time=0.1,stress=5")
     p.add_argument("--percentile", type=float, default=alt.DEFAULT_PERCENTILE,
@@ -406,7 +416,7 @@ def _parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("validate", help="hold-out relative-error report")
+    p = add("validate", "hold-out relative-error report")
     p.add_argument("--model", required=True)
     p.add_argument("--holdout", required=True,
                    help="CSV path, builtin:table3, or builtin:table8")
@@ -414,7 +424,7 @@ def _parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("curves", help="factor sweep curves")
+    p = add("curves", "factor sweep curves")
     p.add_argument("--model", required=True)
     p.add_argument("--factor", action="append", required=True,
                    help="factor to sweep (repeatable)")
@@ -424,7 +434,7 @@ def _parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_curves)
 
-    p = sub.add_parser("simulate", help="generate a synthetic dataset")
+    p = add("simulate", "generate a synthetic dataset")
     p.add_argument("--factors", required=True)
     p.add_argument("--alpha", required=True, help="intercept,coef1,... (comma-separated)")
     p.add_argument("--shape", type=float, required=True)
@@ -435,12 +445,30 @@ def _parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_simulate)
 
-    return parser
+    return parser, commands
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``_parser().parse_args(argv)``, with one subparser's pass where that suffices.
+
+    A known subcommand without leftover arguments parses to the same
+    namespace through its own parser alone.  Everything else goes through
+    the top-level parser, whose errors (an unknown subcommand, leftover
+    arguments) speak for the whole program.
+    """
+    parser, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

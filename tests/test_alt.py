@@ -461,6 +461,18 @@ def test_model_json_rejects_bad_documents(table3_model):
             model_from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("alpha", ["-2.6", math.nan, 0.1]),
+    ("shape", [True, math.nan]),
+    ("covariance", [[math.nan, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0], [0.0]]),  # ragged
+])
+def test_model_json_names_a_type_or_ragged_row_before_a_nan(table3_model, field, value):
+    doc = json.loads(model_to_json(table3_model))
+    doc[field] = value
+    with pytest.raises(InputError, match=rf"^model field '{field}' must hold numbers only$"):
+        model_from_json(json.dumps(doc))
+
+
 def test_save_and_load_model(tmp_path, table3_model):
     path = tmp_path / "model.json"
     save_model(table3_model, path)

@@ -318,6 +318,62 @@ def test_parser_is_reused_across_calls_in_one_process(tmp_path, capsys):
     assert runs[0] == runs[1]
 
 
+AT = ["--at", "available_time=0.1,stress=5"]
+PARSE_CASES = {
+    "pca": ["pca", "--input", "builtin:table3", "--threshold", "0.65"],
+    "fit": ["fit", "--input", "builtin:table3", "--factors", "available_time,stress"],
+    "predict": ["predict", "--model", "model.json", *AT, "--percentile", "0.9"],
+    "validate": ["validate", "--model", "model.json", "--holdout", "builtin:table8"],
+    "curves": ["curves", "--model", "model.json", "--factor", "stress", "--grid", "1:5:9",
+               "--fixed", "available_time=0.1"],
+    "simulate": [*README_SIMULATE, "--n", "200", "--seed", "7"],
+    "help": ["-h"],
+    "predict-help": ["predict", "-h"],
+    "no-arguments": [],
+    "unknown-subcommand": ["nosuch"],
+    "subcommand-prefix": ["pred", "--model", "model.json", *AT],
+    "option-before-subcommand": ["--model", "model.json", "predict", *AT],
+    "missing-required-option": ["fit", "--input", "builtin:table3"],
+    "missing-and-leftover": ["predict", "--bogus"],
+    "abbreviated-option": ["predict", "--mod", "model.json", "--a", "available_time=0.1,stress=5"],
+    "bad-option-value": ["pca", "--input", "builtin:table3", "--threshold", "abc"],
+    "leftover-option": ["predict", "--model", "model.json", *AT, "--bogus"],
+    "leftover-positional": ["pca", "--input", "builtin:table3", "extra"],
+    "second-subcommand": ["pca", "--input", "builtin:table3", "fit"],
+    "after-double-dash": ["pca", "--input", "builtin:table3", "--", "extra"],
+    "help-and-leftover": ["predict", "-h", "--bogus"],
+    "command-error": ["predict", "--model", "model.json", "--at", "stress=5"],
+}
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES.values(), ids=PARSE_CASES)
+def test_main_answers_as_the_top_level_parser(argv, capsys, monkeypatch):
+    _fit_workshop(Path("."))
+    capsys.readouterr()
+
+    def run(out, use_sys_argv=False):
+        monkeypatch.setenv("AHFT_OUTPUT_DIR", out)
+        if use_sys_argv:
+            monkeypatch.setattr("sys.argv", ["ahft", *argv])
+        code = main() if use_sys_argv else main(list(argv))
+        artifacts = {p.name: p.read_bytes() for p in sorted(Path(out).glob("*"))}
+        return code, capsys.readouterr(), artifacts
+
+    change = run("change")
+    from_sys_argv = run("sys_argv", use_sys_argv=True)
+    monkeypatch.setattr(cli, "_parse", lambda argv: cli._parser().parse_args(argv))
+    reference = run("reference")
+    assert change == reference
+    assert from_sys_argv == reference
+
+
+@pytest.mark.parametrize("name", ["pca", "fit", "predict", "validate", "curves", "simulate",
+                                  "abbreviated-option"])
+def test_parse_gives_the_top_level_namespace(name):
+    argv = PARSE_CASES[name]
+    assert cli._parse(argv) == cli._parser().parse_args(argv)
+
+
 def test_readme_names_exactly_the_flags_the_parser_accepts():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]

@@ -90,6 +90,18 @@ def test_evaluate_holdout_report(table3_model, table8):
     assert report.max_relative_error == pytest.approx(np.max(errors), rel=1e-12)
 
 
+def test_evaluate_mean_adds_left_to_right():
+    # Python 3.12's sum is compensated; on these errors that moves the last bit.
+    model = _model(CANONICAL_FACTORS, CANONICAL_TRUTH, 3.0)
+    report = evaluate(model, generate_synthetic(_canonical_spec(50, 0)), 0.5)
+    errors = report.relative_error.tolist()
+    acc = 0.0
+    for e in errors:
+        acc += e
+    assert acc != math.fsum(errors)
+    assert report.mean_relative_error == acc / len(errors)
+
+
 def test_evaluate_order_independent(table3_model, table8):
     base = evaluate(table3_model, table8, 0.5)
     order = [3, 0, 4, 2, 1]
