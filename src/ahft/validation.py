@@ -119,7 +119,7 @@ def evaluate(model: GllWeibullModel, holdout: Dataset, p: float) -> ValidationRe
     # left to right: np.mean adds pairwise, and Python's sum compensates
     # from 3.12 on.
     return ValidationReport(observed, predicted, errors,
-                            mean_relative_error=float(np.cumsum(errors)[-1]) / len(errors),
+                            mean_relative_error=errors.cumsum().item(-1) / len(errors),
                             max_relative_error=float(errors.max()))
 
 
