@@ -17,7 +17,7 @@ from .dataset import (
     serialize,
     standardize,
 )
-from .fatigue import fatigue_at, rate_from_fatigue, rescale_fatigue
+from .fatigue import fatigue_at, rate_from_fatigue
 from .pca import (
     PcaResult,
     SelectionResult,
@@ -63,7 +63,7 @@ __all__ = [
     "Dataset", "builtin_table3", "builtin_table8", "correlation_matrix", "load_csv",
     "normalize_name", "serialize", "standardize",
     # fatigue
-    "fatigue_at", "rate_from_fatigue", "rescale_fatigue",
+    "fatigue_at", "rate_from_fatigue",
     # pca
     "PcaResult", "SelectionResult", "eigen_symmetric", "run_pca", "select_factors",
     "variance_proportions",

@@ -10,15 +10,19 @@ conversion", PLDI 2018): the shortest decimal that reads back as the
 same double and, among those, the closest to it, which is also what
 CPython's ``repr`` writes.  Ryū needs only 64-bit integer arithmetic,
 so numpy runs it on whole ``uint64`` arrays.  The text is then laid out
-as ``repr`` lays it out, fixed notation for 1e-4 <= |x| < 1e16 and
-``d.ddde-XX`` below 1e-4, by masks and byte shifts of words chosen per
-layout.  Those shifts count on numpy's ``uint64`` shifts by 64 bits or
-more giving 0, as its baseline and SIMD loops both do.
+in fixed notation, as ``repr`` lays out every double from 1e-4 up to
+1e16, by masks and byte shifts of words chosen per layout.  Those
+shifts count on numpy's ``uint64`` shifts by 64 bits or more giving 0,
+as its baseline and SIMD loops both do.
 
-Only Ryū's common case runs here, for doubles below 2**53 whose exact
-scaled value is not an integer.  The rest (zeros, subnormals, powers of
-two, |x| >= 2**53, inf, nan, and short dyadics such as 0.5 or 3.0, Ryū's
-trailing-zero "general case") get the bytes of ``repr``, one at a time.
+Only Ryū's common case runs here, for positive doubles from 2**-13 up
+to 2**53 whose exact scaled value is not an integer: the long float
+columns of the pipeline (fatigue, predictions, relative errors, grids)
+are positive and almost never fall below 2**-13.  The rest (negative
+doubles, doubles below 2**-13 with zeros, subnormals and all that
+``repr`` writes as ``d.ddde-XX``, powers of two, |x| >= 2**53, inf, nan,
+and short dyadics such as 0.5 or 3.0, Ryū's trailing-zero "general
+case") get the bytes of ``repr``, one at a time.
 """
 
 from __future__ import annotations
@@ -31,35 +35,36 @@ _LOW32 = _U(0xFFFFFFFF)
 
 
 def _exponent_tables():
-    """Per biased exponent b of the common case: Ryū's 5**i multiplier and more.
+    """Per sign bit and biased exponent b: Ryū's 5**i multiplier and more.
 
-    For b in [1, 1075] (e2 = b - 1077 < 0), Ryū takes q = log10(5**-e2) - 1,
+    For b in [1010, 1075] (e2 = b - 1077 < 0), Ryū takes q = log10(5**-e2) - 1,
     i = -e2 - q, and 5**i cut to its top 125 bits; vr, vp and vm are
     ``(4*m2 + d) * that >> j`` for d = 0, 2, -2, with j in [118, 121].
     Shifted left by 121 - j, the multiplier E fills at most 128 bits and
     the three become ``(2*m2 + d) * E >> 120`` for d = 0, 1, -1.  The
     scaled value is exact, Ryū's general case, when q <= 1 or 2**q
     divides 4*m2: exactly when the low bits of the significand under
-    ``mask`` are all zero, as they are for a power of two.  Every other b
-    keeps a zero mask, so all its doubles go to ``repr``.
+    ``mask`` are all zero, as they are for a power of two.  Every other
+    index, that of each negative double among them, keeps a zero mask,
+    so all its doubles go to ``repr``.
     """
+    minus_e2 = 1077 - np.arange(1010, 1076)
+    q = ((minus_e2 * 732923) >> 20) - 1  # log10(5**-e2) - 1
+    i = minus_e2 - q
     top_lo, top_hi, pow5 = [], [], 1
-    for _ in range(326):
+    for _ in range(i.max() + 1):
         top = pow5 << 125 >> pow5.bit_length()  # the top 125 bits of 5**i
         top_lo.append(top & 0xFFFFFFFFFFFFFFFF)
         top_hi.append(top >> 64)
         pow5 *= 5
     top_lo, top_hi = np.array(top_lo, dtype=_U), np.array(top_hi, dtype=_U)
-    minus_e2 = 1077 - np.arange(1, 1076)
-    q = ((minus_e2 * 732923) >> 20) - 1  # log10(5**-e2) - 1
-    i = minus_e2 - q
     shift = (((i * 1217359) >> 19) + 1 - 4 - q).astype(_U)  # 121 - j: bit length of 5**i - 4 - q
-    e_lo, e_hi, mask = np.zeros((3, 2048), dtype=_U)
-    e_lo[1:1076] = top_lo[i] << shift
-    e_hi[1:1076] = (top_hi[i] << shift) | (top_lo[i] >> _U(1) >> (_U(63) - shift))
-    mask[1:1076] = [(1 << min(v - 2, 52)) - 1 if v >= 2 else 0 for v in q.tolist()]
-    e10 = np.zeros(2048, dtype=np.intp)
-    e10[1:1076] = q - minus_e2
+    e_lo, e_hi, mask = np.zeros((3, 4096), dtype=_U)
+    e_lo[1010:1076] = top_lo[i] << shift
+    e_hi[1010:1076] = (top_hi[i] << shift) | (top_lo[i] >> _U(1) >> (_U(63) - shift))
+    mask[1010:1076] = [(1 << min(v - 2, 52)) - 1 if v >= 2 else 0 for v in q.tolist()]
+    e10 = np.zeros(4096, dtype=np.intp)
+    e10[1010:1076] = q - minus_e2
     return e_lo, e_hi, mask, e10
 
 
@@ -100,64 +105,41 @@ def _byte_masks(first, stop):
 def _layout_tables():
     """Per layout key: where the digits and the point go, and what comes in front.
 
-    The key is ``(sign * 21 + max(point, -4) + 4) * 18 + n`` for a value
-    ``0.DDD * 10**point`` of n digits.  The text after its prefix is the
-    digits, at bytes 0-16 of three words, under ``before``, the digits
-    one byte on under ``after``, and the point of ``point``:
+    The key is ``(point + 3) * 18 + n`` for a value ``0.DDD * 10**point``
+    of n digits; from 2**-13 up, point is at least -3.  The text after its
+    prefix is the digits, at bytes 0-16 of three words, under ``before``,
+    the digits one byte on under ``after``, and the point of ``point``:
 
     - fixed notation from 1 up: digits [0, point), the point, digits
       [point, n) (a common-case double is no integer, so point < n);
     - fixed notation below 1: the n digits, after a prefix "0." and
-      -point zeros;
-    - the exponent form: one digit, the point unless n is 1, the other
-      n - 1 digits (the exponent follows, ``_EXPONENT``).
+      -point zeros.
 
-    ``prefix`` holds the sign and that "0." and zeros, and ``shift`` their
-    length in bits: the text moves up by it.
+    ``prefix`` holds that "0." and zeros, and ``shift`` their length in
+    bits: the text moves up by it.
     """
     before, after, point, prefix, shift = [], [], [], [], []
-    for sign in (0, 1):
-        for kz in range(-4, 17):
-            for n in range(18):
-                lead = b"-" * sign
-                if kz > 0:
-                    k, dot = kz, True
-                elif kz == -4:
-                    k, dot = 1, n > 1
-                else:
-                    k, dot, lead = n, False, lead + b"0." + b"0" * -kz
-                before.append(_byte_masks(0, k))
-                after.append(_byte_masks(k + 1, n + 1) if dot else [0, 0, 0])
-                point.append(_words(dot * ord(".") << 8 * k))
-                prefix.append(int.from_bytes(lead.ljust(8, b"\0"), "little"))
-                shift.append(8 * len(lead))
+    for kz in range(-3, 17):
+        for n in range(18):
+            if kz > 0:
+                k, dot, lead = kz, True, b""
+            else:
+                k, dot, lead = n, False, b"0." + b"0" * -kz
+            before.append(_byte_masks(0, k))
+            after.append(_byte_masks(k + 1, n + 1) if dot else [0, 0, 0])
+            point.append(_words(dot * ord(".") << 8 * k))
+            prefix.append(int.from_bytes(lead.ljust(8, b"\0"), "little"))
+            shift.append(8 * len(lead))
     return (*(np.array(t, dtype=_U).T.copy() for t in (before, after, point)),
             np.array(prefix, dtype=_U), np.array(shift, dtype=_U))
 
 
 # Each row of text is four words: ``repr`` from byte 0, NUL after it.  The
-# longest text, such as -2.2250738585072014e-308, is 24 characters, so
-# byte 24 is always NUL and is left for the caller's separator.
+# longest text, such as -2.2250738585072014e-308 from ``repr``, is 24
+# characters, so byte 24 is always NUL and is left for the caller's separator.
 ROW_BYTES = 32
 SEPARATOR = 24
 _BEFORE, _AFTER, _POINT, _PREFIX, _SHIFT = _layout_tables()
-
-
-def _exponent_marks():
-    """``_EXPONENT[w][x * 18 + n]``: word w of "e-XX" for 10**-x after n digits.
-
-    Only the exponent form, from e-05 on, has a mark; its n digits and
-    point (unless n is 1) leave it at byte n + (n > 1) of the unsigned
-    text.  A shift by 64 or more gives 0, so each word takes its part.
-    """
-    marks = np.array([int.from_bytes(b"e-%02d" % x, "little") * (x > 4) for x in range(309)],
-                     dtype=_U)[:, None]
-    at = np.array([8 * (n + (n > 1)) for n in range(18)], dtype=_U)
-    return np.array([((marks << (at - _U(64 * w))) | (marks >> (_U(64 * w) - at))).ravel()
-                     for w in range(3)])
-
-
-_EXPONENT = _exponent_marks()
 # _LEADING[n] keeps the last n of 16 bytes: the digits of an n-digit number.
 _LEADING = np.array([_byte_masks(16 - n, 16)[:2] for n in range(17)], dtype=_U)
 
@@ -237,12 +219,11 @@ def _eight(x):
     return _DIGITS4.take(high.view(np.int64)) | (_DIGITS4.take(low.view(np.int64)) << _U(32))
 
 
-def _rows(bits, output, exp10, rows):
+def _rows(output, exp10, rows):
     """Write the ``repr`` text of each double into ``rows``: four words a row, from byte 0."""
     n = np.searchsorted(_POW10[1:18], output, side="right") + 1  # digit count
     point = exp10 + n  # the value is 0.DDD * 10**point; every common-case double is below 1e16
-    sign = (bits >> _U(63)).view(np.int64)
-    key = (np.maximum(point, -4) + sign * 21) * 18 + (n + 72)  # as in _layout_tables
+    key = point * 18 + (n + 54)  # as in _layout_tables
 
     # The 17 digits, left-aligned, at bytes 0-16, and again one byte on.
     left = output * _POW10.take(17 - n)
@@ -258,12 +239,7 @@ def _rows(bits, output, exp10, rows):
         text[w] |= later[w]
         text[w] |= _POINT[w].take(key)
 
-    if point.min() < -3:  # "e-XX" after the digits of the exponent form
-        at = np.maximum(1 - point, 0) * 18 + n
-        for w in range(3):
-            text[w] |= _EXPONENT[w].take(at)
-
-    # The sign and "0." and zeros go in front: shift the text by their length.
+    # "0." and zeros go in front: shift the text by their length.
     shift = _SHIFT.take(key)
     back = _U(64) - shift  # a shift by 64 gives 0
     np.bitwise_or(text[0] << shift, _PREFIX.take(key), out=rows[:, 0])
@@ -279,16 +255,16 @@ def float_rows(values: np.ndarray) -> np.ndarray:
     ``SEPARATOR`` included.
     """
     bits = values.view(_U)
-    b = ((bits >> _U(52)) & _U(0x7FF)).view(np.int64)
+    b = (bits >> _U(52)).view(np.int64)  # the sign bit and the biased exponent
     to_repr = np.flatnonzero((bits & _REPR_MASK[b]) == 0)
     if len(to_repr):
         bits = bits.copy()
         bits[to_repr] = _COMMON
-        b = ((bits >> _U(52)) & _U(0x7FF)).view(np.int64)
+        b = (bits >> _U(52)).view(np.int64)
     rows = np.empty((len(bits), ROW_BYTES // 8), dtype=_U)
     for start in range(0, len(bits), PASS):
         part = slice(start, start + PASS)
-        _rows(bits[part], *_shortest(bits[part], b[part]), rows[part])
+        _rows(*_shortest(bits[part], b[part]), rows[part])
     text = rows.view(np.uint8)
     if len(to_repr):
         reprs = [repr(v).encode("ascii") for v in values[to_repr].tolist()]

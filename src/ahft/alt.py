@@ -320,7 +320,8 @@ def fit_mle(dataset: Dataset, factors, max_iterations: int = 200) -> GllWeibullM
     models.  Raises :class:`NoConvergence` with diagnostics when the
     gradient has not met :data:`GRADIENT_TOL` within ``max_iterations``
     Newton iterations, :class:`DegenerateFactor` when a transformed
-    factor column is constant, and :class:`SingularInformation` when the
+    factor column is constant or a linear combination of the intercept
+    and the columns before it, and :class:`SingularInformation` when the
     observed information cannot be inverted.
     """
     if max_iterations < 1:
@@ -339,6 +340,12 @@ def fit_mle(dataset: Dataset, factors, max_iterations: int = 200) -> GllWeibullM
             raise DegenerateFactor(
                 f"factor {spec.name!r} is constant after its {spec.transform} transform"
             )
+    if np.linalg.matrix_rank(z) < z.shape[1]:
+        j = next(j for j in range(1, z.shape[1]) if np.linalg.matrix_rank(z[:, :j + 1]) <= j)
+        raise DegenerateFactor(
+            f"factor {specs[j - 1].name!r} is a linear combination of the intercept "
+            "and the factors before it, after their transforms"
+        )
     logt = np.log(t)
 
     work = _Workspace(z, logt)

@@ -12,7 +12,8 @@ tables of float arrays and ranges, lays each block out as one NUL-padded
 byte frame, each column's slot as wide as its longest text.  Only the
 frames pool: each distinct value of a few-valued float column is
 formatted once, the other float columns by the array kernel of
-``_floattext``.  Every artifact of the package goes to disk
+``_floattext`` (positive doubles from 2**-13 up to 2**53; ``repr``
+writes the rest).  Every artifact of the package goes to disk
 through :func:`write_artifact`, which writes over an existing file
 instead of truncating it first.
 

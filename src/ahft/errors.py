@@ -95,7 +95,8 @@ class SingularProblem(AhftError):
 
 
 class DegenerateFactor(SingularProblem):
-    """A factor column is constant after its transform; the design is singular."""
+    """A factor column is constant after its transform, or a linear combination
+    of the intercept and the columns before it; the design is singular."""
 
 
 class SingularInformation(SingularProblem):

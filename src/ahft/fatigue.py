@@ -1,9 +1,9 @@
 """Exponential fatigue accumulation: f(t) = 1 - exp(-rate * t).
 
 Fatigue grows from 0 toward 1 as exposure time increases; ``rate`` (per
-hour) controls how fast.  The three operations here convert between the
-fatigue value observed after some exposure, the underlying rate, and the
-fatigue expected after a different exposure.  All durations are in hours.
+hour) controls how fast.  The two operations here convert between the
+fatigue observed after some exposure and the underlying rate; composed,
+they rescale it to another exposure.  All durations are in hours.
 """
 
 from __future__ import annotations
@@ -43,11 +43,3 @@ def rate_from_fatigue(f: float, t: float) -> float:
         raise NonPositiveTime(f"t must be a positive finite number of hours, got {t!r}")
     return -math.log1p(-f) / t
 
-
-def rescale_fatigue(f_observed: float, t_observed: float, t_target: float) -> float:
-    """Fatigue expected after ``t_target`` hours, given an observation.
-
-    Composition of the two conversions above: recover the rate from
-    (f_observed, t_observed), then evaluate the curve at t_target.
-    """
-    return fatigue_at(rate_from_fatigue(f_observed, t_observed), t_target)

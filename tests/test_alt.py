@@ -19,6 +19,7 @@ from ahft import (
     FactorSpec,
     GllWeibullModel,
     SyntheticSpec,
+    builtin_table3,
     coef_ci,
     fit_mle,
     generate_synthetic,
@@ -228,6 +229,25 @@ def test_fit_degenerate_factor():
     data = _plain_dataset([0.2, 0.3, 0.4, 0.5, 0.35], xs=[2.0] * 5)
     with pytest.raises(DegenerateFactor, match="'x'"):
         fit_mle(data, ("x",))
+
+
+# A factor that is a linear combination of the intercept and the factors
+# before it leaves the design rank-deficient: the fit names it and stops.
+@pytest.mark.parametrize("names, dependent", [
+    ("available_time,stress,dup", "dup"),
+    ("dup,available_time,stress", "stress"),
+    ("available_time,twice", "twice"),
+    ("available_time:log,twice:log", "twice"),
+])
+def test_fit_collinear_factor(names, dependent):
+    table3 = builtin_table3()
+    columns = {c: table3.column(c) for c in table3.column_names}
+    columns["dup"] = columns["stress"] + columns["available_time"]
+    columns["twice"] = 2.0 * columns["available_time"]
+    data = Dataset(table3.column_names + ("dup", "twice"), columns)
+    specs = [parse_factor(name) for name in names.split(",")]
+    with pytest.raises(DegenerateFactor, match=f"factor '{dependent}' is a linear combination"):
+        fit_mle(data, specs)
 
 
 def test_fit_constant_response_diverges():

@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 from ahft import (
+    Dataset,
     FactorSpec,
     SyntheticSpec,
+    builtin_table3,
     generate_synthetic,
     load_csv,
     positive_param_ci,
@@ -20,6 +22,7 @@ from ahft import (
 )
 from ahft import cli
 from ahft.cli import main
+from ahft.validation import redraw_below_one
 
 CONSTANT_FACTOR_CSV = "a,b,fatigue\n2,1,0.2\n2,2,0.3\n2,3,0.25\n2,1,0.4\n2,5,0.35\n"
 
@@ -479,3 +482,29 @@ def test_constant_factor_exits_four(tmp_path, capsys):
                "--output-dir", str(tmp_path)])
     assert rc == 4
     assert "constant" in capsys.readouterr().err
+
+
+# Collinear factors: table3 with their sum exited 2 on a zero standard
+# error, 2,000 rows with it were fitted with huge standard errors and
+# exit 0, and a doubled factor ran out of iterations with exit 3.
+@pytest.mark.parametrize("table, factors, dependent", [
+    ("table3", "available_time,stress,dup", "dup"),
+    ("simulated", "f1,f2,dup", "dup"),
+    ("simulated", "f1,twice", "twice"),
+])
+def test_collinear_factor_exits_four(tmp_path, capsys, table, factors, dependent):
+    if table == "table3":
+        data, first, second = builtin_table3(), "available_time", "stress"
+    else:
+        spec = _readme_spec(2000, 7)
+        data, first, second = redraw_below_one(spec, generate_synthetic(spec)), "f1", "f2"
+    columns = {c: data.column(c) for c in data.column_names}
+    columns["dup"] = columns[first] + columns[second]
+    columns["twice"] = 2.0 * columns[first]
+    source = tmp_path / "collinear.csv"
+    source.write_bytes(serialize(Dataset(data.column_names + ("dup", "twice"), columns)))
+    rc = main(["fit", "--input", str(source), "--factors", factors,
+               "--output-dir", str(tmp_path / "out")])
+    assert rc == 4
+    assert f"factor '{dependent}' is a linear combination" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "model.json").exists()

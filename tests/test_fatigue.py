@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from ahft import fatigue_at, rate_from_fatigue, rescale_fatigue
+from ahft import fatigue_at, rate_from_fatigue
 from ahft.errors import (
     FatigueOutOfRange,
     NegativeTime,
@@ -49,14 +49,16 @@ def test_rate_from_fatigue_rejects_bad_arguments():
         rate_from_fatigue(0.5, 0.0)
 
 
+# Rescaling an observation to another exposure: the rate of (f, t1),
+# then the curve at t2.
 def test_rescale_doubling_exposure():
     # doubling the exposure of a 0.130 measurement: 1 - 0.87**2
-    assert rescale_fatigue(0.130, 1.0, 2.0) == pytest.approx(0.2431, abs=1e-12)
+    assert fatigue_at(rate_from_fatigue(0.130, 1.0), 2.0) == pytest.approx(0.2431, abs=1e-12)
 
 
 def test_rescale_identity_and_zero():
-    assert rescale_fatigue(0.130, 1.0, 1.0) == pytest.approx(0.130, rel=1e-12)
-    assert rescale_fatigue(0.130, 1.0, 0.0) == 0.0
+    assert fatigue_at(rate_from_fatigue(0.130, 1.0), 1.0) == pytest.approx(0.130, rel=1e-12)
+    assert fatigue_at(rate_from_fatigue(0.130, 1.0), 0.0) == 0.0
 
 
 @given(
@@ -77,6 +79,6 @@ def test_rate_fatigue_round_trip(f, t):
     t3=st.floats(min_value=0.5, max_value=2.0),
 )
 def test_rescale_composition(f, t1, t2, t3):
-    direct = rescale_fatigue(f, t1, t3)
-    chained = rescale_fatigue(rescale_fatigue(f, t1, t2), t2, t3)
+    direct = fatigue_at(rate_from_fatigue(f, t1), t3)
+    chained = fatigue_at(rate_from_fatigue(fatigue_at(rate_from_fatigue(f, t1), t2), t2), t3)
     assert abs(direct - chained) < 1e-12
