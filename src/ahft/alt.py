@@ -72,6 +72,11 @@ DEFAULT_PERCENTILE = 0.5
 DEFAULT_CONFIDENCE = 0.99
 # A fit has converged when every gradient entry is below this in magnitude.
 GRADIENT_TOL = 1e-8
+# fit warns when the estimates' covariance scaled to unit diagonal, their
+# correlation matrix, has a condition number above this.  For two estimates
+# it is (1 + |r|) / (1 - |r|), so 1e6 means |r| > 1 - 2e-6: the data pin a
+# combination of the coefficients, not the coefficients.
+CONDITION_WARN = 1e6
 
 _NORMAL = NormalDist()
 
@@ -428,6 +433,18 @@ def _z_quantile(level: float) -> float:
     if not (0.0 < level < 1.0):
         raise InputError(f"confidence level must lie in (0, 1), got {level!r}")
     return _NORMAL.inv_cdf((1.0 + level) / 2.0)
+
+
+def correlation_condition(covariance: np.ndarray) -> float:
+    """The condition number of ``covariance`` scaled to unit diagonal: its
+    largest eigenvalue over its smallest; inf where a variance or an
+    eigenvalue is not positive."""
+    variances = np.diag(covariance)
+    if not np.all(variances > 0.0):
+        return math.inf
+    scale = np.sqrt(variances)
+    low, *_, high = np.linalg.eigvalsh(covariance / scale[:, None] / scale)
+    return float(high / low) if low > 0.0 else math.inf
 
 
 def wald_stats(coef: float, se: float) -> tuple[float, float]:

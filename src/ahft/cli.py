@@ -12,11 +12,13 @@ and seed.
 
 Exit codes: 0 success, 2 bad input or usage (an input too large for
 memory included), 3 fit did not converge, 4 numerically singular problem.
+
+Each subcommand imports the modules it calls when it runs, so importing
+this module costs little more than numpy.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import math
 import os
@@ -26,7 +28,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import alt, dataset as ds, pca as pca_mod, svg, validation
 from .errors import InputError, NoConvergence, SingularProblem
 
 EXIT_OK = 0
@@ -45,6 +46,8 @@ def _out_dir(args) -> Path:
 
 
 def _load_dataset(spec: str) -> ds.Dataset:
+    from . import dataset as ds
+
     if spec.startswith("builtin:"):
         name = spec.split(":", 1)[1]
         builder = ds.BUILTIN_DATASETS.get(name)
@@ -67,6 +70,8 @@ def _parse_factors(text: str, one_per_name: bool = False) -> list[alt.FactorSpec
     With ``one_per_name`` a name may not repeat under another transform
     either, as where each factor becomes a column of its own.
     """
+    from . import alt
+
     items = [piece.strip() for piece in text.split(",") if piece.strip()]
     if not items:
         raise InputError("at least one factor required")
@@ -92,6 +97,8 @@ def _finite(text: str, piece: str) -> float:
 
 
 def _parse_assignments(text: str) -> dict[str, float]:
+    from . import dataset as ds
+
     values: dict[str, float] = {}
     for piece in text.split(","):
         piece = piece.strip()
@@ -152,6 +159,8 @@ def _parse_grid(text: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def cmd_pca(args) -> int:
+    from . import dataset as ds, pca as pca_mod, svg
+
     data = _load_dataset(args.input)
     out = _out_dir(args)
 
@@ -192,6 +201,8 @@ def cmd_pca(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    from . import alt, dataset as ds
+
     data = _load_dataset(args.input)
     factors = _parse_factors(args.factors)
     out = _out_dir(args)
@@ -228,10 +239,18 @@ def cmd_fit(args) -> int:
         f"log-likelihood {model.fit_meta.log_likelihood:.6g}; "
         f"shape {model.shape:.6g}; model.json and regression.csv written"
     )
+    condition = alt.correlation_condition(model.covariance)
+    if condition > alt.CONDITION_WARN:
+        print(f"warning: the estimates' correlation matrix has condition number "
+              f"{condition:.3g}, above {alt.CONDITION_WARN:g}: the factors are so nearly "
+              "collinear that each coefficient and its standard error mean little",
+              file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_predict(args) -> int:
+    from . import alt, dataset as ds
+
     model = alt.load_model(args.model)
     point = _parse_assignments(args.at)
     _check_factor_names(point, model, "--at")
@@ -256,6 +275,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    from . import alt, dataset as ds, validation
+
     model = alt.load_model(args.model)
     holdout = _load_dataset(args.holdout)
     out = _out_dir(args)
@@ -281,6 +302,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_curves(args) -> int:
+    from . import alt, dataset as ds, svg
+
     model = alt.load_model(args.model)
     grid = np.sort(_parse_grid(args.grid), kind="stable")
     fixed = _parse_assignments(args.fixed) if args.fixed else {}
@@ -312,6 +335,8 @@ def cmd_curves(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from . import dataset as ds, validation
+
     factors = _parse_factors(args.factors, one_per_name=True)
     true_alpha = tuple(_finite(a, f"--alpha {args.alpha}") for a in args.alpha.split(","))
     pools: dict[str, tuple[float, ...]] = {}
@@ -374,6 +399,10 @@ def _parser() -> argparse.ArgumentParser:
 @functools.cache
 def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The top-level parser and each subcommand's parser by name, built once."""
+    import argparse
+
+    from . import alt
+
     parser = argparse.ArgumentParser(
         prog="ahft",
         description="Accelerated human-fatigue testing: PSF screening, "

@@ -508,3 +508,27 @@ def test_collinear_factor_exits_four(tmp_path, capsys, table, factors, dependent
     assert rc == 4
     assert f"factor '{dependent}' is a linear combination" in capsys.readouterr().err
     assert not (tmp_path / "out" / "model.json").exists()
+
+
+# Nearly collinear: near = f1 + f2 + noise on the README's 2,000 rows.  At
+# noise 1e-6 the fit converges to coefficients near -6800 with SEs near 7400
+# for f1 and f2; at 0.1 the estimates are usable and fit stays quiet.
+@pytest.mark.parametrize("noise, warns", [(1e-6, True), (1e-2, True), (1e-1, False)])
+def test_fit_warns_on_nearly_collinear_factors(tmp_path, capsys, noise, warns):
+    spec = _readme_spec(2000, 7)
+    data = redraw_below_one(spec, generate_synthetic(spec))
+    columns = {c: data.column(c) for c in data.column_names}
+    columns["near"] = (columns["f1"] + columns["f2"]
+                       + noise * np.random.default_rng(1).standard_normal(data.n_rows))
+    source = tmp_path / "near.csv"
+    source.write_bytes(serialize(Dataset(data.column_names + ("near",), columns)))
+    rc = main(["fit", "--input", str(source), "--factors", "f1,f2,near",
+               "--output-dir", str(tmp_path / "out")])
+    assert rc == 0
+    err = capsys.readouterr().err
+    match = re.fullmatch(r"warning: the estimates' correlation matrix has condition number "
+                         r"(\S+), above 1e\+06: .*\n", err)
+    assert (match is not None) == warns, err
+    if warns:
+        assert float(match[1]) > 1e6
+        assert json.loads((tmp_path / "out" / "model.json").read_text())["format_version"] == 1

@@ -626,6 +626,39 @@ def test_cli_import_and_short_columns_leave_the_kernel_unloaded():
     assert (run.returncode, run.stdout, run.stderr) == (0, "False\n", "")
 
 
+# What ``import ahft.cli`` leaves for the subcommands to import when they run.
+CLI_DEFERRED = ("ahft.alt", "ahft.dataset", "ahft.pca", "ahft.svg", "ahft.validation",
+                "ahft.fatigue", "ahft._floattext", "argparse", "json", "csv", "statistics",
+                "dataclasses")
+
+
+def test_cli_import_loads_numpy_and_none_of_the_subcommands_modules():
+    code = ("import sys, ahft.cli\n"
+            f"print([name for name in {CLI_DEFERRED!r} if name in sys.modules])\n"
+            "print('numpy' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(ahft.__file__).parent.parent))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "[]\nTrue\n", "")
+
+
+def test_predict_process_loads_neither_pca_svg_validation_nor_the_kernel(tmp_path):
+    assert main(["fit", "--input", "builtin:table3", "--factors", "available_time,stress",
+                 "--output-dir", str(tmp_path)]) == 0
+    # What ``python -m ahft.cli predict ...`` runs, then the package's loaded modules.
+    code = ("import runpy, sys\n"
+            "try:\n"
+            "    runpy.run_module('ahft.cli', run_name='__main__', alter_sys=True)\n"
+            "finally:\n"
+            "    print(sorted(m for m in sys.modules if m.startswith('ahft.')))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(ahft.__file__).parent.parent))
+    run = subprocess.run([sys.executable, "-c", code, "predict", "--model", "model.json",
+                          "--at", "available_time=0.1,stress=5", "-o", "predict"],
+                         capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout.startswith("predict: at available_time=0.1, stress=5")
+    assert run.stdout.splitlines()[-1] == "['ahft.alt', 'ahft.dataset', 'ahft.errors']"
+
+
 def _assert_chart_matches_rowwise(x, y, *labels):
     """``line_chart(x, y)`` is the reference's text, or raises where that text is not finite."""
     expected = rowwise_line_chart(list(zip(x, y)), *labels)
