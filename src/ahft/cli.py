@@ -10,8 +10,11 @@ variable, or the working directory); stdout carries a short human
 summary.  Artifacts are byte-identical across runs for identical inputs
 and seed.
 
-Exit codes: 0 success, 2 bad input or usage (an input too large for
-memory included), 3 fit did not converge, 4 numerically singular problem.
+Exit codes: 0 success; 2 bad input or usage, including an input that
+cannot be read, an output directory that cannot be made (with the OS's
+message) and an input too large for memory; 3 the fit or ``pca``'s
+eigensolver did not converge; 4 numerically singular problem.  Each code
+is the ``exit_code`` of an error family of :mod:`ahft.errors`.
 
 Each subcommand imports the modules it calls when it runs, so importing
 this module costs little more than numpy.
@@ -28,12 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError, NoConvergence, SingularProblem
-
-EXIT_OK = 0
-EXIT_INPUT = 2
-EXIT_NO_CONVERGENCE = 3
-EXIT_SINGULAR = 4
+from .errors import AhftError, InputError, NoConvergence
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +156,7 @@ def _parse_grid(text: str) -> np.ndarray:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_pca(args) -> int:
+def cmd_pca(args) -> None:
     from . import dataset as ds, pca as pca_mod, svg
 
     data = _load_dataset(args.input)
@@ -197,10 +195,9 @@ def cmd_pca(args) -> int:
     )
     if result.has_ties:
         print("note: spectrum contains tied eigenvalues; loadings in tied blocks are arbitrary")
-    return EXIT_OK
 
 
-def cmd_fit(args) -> int:
+def cmd_fit(args) -> None:
     from . import alt, dataset as ds
 
     data = _load_dataset(args.input)
@@ -212,8 +209,7 @@ def cmd_fit(args) -> int:
         lines = [f"fit did not converge: {exc}"]
         lines += [f"{k}: {v!r}" for k, v in sorted(exc.diagnostics.items())]
         ds.write_artifact(out / "diagnostics.txt", "\n".join(lines) + "\n")
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+        raise
 
     # Every number, so every check on --confidence, comes before the first
     # write: a bad level leaves no output directory.
@@ -245,10 +241,9 @@ def cmd_fit(args) -> int:
               f"{condition:.3g}, above {alt.CONDITION_WARN:g}: the factors are so nearly "
               "collinear that each coefficient and its standard error mean little",
               file=sys.stderr)
-    return EXIT_OK
 
 
-def cmd_predict(args) -> int:
+def cmd_predict(args) -> None:
     from . import alt, dataset as ds
 
     model = alt.load_model(args.model)
@@ -271,10 +266,9 @@ def cmd_predict(args) -> int:
         f"se {prediction.std_error:.6g}, {100 * args.confidence:.15g}% CI "
         f"[{prediction.ci_lower:.6g}, {prediction.ci_upper:.6g}]"
     )
-    return EXIT_OK
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> None:
     from . import alt, dataset as ds, validation
 
     model = alt.load_model(args.model)
@@ -298,10 +292,9 @@ def cmd_validate(args) -> int:
         f"mean relative error {report.mean_relative_error:.4f}, "
         f"max {report.max_relative_error:.4f}"
     )
-    return EXIT_OK
 
 
-def cmd_curves(args) -> int:
+def cmd_curves(args) -> None:
     from . import alt, dataset as ds, svg
 
     model = alt.load_model(args.model)
@@ -331,10 +324,9 @@ def cmd_curves(args) -> int:
         ds.write_artifact(out / f"curve_{factor}.svg", svg_text)
         print(f"curves: {factor} over [{ds.number_text(grid[0])}, "
               f"{ds.number_text(grid[-1])}] -> fatigue {fatigue[0]:.6g} .. {fatigue[-1]:.6g}")
-    return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> None:
     from . import dataset as ds, validation
 
     factors = _parse_factors(args.factors, one_per_name=True)
@@ -384,7 +376,6 @@ def cmd_simulate(args) -> int:
         )
     ds.write_artifact(_out_dir(args) / "synthetic.csv", ds.serialize(data))
     print(f"simulate: {args.n} rows (seed {args.seed}) written to synthetic.csv")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -400,8 +391,6 @@ def _parser() -> argparse.ArgumentParser:
 def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The top-level parser and each subcommand's parser by name, built once."""
     import argparse
-
-    from . import alt
 
     parser = argparse.ArgumentParser(
         prog="ahft",
@@ -431,7 +420,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     p.add_argument("--input", required=True)
     p.add_argument("--factors", required=True,
                    help="comma-separated, each name[:identity|log|reciprocal]")
-    p.add_argument("--confidence", type=float, default=alt.DEFAULT_CONFIDENCE)
+    p.add_argument("--confidence", type=float, default=0.99)
     p.add_argument("--max-iterations", type=int, default=200)
     common(p)
     p.set_defaults(func=cmd_fit)
@@ -439,9 +428,9 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     p = add("predict", "percentile fatigue at a factor point")
     p.add_argument("--model", required=True, help="model.json from fit")
     p.add_argument("--at", required=True, help="factor values, e.g. available_time=0.1,stress=5")
-    p.add_argument("--percentile", type=float, default=alt.DEFAULT_PERCENTILE,
+    p.add_argument("--percentile", type=float, default=0.5,
                    help="percentile in (0,1) (default 0.5, the median)")
-    p.add_argument("--confidence", type=float, default=alt.DEFAULT_CONFIDENCE)
+    p.add_argument("--confidence", type=float, default=0.99)
     common(p)
     p.set_defaults(func=cmd_predict)
 
@@ -449,7 +438,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     p.add_argument("--model", required=True)
     p.add_argument("--holdout", required=True,
                    help="CSV path, builtin:table3, or builtin:table8")
-    p.add_argument("--percentile", type=float, default=alt.DEFAULT_PERCENTILE)
+    p.add_argument("--percentile", type=float, default=0.5)
     common(p)
     p.set_defaults(func=cmd_validate)
 
@@ -459,7 +448,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
                    help="factor to sweep (repeatable)")
     p.add_argument("--grid", required=True, help="comma list or start:stop:count")
     p.add_argument("--fixed", default="", help="other factors, name=value[,name=value]")
-    p.add_argument("--percentile", type=float, default=alt.DEFAULT_PERCENTILE)
+    p.add_argument("--percentile", type=float, default=0.5)
     common(p)
     p.set_defaults(func=cmd_curves)
 
@@ -501,22 +490,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except NoConvergence as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    except SingularProblem as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SINGULAR
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except MemoryError as exc:
+        args.func(args)
+    except (AhftError, OSError, MemoryError) as exc:
+        # An input that cannot be read or held in memory is bad input.
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
-        return EXIT_INPUT
+        return getattr(exc, "exit_code", InputError.exit_code)
+    return 0
 
 
 if __name__ == "__main__":

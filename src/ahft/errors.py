@@ -1,14 +1,14 @@
 """Exception hierarchy for the ahft package.
 
-Three families matter to callers (and to the CLI's exit-code mapping):
+Three families matter to callers; each holds its CLI exit code in the
+class attribute ``exit_code``:
 
 * :class:`InputError` — bad data or bad arguments; the caller can fix the
-  input and retry.  CLI exit code 2.
+  input and retry.  Exit code 2.
 * :class:`NoConvergence` — an iterative routine exhausted its budget; carries
-  whatever diagnostics were available at the point of failure.  CLI exit
-  code 3.
+  whatever diagnostics were available at the point of failure.  Exit code 3.
 * :class:`SingularProblem` — the numbers themselves are degenerate (singular
-  information matrix, constant factor column, ...).  CLI exit code 4.
+  information matrix, constant factor column, ...).  Exit code 4.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ class AhftError(Exception):
 
 class InputError(AhftError, ValueError):
     """Invalid data or arguments supplied by the caller."""
+
+    exit_code = 2
 
 
 # -- dataset ----------------------------------------------------------------
@@ -93,6 +95,8 @@ class NonPositiveSE(InputError):
 class SingularProblem(AhftError):
     """The problem is numerically degenerate."""
 
+    exit_code = 4
+
 
 class DegenerateFactor(SingularProblem):
     """A factor column is constant after its transform, or a linear combination
@@ -112,6 +116,8 @@ class NoConvergence(AhftError):
         Partial state at failure (iteration count, last gradient norm,
         parameter vector, ...), for post-mortem rather than for use.
     """
+
+    exit_code = 3
 
     def __init__(self, message: str, diagnostics: dict | None = None):
         super().__init__(message)

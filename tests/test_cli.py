@@ -20,7 +20,7 @@ from ahft import (
     positive_param_ci,
     serialize,
 )
-from ahft import cli
+from ahft import alt, cli
 from ahft.cli import main
 from ahft.validation import redraw_below_one
 
@@ -377,6 +377,15 @@ def test_parse_gives_the_top_level_namespace(name):
     assert cli._parse(argv) == cli._parser().parse_args(argv)
 
 
+def test_parser_defaults_are_the_library_defaults():
+    # The parser spells the defaults as literals, so building it imports no ahft module.
+    commands = cli._parsers()[1]
+    for name in ("fit", "predict"):
+        assert commands[name].get_default("confidence") == alt.DEFAULT_CONFIDENCE, name
+    for name in ("predict", "validate", "curves"):
+        assert commands[name].get_default("percentile") == alt.DEFAULT_PERCENTILE, name
+
+
 def test_readme_names_exactly_the_flags_the_parser_accepts():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
@@ -472,7 +481,8 @@ def test_exhausted_iteration_budget_exits_three(tmp_path, capsys):
     assert rc == 3
     diagnostics = (tmp_path / "diagnostics.txt").read_text()
     assert "gradient_max_norm" in diagnostics
-    capsys.readouterr()
+    message = diagnostics.splitlines()[0].removeprefix("fit did not converge: ")
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_constant_factor_exits_four(tmp_path, capsys):

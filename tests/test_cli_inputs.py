@@ -1,12 +1,15 @@
 """Bad input on the command line, in CSV bytes and in model.json: exit 2 with a message."""
 
+import errno
 import json
+import os
 
 import numpy as np
 import pytest
 
-from ahft import alt, validation
+from ahft import alt, pca, validation
 from ahft.cli import main
+from ahft.errors import NoConvergence
 
 
 @pytest.fixture(autouse=True)
@@ -473,3 +476,94 @@ def test_memory_error_exits_two(tmp_path, capsys, model_doc, monkeypatch, messag
 
     monkeypatch.setattr(alt, "sweep_curve", refuse)
     _assert_exits_two(tmp_path, capsys, _curves(tmp_path, model_doc, "1:5:9"), words)
+
+
+def _assert_fails_with(tmp_path, capsys, argv, code, message):
+    """``argv`` exits ``code``, prints exactly ``error: message`` and leaves no output."""
+    assert main(argv + ["--output-dir", str(tmp_path / "out")]) == code
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_one_point_grid_range_draws_a_one_point_curve(tmp_path, capsys, model_doc):
+    out = tmp_path / "out"
+    assert main(_curves(tmp_path, model_doc, "2:2:1") + ["-o", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("curves: stress over [2, 2] -> ")
+    header, *rows = (out / "curve_stress.csv").read_text().splitlines()
+    assert header == "stress,fatigue" and len(rows) == 1 and rows[0].startswith("2.0,")
+    assert (out / "curve_stress.svg").is_file()
+
+
+CURVES = ["curves", "--model", "MODEL", "--factor", "stress", "--fixed", "available_time=0.1"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (CURVES + ["--grid", "1:5"], "grid range must be start:stop:count, got '1:5'"),
+    (CURVES + ["--grid", "1:5:x"], "cannot parse grid range '1:5:x'"),
+    (CURVES + ["--grid", "1:5:0"], "grid count must be at least 1"),
+    (CURVES + ["--grid", ","], "grid is empty"),
+    (["predict", "--model", "MODEL", "--at", "stress"], "expected name=value, got 'stress'"),
+    (["predict", "--model", "MODEL", "--at", ","], "no name=value assignments supplied"),
+    (["fit", "--input", "builtin:table3", "--factors", ","], "at least one factor required"),
+    (["fit", "--input", "builtin:table3", "--factors", ":log"], "empty factor name in ':log'"),
+    (SIMULATE[:6] + ["--pool", "f1", "--n", "5"], "--pool expects name=v1|v2|..., got 'f1'"),
+    (SIMULATE[:8] + ["--n", "5"], "no --pool given for factor(s): f2"),
+])
+def test_malformed_option_exits_two(tmp_path, capsys, model_doc, argv, message):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model_doc))
+    argv = [str(path) if a == "MODEL" else a for a in argv]
+    _assert_fails_with(tmp_path, capsys, argv, 2, message)
+
+
+def test_unreadable_input_and_unwritable_output_exit_two_with_the_os_text(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("x")
+    out = blocker / "sub"
+    assert main(["pca", "--input", "builtin:table3", "-o", str(out)]) == 2
+    not_a_directory = f"[Errno {errno.ENOTDIR}] {os.strerror(errno.ENOTDIR)}"
+    assert capsys.readouterr().err == f"error: {not_a_directory}: '{out / 'eigen.csv'}'\n"
+    assert blocker.read_text() == "x"
+    _assert_fails_with(tmp_path, capsys, ["pca", "--input", str(tmp_path)], 2,
+                       f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{tmp_path}'")
+
+
+TIE_NOTE = "note: spectrum contains tied eigenvalues; loadings in tied blocks are arbitrary"
+
+
+def test_pca_notes_tied_eigenvalues_only_where_the_spectrum_has_them(tmp_path, capsys):
+    source = tmp_path / "twins.csv"
+    source.write_text("a,b,c,fatigue\n1,1,2,0.5\n2,2,1,0.4\n3,3,5,0.3\n4,4,3,0.2\n")
+    assert main(["pca", "--input", str(source), "-o", str(tmp_path / "twins")]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == TIE_NOTE
+    assert main(["pca", "--input", "builtin:table3", "-o", str(tmp_path / "table3")]) == 0
+    assert "note:" not in capsys.readouterr().out
+
+
+def test_pca_eigensolver_no_convergence_exits_three_without_diagnostics(tmp_path, capsys,
+                                                                         monkeypatch):
+    def give_up(*args, **kwargs):
+        raise NoConvergence("Jacobi eigensolver did not converge", {"sweeps": 1})
+
+    monkeypatch.setattr(pca, "eigen_symmetric", give_up)
+    _assert_fails_with(tmp_path, capsys, ["pca", "--input", "builtin:table3"], 3,
+                       "Jacobi eigensolver did not converge")
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc.__setitem__("shape", 0), "shape must be positive, got 0.0"),
+    (lambda doc: doc.__setitem__("shape", -1.5), "shape must be positive, got -1.5"),
+    (lambda doc: doc.__setitem__("covariance", [row[:3] for row in doc["covariance"][:3]]),
+     "covariance must be (4, 4), got (3, 3)"),
+    (lambda doc: doc["covariance"][0].__setitem__(1, doc["covariance"][0][1] + 1e-6),
+     "covariance must be symmetric within 1e-8"),
+    (lambda doc: doc["fit_meta"].__setitem__("log_likelihood", 10 ** 400),
+     "model field 'fit_meta' is malformed: int too large to convert to float"),
+])
+def test_model_field_out_of_its_domain_exits_two(tmp_path, capsys, model_doc, edit, message):
+    edit(model_doc)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(model_doc))
+    _assert_fails_with(tmp_path, capsys,
+                       ["predict", "--model", str(path), "--at", "available_time=0.1,stress=5"],
+                       2, message)

@@ -659,6 +659,23 @@ def test_predict_process_loads_neither_pca_svg_validation_nor_the_kernel(tmp_pat
     assert run.stdout.splitlines()[-1] == "['ahft.alt', 'ahft.dataset', 'ahft.errors']"
 
 
+def test_pca_process_loads_neither_alt_nor_json_nor_statistics(tmp_path):
+    # What ``python -m ahft.cli pca ...`` runs, then the package's and two stdlib modules.
+    code = ("import runpy, sys\n"
+            "try:\n"
+            "    runpy.run_module('ahft.cli', run_name='__main__', alter_sys=True)\n"
+            "finally:\n"
+            "    print(sorted(m for m in sys.modules if m.startswith('ahft.')))\n"
+            "    print([m for m in ('json', 'statistics') if m in sys.modules])\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(ahft.__file__).parent.parent))
+    run = subprocess.run([sys.executable, "-c", code, "pca", "--input", "builtin:table3",
+                          "-o", "pca"], capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout.startswith("pca: 9 components; 3 retained")
+    assert run.stdout.splitlines()[-2:] == [
+        "['ahft.dataset', 'ahft.errors', 'ahft.pca', 'ahft.svg']", "[]"]
+
+
 def _assert_chart_matches_rowwise(x, y, *labels):
     """``line_chart(x, y)`` is the reference's text, or raises where that text is not finite."""
     expected = rowwise_line_chart(list(zip(x, y)), *labels)
