@@ -673,8 +673,15 @@ def model_from_json(text: str) -> GllWeibullModel:
         meta = doc["fit_meta"]
         fit_meta = None
         if meta is not None:
+            log_likelihood = _typed(meta, "log_likelihood", (int, float), "a number")
+            try:
+                log_likelihood = float(log_likelihood)
+            except OverflowError:  # an integer past any double
+                log_likelihood = math.inf
+            if not math.isfinite(log_likelihood):  # json also reads NaN and +-Infinity
+                raise InputError("model field 'fit_meta.log_likelihood' is not finite")
             fit_meta = FitMeta(
-                log_likelihood=float(_typed(meta, "log_likelihood", (int, float), "a number")),
+                log_likelihood=log_likelihood,
                 iterations=_typed(meta, "iterations", (int,), "an integer"),
                 converged=_typed(meta, "converged", (bool,), "a boolean"),
             )
@@ -688,12 +695,8 @@ def model_from_json(text: str) -> GllWeibullModel:
             covariance=_numbers(doc, "covariance"),
             fit_meta=fit_meta,
         )
-    except InputError:
-        raise
     except (KeyError, TypeError) as exc:
         raise InputError(f"model document is missing or mistypes a field: {exc}") from None
-    except (ValueError, OverflowError) as exc:
-        raise InputError(f"model field 'fit_meta' is malformed: {exc}") from None
     _check_covariance(model.covariance)
     return model
 

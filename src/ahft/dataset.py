@@ -159,10 +159,6 @@ class Dataset:
             raise MissingColumn(f"no column named {name!r}")
         return self._columns[key]
 
-    def matrix(self, columns: list[str] | tuple[str, ...]) -> np.ndarray:
-        """Stack the named columns into an (n_rows, len(columns)) array."""
-        return np.column_stack([self.column(c) for c in columns])
-
     def __eq__(self, other):
         if not isinstance(other, Dataset):
             return NotImplemented
@@ -651,6 +647,10 @@ BUILTIN_DATASETS = {
 # Preprocessing
 # ---------------------------------------------------------------------------
 
+# standardize sums the columns of a table this narrow along contiguous rows.
+_ROW_SUM_MAX_COLUMNS = 5
+
+
 def standardize(dataset: Dataset, columns: list[str] | tuple[str, ...]) -> np.ndarray:
     """Center and scale the named columns to mean 0, sample sd 1.
 
@@ -660,12 +660,29 @@ def standardize(dataset: Dataset, columns: list[str] | tuple[str, ...]) -> np.nd
     first constant column, and :class:`TooFewRows` when fewer than two
     rows are available.
     """
-    if dataset.n_rows < 2:
+    n = dataset.n_rows
+    if n < 2:
         raise TooFewRows("standardization needs at least 2 rows")
-    m = dataset.matrix(columns)
+    values = [dataset.column(c) for c in columns]
+    # Both column sums add each column left to right, as numpy's reduce over
+    # axis 0 of the C-order (n, k) matrix does for k >= 2 (a single column
+    # is contiguous there, and numpy adds it pairwise).  Narrow tables take
+    # them as the last cumsum of each contiguous row of the (k, n) block,
+    # since that reduce runs one k-element loop per row; wider ones reduce.
+    rows = 2 <= len(values) <= _ROW_SUM_MAX_COLUMNS
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = m.mean(axis=0)
-        sd = m.std(axis=0, ddof=1)
+        if rows:
+            m = np.stack(values)
+            d = np.cumsum(m, axis=1)
+            mean = d[:, -1] / n
+            np.subtract(m, mean[:, None], out=d)
+            squares = np.multiply(d, d, out=m)
+            sd = np.sqrt(np.cumsum(squares, axis=1, out=squares)[:, -1] / (n - 1))
+        else:
+            d = np.column_stack(values)
+            mean = np.add.reduce(d, axis=0) / n
+            d -= mean
+            sd = np.sqrt(np.add.reduce(d * d, axis=0) / (n - 1))
     for name, mu, s in zip(columns, mean, sd):
         if not (math.isfinite(mu) and math.isfinite(s)):
             raise InputError(
@@ -674,7 +691,12 @@ def standardize(dataset: Dataset, columns: list[str] | tuple[str, ...]) -> np.nd
             )
         if s == 0.0:
             raise ZeroVarianceColumn(f"column {name!r} has zero sample variance")
-    return (m - mean) / sd
+    if not rows:
+        return np.divide(d, sd, out=d)
+    # The (n, k) C-order result that correlation_matrix hands to z.T @ z.
+    z = np.empty((n, len(values)))
+    np.divide(d, sd[:, None], out=z.T)
+    return z
 
 
 def correlation_matrix(dataset: Dataset, columns: list[str] | tuple[str, ...]) -> np.ndarray:

@@ -12,7 +12,9 @@ of the counter form.  Keep it that way.  The exceptions are frozen
 copies of earlier code that pin the bits of the current code:
 ``jacobi_reference``, an earlier eigensolver, and ``loglik_reference``,
 ``derivatives_reference`` and ``newton_reference``, the likelihood
-kernels and Newton loop of the fit before it ran on one workspace.
+kernels and Newton loop of the fit before it ran on one workspace, and
+``standardize_reference``, column standardization before it summed
+along contiguous rows.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ import numpy as np
 from ahft.alt import DEFAULT_PERCENTILE, GRADIENT_TOL, _design, weibull_quantile
 from ahft.dataset import Dataset, normalize_name
 from ahft.errors import (EmptyDataset, FatigueOutOfRange, InputError, MissingColumn, NoConvergence,
-                         NonNumericCell, NotSymmetric, SingularInformation)
+                         NonNumericCell, NotSymmetric, SingularInformation, TooFewRows,
+                         ZeroVarianceColumn)
 from ahft.pca import JACOBI_TOL, SYMMETRY_TOL, _round_robin
 
 
@@ -198,6 +201,33 @@ def jacobi_reference(m: np.ndarray, max_sweeps: int = 60) -> tuple[np.ndarray, n
         if vectors[k, j] < 0:
             vectors[:, j] = -vectors[:, j]
     return values, vectors
+
+
+# ---------------------------------------------------------------------------
+# Column standardization on the (n, k) matrix, the bit-for-bit reference
+# ---------------------------------------------------------------------------
+
+def standardize_reference(dataset: Dataset, columns) -> np.ndarray:
+    """``dataset.standardize`` as numpy's mean and std on the (n, k) matrix.
+
+    Frozen copy: the column sums add left to right down each column of
+    the C-order matrix (pairwise for a single, contiguous column).
+    """
+    if dataset.n_rows < 2:
+        raise TooFewRows("standardization needs at least 2 rows")
+    m = np.column_stack([dataset.column(c) for c in columns])
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = m.mean(axis=0)
+        sd = m.std(axis=0, ddof=1)
+    for name, mu, s in zip(columns, mean, sd):
+        if not (math.isfinite(mu) and math.isfinite(s)):
+            raise InputError(
+                f"column {name!r} is too large to standardize: its mean or sample "
+                f"standard deviation overflows"
+            )
+        if s == 0.0:
+            raise ZeroVarianceColumn(f"column {name!r} has zero sample variance")
+    return (m - mean) / sd
 
 
 # ---------------------------------------------------------------------------

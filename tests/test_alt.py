@@ -473,6 +473,8 @@ def test_model_json_rejects_bad_documents(table3_model):
         with pytest.raises(InputError, match="format_version"):
             model_from_json(good.replace('"format_version": 1', f'"format_version": {version}'))
     for key, value in [("log_likelihood", True), ("log_likelihood", "30.4"),
+                       ("log_likelihood", 10 ** 400), ("log_likelihood", math.nan),
+                       ("log_likelihood", math.inf), ("log_likelihood", -math.inf),
                        ("iterations", 1.5), ("iterations", True), ("iterations", "12"),
                        ("converged", "no"), ("converged", 1), ("converged", None)]:
         doc = json.loads(good)

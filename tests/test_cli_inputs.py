@@ -558,7 +558,7 @@ def test_pca_eigensolver_no_convergence_exits_three_without_diagnostics(tmp_path
     (lambda doc: doc["covariance"][0].__setitem__(1, doc["covariance"][0][1] + 1e-6),
      "covariance must be symmetric within 1e-8"),
     (lambda doc: doc["fit_meta"].__setitem__("log_likelihood", 10 ** 400),
-     "model field 'fit_meta' is malformed: int too large to convert to float"),
+     "model field 'fit_meta.log_likelihood' is not finite"),
 ])
 def test_model_field_out_of_its_domain_exits_two(tmp_path, capsys, model_doc, edit, message):
     edit(model_doc)

@@ -71,7 +71,7 @@ def test_builtin_workshop_values(table3):
     fatigue = table3.column("fatigue").tolist()
     assert fatigue[0] == 0.130
     # The last two instances share every PSF level but report different fatigue.
-    psf = table3.matrix(table3.psf_names)
+    psf = np.column_stack([table3.column(c) for c in table3.psf_names])
     assert psf[-2].tolist() == psf[-1].tolist()
     assert (fatigue[-2], fatigue[-1]) == (0.126, 0.134)
 
