@@ -629,6 +629,14 @@ def sweep_curve(
 
 FORMAT_NAME = "ahft-model"
 FORMAT_VERSION = 1
+# In document order: the numeric fields, and each fit_meta key with the type
+# that writes it, the JSON types that read it and the word its message uses.
+_NUMBERS = ("alpha", "shape", "covariance")
+_FIT_META = {
+    "log_likelihood": (float, (int, float), "a number"),
+    "iterations": (int, (int,), "an integer"),
+    "converged": (bool, (bool,), "a boolean"),
+}
 
 
 def model_to_json(model: GllWeibullModel) -> str:
@@ -637,28 +645,31 @@ def model_to_json(model: GllWeibullModel) -> str:
     Floats are emitted in shortest-exact form (full precision), so a
     load round-trips every field bit-for-bit.
     """
+    meta = model.fit_meta
     doc = {
         "format": FORMAT_NAME,
         "format_version": FORMAT_VERSION,
         "factors": [{"name": f.name, "transform": f.transform} for f in model.factors],
-        "alpha": [float(a) for a in model.alpha],
-        "shape": float(model.shape),
-        "covariance": [[float(c) for c in row] for row in model.covariance],
+        **{name: np.asarray(getattr(model, name), dtype=float).tolist() for name in _NUMBERS},
         "fit_meta": None
-        if model.fit_meta is None
-        else {
-            "log_likelihood": float(model.fit_meta.log_likelihood),
-            "iterations": int(model.fit_meta.iterations),
-            "converged": bool(model.fit_meta.converged),
-        },
+        if meta is None
+        else {key: write(getattr(meta, key)) for key, (write, _, _) in _FIT_META.items()},
     }
     return json.dumps(doc, indent=2) + "\n"
 
 
 def model_from_json(text: str) -> GllWeibullModel:
+    """Read a model document that :func:`model_to_json` wrote; ``format_version`` 1 only.
+
+    Raises :class:`InputError` (:class:`NonPositiveValue` for the shape's sign) for the
+    first fault in this order: the JSON text, ``format``, ``format_version``, ``factors``,
+    ``fit_meta``, then ``shape``, ``alpha`` and ``covariance`` as :func:`_numbers` reads
+    them, then :class:`GllWeibullModel`'s checks, then a covariance with a negative
+    variance or a clearly negative eigenvalue.
+    """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise InputError(f"model file is not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise InputError(f"not a {FORMAT_NAME} document")
@@ -668,54 +679,62 @@ def model_from_json(text: str) -> GllWeibullModel:
             f"unsupported format_version {version!r} "
             f"(expected {FORMAT_VERSION})"
         )
-    try:
-        factors = tuple(_factor(i, f) for i, f in enumerate(doc["factors"]))
-        meta = doc["fit_meta"]
-        fit_meta = None
-        if meta is not None:
-            log_likelihood = _typed(meta, "log_likelihood", (int, float), "a number")
-            try:
-                log_likelihood = float(log_likelihood)
-            except OverflowError:  # an integer past any double
-                log_likelihood = math.inf
-            if not math.isfinite(log_likelihood):  # json also reads NaN and +-Infinity
-                raise InputError("model field 'fit_meta.log_likelihood' is not finite")
-            fit_meta = FitMeta(
-                log_likelihood=log_likelihood,
-                iterations=_typed(meta, "iterations", (int,), "an integer"),
-                converged=_typed(meta, "converged", (bool,), "a boolean"),
+    entries = _entry(doc, "factors", "factors", (list,), "an array")
+    factors = []
+    for i in range(len(entries)):
+        entry = _entry(entries, i, f"factors[{i}]", (dict,), "an object")
+        name = _entry(entry, "name", f"factors[{i}].name", (str,), "a string")
+        transform = _entry(entry, "transform", f"factors[{i}].transform", (str,), "a string")
+        factors.append(FactorSpec(name, transform))
+    meta = _entry(doc, "fit_meta", "fit_meta", (dict, type(None)), "an object or null")
+    fit_meta = None if meta is None else FitMeta(**{
+        key: _entry(meta, key, f"fit_meta.{key}", types, kind)
+        for key, (_, types, kind) in _FIT_META.items()
+    })
+    shape = _numbers(doc, "shape")
+    if shape.ndim:
+        raise InputError(f"model field 'shape' must be a number, got {doc['shape']!r}")
+    model = GllWeibullModel(
+        factors=tuple(factors),
+        alpha=_numbers(doc, "alpha"),
+        shape=float(shape),
+        covariance=_numbers(doc, "covariance"),
+        fit_meta=fit_meta,
+    )
+    # A covariance has no negative variance, nor an eigenvalue below zero by
+    # more than about 1e-10 of the largest variance, which makes the Cholesky
+    # factorization of covariance + that shift fail.
+    variances = model.covariance.diagonal().tolist()
+    for i, variance in enumerate(variances):
+        if variance < 0.0:
+            raise InputError(
+                f"model field 'covariance' has a negative variance {variance!r} at [{i}][{i}]"
             )
-        shape = _numbers(doc, "shape")
-        if shape.ndim:
-            raise InputError(f"model field 'shape' must be a number, got {doc['shape']!r}")
-        model = GllWeibullModel(
-            factors=factors,
-            alpha=_numbers(doc, "alpha"),
-            shape=float(shape),
-            covariance=_numbers(doc, "covariance"),
-            fit_meta=fit_meta,
-        )
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"model document is missing or mistypes a field: {exc}") from None
-    _check_covariance(model.covariance)
+    shift = 1e-10 * max(variances) + 1e-300  # the floor keeps a zero matrix valid
+    try:
+        np.linalg.cholesky(model.covariance + shift * np.eye(len(variances)))
+    except np.linalg.LinAlgError:
+        raise InputError("model field 'covariance' is not positive semidefinite") from None
     return model
 
 
-def _factor(i: int, entry: dict) -> FactorSpec:
-    """One ``factors`` entry; InputError names a field that is not a string."""
-    for key in ("name", "transform"):
-        if not isinstance(entry[key], str):
-            raise InputError(
-                f"model field 'factors[{i}].{key}' must be a string, got {entry[key]!r}"
-            )
-    return FactorSpec(entry["name"], entry["transform"])
-
-
-def _typed(meta: dict, key: str, types: tuple, kind: str):
-    """A ``fit_meta`` entry of one of the JSON ``types``; InputError names it."""
-    value = meta[key]
-    if type(value) not in types:  # type, not isinstance: a bool is no number
-        raise InputError(f"model field 'fit_meta.{key}' must be {kind}, got {value!r}")
+def _entry(container, key, path: str, types: tuple = (), kind: str = ""):
+    """``container[key]``, of one of the JSON ``types`` if any are given and finite
+    if it may be a float; InputError names its ``path``.
+    """
+    try:
+        value = container[key]
+    except KeyError:
+        raise InputError(f"model field {path!r} is missing") from None
+    if types and type(value) not in types:  # type, not isinstance: a bool is no number
+        raise InputError(f"model field {path!r} must be {kind}, got {value!r}")
+    if float in types:
+        try:
+            value = float(value)
+        except OverflowError:  # an integer past any double
+            value = math.inf
+        if not math.isfinite(value):  # json also reads NaN and +-Infinity
+            raise InputError(f"model field {path!r} is not finite")
     return value
 
 
@@ -724,10 +743,10 @@ def _numbers(doc: dict, field: str) -> np.ndarray:
 
     Every entry must be a JSON number: numpy would also read a bool or a
     numeric string as a float.  The faults are named in a fixed order: a
-    JSON type, then ragged rows or an integer past any double (from the
-    one array conversion), then a non-finite entry.
+    missing field, a JSON type, then ragged rows or an integer past any
+    double (from the one array conversion), then a non-finite entry.
     """
-    value = doc[field]
+    value = _entry(doc, field, field)
     # Lists nest at most two deep: a deeper list is a leaf, and no number.
     rows = value if isinstance(value, list) else [value]
     leaves = [v for row in rows for v in (row if isinstance(row, list) else [row])]
@@ -743,26 +762,6 @@ def _numbers(doc: dict, field: str) -> np.ndarray:
     if not all(map(math.isfinite, leaves)):
         raise InputError(f"model field {field!r} has non-finite entries")
     return values
-
-
-def _check_covariance(covariance: np.ndarray) -> None:
-    """Reject a covariance that cannot be one: a negative variance, or an
-    eigenvalue below zero by more than about 1e-10 of the largest variance,
-    which makes the Cholesky factorization of covariance + that shift fail.
-    """
-    variances = covariance.diagonal().tolist()
-    for i, variance in enumerate(variances):
-        if variance < 0.0:
-            raise InputError(
-                f"model field 'covariance' has a negative variance {variance!r} at [{i}][{i}]"
-            )
-    shift = 1e-10 * max(variances) + 1e-300  # the floor keeps a zero matrix valid
-    shifted = covariance.copy()
-    shifted.reshape(-1)[:: len(variances) + 1] += shift  # the diagonal, as a view
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        raise InputError("model field 'covariance' is not positive semidefinite") from None
 
 
 def save_model(model: GllWeibullModel, path) -> None:

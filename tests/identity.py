@@ -19,7 +19,9 @@ walkthrough and its usage errors; ``simulate``, ``fit`` and ``validate``
 on either side of the byte frames' row threshold and pass size (200,
 511, 512, 4095, 4096, 4097 and 8193 rows); and two curves whose grids
 reach the float text kernel's ``repr`` fallback: negative values and
-zero, and values below 2**-13.
+zero, and values below 2**-13; and ``predict`` on edited copies of the
+README's model.json, one for each message kind of the model loader.  A
+fault that escapes ``main`` prints its type on the exit line.
 
 An artifact's last bits depend on the BLAS kernel and on numpy's SIMD
 dispatch, so compare only outputs of one machine and configuration.
@@ -28,10 +30,13 @@ The platform record at the top says which.
 
 from __future__ import annotations
 
+import copy
 import ctypes
 import glob
 import hashlib
 import io
+import json
+import math
 import os
 import platform
 import sys
@@ -50,6 +55,7 @@ from ahft import cli  # noqa: E402
 SEEDS = (1, 2, 3)
 FRAME_ROWS = (200, 511, 512, 4095, 4096, 4097, 8193)
 SIMULATE = ["simulate", *workloads.README_SIMULATE[:-2]]  # the README's, without its --n
+DELETE = object()
 
 
 def _openblas_core():
@@ -90,7 +96,10 @@ def run(label: str, argv: list[str], out: Path | None = None) -> list[str]:
         argv = [*argv, "--output-dir", str(out)]
     stdout, stderr = io.StringIO(), io.StringIO()
     with redirect_stdout(stdout), redirect_stderr(stderr):
-        code = cli.main(argv)
+        try:
+            code = cli.main(argv)
+        except Exception as exc:  # the CLI let it escape: a line that a diff shows
+            code = f"raised {type(exc).__name__}"
     lines = []
     if out is not None and out.is_dir():
         lines += [f"{_sha(p.read_bytes())}  {label} {p.name}"
@@ -99,6 +108,56 @@ def run(label: str, argv: list[str], out: Path | None = None) -> list[str]:
     lines.append(f"{_sha(stderr.getvalue().encode())}  {label} stderr")
     lines.append(f"{code}  {label} exit")
     return lines
+
+
+def model_edits(text: str):
+    """(label, text) of edited copies of the model document ``text``: one
+    for each message kind of the loader, in the order it names faults."""
+    doc = json.loads(text)
+
+    def edit(value, *path):
+        edited = copy.deepcopy(doc)
+        *parents, key = path
+        target = edited
+        for parent in parents:
+            target = target[parent]
+        if value is DELETE:
+            del target[key]
+        else:
+            target[key] = value
+        return json.dumps(edited)
+
+    cov = doc["covariance"]
+    indefinite = copy.deepcopy(cov)
+    indefinite[0][1] = indefinite[1][0] = 10.0 * (cov[0][0] * cov[1][1]) ** 0.5
+    return [
+        ("truncated", text[:-3]),
+        ("nested-too-deep", "[" * 100_000),
+        ("digits-past-limit", edit("SHAPE", "shape").replace('"SHAPE"', "9" * 5000)),
+        ("format", edit("other", "format")),
+        ("format-version", edit(2, "format_version")),
+        ("factors-missing", edit(DELETE, "factors")),
+        ("factors-object", edit({}, "factors")),
+        ("factor-entry", edit(5, "factors", 1)),
+        ("factor-name", edit(5, "factors", 1, "name")),
+        ("factor-transform", edit("cube", "factors", 1, "transform")),
+        ("factor-reserved", edit("fatigue", "factors", 1, "name")),
+        ("fit-meta", edit(5, "fit_meta")),
+        ("fit-meta-missing-key", edit(DELETE, "fit_meta", "iterations")),
+        ("fit-meta-key", edit(1.5, "fit_meta", "iterations")),
+        ("log-likelihood", edit(10 ** 400, "fit_meta", "log_likelihood")),
+        ("shape-missing", edit(DELETE, "shape")),
+        ("shape-string", edit("3.99", "shape")),
+        ("shape-array", edit([3.99], "shape")),
+        ("alpha-past-double", edit(10 ** 400, "alpha", 1)),
+        ("covariance-nan", edit(math.nan, "covariance", 2, 2)),
+        ("alpha-length", edit(doc["alpha"][:2], "alpha")),
+        ("shape-zero", edit(0, "shape")),
+        ("covariance-size", edit([row[:3] for row in cov[:3]], "covariance")),
+        ("covariance-asymmetric", edit(cov[0][1] + 1e-6, "covariance", 0, 1)),
+        ("covariance-negative-variance", edit(-cov[1][1], "covariance", 1, 1)),
+        ("covariance-indefinite", edit(indefinite, "covariance")),
+    ]
 
 
 def calls():
@@ -136,6 +195,13 @@ def calls():
         ("grid/tiny", ["curves", "--model", model, "--factor", "available_time",
                        "--grid", "1e-5:1e-4:600", "--fixed", "stress=5"], Path("grid/tiny")),
     ]
+
+    for label, text in model_edits(Path(model).read_text()):
+        edited = Path(f"model/{label}.json")
+        edited.parent.mkdir(exist_ok=True)
+        edited.write_text(text)
+        yield (f"model/{label}", ["predict", "--model", str(edited),
+                                  "--at", "available_time=0.1,stress=5"], Path(f"model/{label}"))
 
     for n in FRAME_ROWS:
         rows = Path(f"rows-{n}")

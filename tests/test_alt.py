@@ -8,6 +8,7 @@ parametric-bootstrap value.
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -493,6 +494,51 @@ def test_model_json_names_a_type_or_ragged_row_before_a_nan(table3_model, field,
     doc[field] = value
     with pytest.raises(InputError, match=rf"^model field '{field}' must hold numbers only$"):
         model_from_json(json.dumps(doc))
+
+
+# One value of each JSON type, an integer and a number apart.
+JSON_VALUES = {"null": None, "boolean": True, "integer": 2, "number": 2.5, "string": "x",
+               "array": [], "object": {}}
+# The JSON types each field path of a table3_model document may hold.
+MODEL_FIELDS = {
+    "factors": {"array"},
+    "factors[0]": {"object"},
+    "factors[0].name": {"string"},
+    "factors[0].transform": {"string"},
+    "factors[1]": {"object"},
+    "factors[1].name": {"string"},
+    "factors[1].transform": {"string"},
+    "alpha": {"array"},
+    "shape": {"integer", "number"},
+    "covariance": {"array"},
+    "fit_meta": {"object", "null"},
+    "fit_meta.log_likelihood": {"integer", "number"},
+    "fit_meta.iterations": {"integer"},
+    "fit_meta.converged": {"boolean"},
+}
+
+
+@pytest.mark.parametrize("path, fault", [
+    (path, fault) for path, types in MODEL_FIELDS.items()
+    for fault in ([] if path.endswith("]") else ["missing"]) + sorted(JSON_VALUES.keys() - types)
+])
+def test_model_json_names_each_missing_or_mistyped_field(table3_model, path, fault):
+    doc = json.loads(model_to_json(table3_model))
+    *parents, key = [int(k) if k.isdigit() else k for k in re.findall(r"[^.\[\]]+", path)]
+    container = doc
+    for parent in parents:
+        container = container[parent]
+    if fault == "missing":
+        del container[key]
+    else:
+        container[key] = JSON_VALUES[fault]
+    with pytest.raises(InputError) as raised:
+        model_from_json(json.dumps(doc))
+    message = str(raised.value)
+    if fault == "missing":
+        assert message == f"model field '{path}' is missing"
+    else:  # the typed-entry reader's message, or the numeric fields' own
+        assert f"'{path}'" in message or message.startswith(f"{path} must "), message
 
 
 def test_save_and_load_model(tmp_path, table3_model):

@@ -3,6 +3,7 @@
 import errno
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -191,6 +192,46 @@ def test_model_with_non_string_factor_field_exits_two(tmp_path, capsys, model_do
     assert _predict(tmp_path, model_doc) == 2
     err = capsys.readouterr().err
     assert f"'factors[1].{key}'" in err and "must be a string" in err
+    assert "Traceback" not in err
+
+
+def _predict_text(tmp_path, text):
+    """``_predict`` on a model file of this ``text``, which need not be JSON."""
+    path = tmp_path / "edited.json"
+    path.write_text(text)
+    return main(["predict", "--model", str(path), "--at", "available_time=0.1,stress=5",
+                 "--output-dir", str(tmp_path)])
+
+
+def test_model_file_nested_past_the_parser_depth_exits_two(tmp_path, capsys):
+    # Deeper than any interpreter's recursion limit, which json.loads meets as RecursionError.
+    assert _predict_text(tmp_path, "[" * 100_000) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: model file is not valid JSON: ") and "Traceback" not in err
+
+
+@pytest.fixture(params=["as set", "off"])
+def int_digit_limit(request):
+    """Python's limit on the decimal digits of an int: as the interpreter sets it, and off."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if request.param == "as set" or not limit:
+        yield limit
+        return
+    sys.set_int_max_str_digits(0)
+    try:
+        yield 0
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_model_with_a_5000_digit_integer_exits_two(tmp_path, capsys, model_doc, int_digit_limit):
+    model_doc["shape"] = "SHAPE"
+    assert _predict_text(tmp_path, json.dumps(model_doc).replace('"SHAPE"', "9" * 5000)) == 2
+    err = capsys.readouterr().err
+    if int_digit_limit:  # json.loads cannot read the literal
+        assert err.startswith("error: model file is not valid JSON: ")
+    else:  # it reads an int past any double
+        assert err == "error: model field 'shape' has non-finite entries\n"
     assert "Traceback" not in err
 
 
