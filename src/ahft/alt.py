@@ -629,9 +629,8 @@ def sweep_curve(
 
 FORMAT_NAME = "ahft-model"
 FORMAT_VERSION = 1
-# In document order: the numeric fields, and each fit_meta key with the type
-# that writes it, the JSON types that read it and the word its message uses.
-_NUMBERS = ("alpha", "shape", "covariance")
+# Each fit_meta key, in document and FitMeta field order, with the type that
+# writes it, the JSON types that read it and the word its message uses.
 _FIT_META = {
     "log_likelihood": (float, (int, float), "a number"),
     "iterations": (int, (int,), "an integer"),
@@ -645,15 +644,16 @@ def model_to_json(model: GllWeibullModel) -> str:
     Floats are emitted in shortest-exact form (full precision), so a
     load round-trips every field bit-for-bit.
     """
-    meta = model.fit_meta
     doc = {
         "format": FORMAT_NAME,
         "format_version": FORMAT_VERSION,
         "factors": [{"name": f.name, "transform": f.transform} for f in model.factors],
-        **{name: np.asarray(getattr(model, name), dtype=float).tolist() for name in _NUMBERS},
+        "alpha": [float(a) for a in model.alpha],
+        "shape": float(model.shape),
+        "covariance": [[float(c) for c in row] for row in model.covariance],
         "fit_meta": None
-        if meta is None
-        else {key: write(getattr(meta, key)) for key, (write, _, _) in _FIT_META.items()},
+        if model.fit_meta is None
+        else {k: write(getattr(model.fit_meta, k)) for k, (write, _, _) in _FIT_META.items()},
     }
     return json.dumps(doc, indent=2) + "\n"
 
@@ -679,18 +679,19 @@ def model_from_json(text: str) -> GllWeibullModel:
             f"unsupported format_version {version!r} "
             f"(expected {FORMAT_VERSION})"
         )
-    entries = _entry(doc, "factors", "factors", (list,), "an array")
+    entries = _entry(doc, "factors", "{}", (list,), "an array")
     factors = []
     for i in range(len(entries)):
-        entry = _entry(entries, i, f"factors[{i}]", (dict,), "an object")
-        name = _entry(entry, "name", f"factors[{i}].name", (str,), "a string")
-        transform = _entry(entry, "transform", f"factors[{i}].transform", (str,), "a string")
+        entry = _entry(entries, i, "factors[{}]", (dict,), "an object")
+        where = f"factors[{i}].{{}}"
+        name = _entry(entry, "name", where, (str,), "a string")
+        transform = _entry(entry, "transform", where, (str,), "a string")
         factors.append(FactorSpec(name, transform))
-    meta = _entry(doc, "fit_meta", "fit_meta", (dict, type(None)), "an object or null")
-    fit_meta = None if meta is None else FitMeta(**{
-        key: _entry(meta, key, f"fit_meta.{key}", types, kind)
+    meta = _entry(doc, "fit_meta", "{}", (dict, type(None)), "an object or null")
+    fit_meta = None if meta is None else FitMeta(*[
+        _entry(meta, key, "fit_meta.{}", types, kind)
         for key, (_, types, kind) in _FIT_META.items()
-    })
+    ])
     shape = _numbers(doc, "shape")
     if shape.ndim:
         raise InputError(f"model field 'shape' must be a number, got {doc['shape']!r}")
@@ -711,8 +712,10 @@ def model_from_json(text: str) -> GllWeibullModel:
                 f"model field 'covariance' has a negative variance {variance!r} at [{i}][{i}]"
             )
     shift = 1e-10 * max(variances) + 1e-300  # the floor keeps a zero matrix valid
+    shifted = model.covariance.copy()
+    shifted.reshape(-1)[:: len(variances) + 1] += shift  # the diagonal, as a view
     try:
-        np.linalg.cholesky(model.covariance + shift * np.eye(len(variances)))
+        np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
         raise InputError("model field 'covariance' is not positive semidefinite") from None
     return model
@@ -720,21 +723,21 @@ def model_from_json(text: str) -> GllWeibullModel:
 
 def _entry(container, key, path: str, types: tuple = (), kind: str = ""):
     """``container[key]``, of one of the JSON ``types`` if any are given and finite
-    if it may be a float; InputError names its ``path``.
+    if it may be a float; InputError names it by ``path.format(key)``.
     """
     try:
         value = container[key]
     except KeyError:
-        raise InputError(f"model field {path!r} is missing") from None
+        raise InputError(f"model field {path.format(key)!r} is missing") from None
     if types and type(value) not in types:  # type, not isinstance: a bool is no number
-        raise InputError(f"model field {path!r} must be {kind}, got {value!r}")
+        raise InputError(f"model field {path.format(key)!r} must be {kind}, got {value!r}")
     if float in types:
         try:
             value = float(value)
         except OverflowError:  # an integer past any double
             value = math.inf
         if not math.isfinite(value):  # json also reads NaN and +-Infinity
-            raise InputError(f"model field {path!r} is not finite")
+            raise InputError(f"model field {path.format(key)!r} is not finite")
     return value
 
 
@@ -746,7 +749,7 @@ def _numbers(doc: dict, field: str) -> np.ndarray:
     missing field, a JSON type, then ragged rows or an integer past any
     double (from the one array conversion), then a non-finite entry.
     """
-    value = _entry(doc, field, field)
+    value = _entry(doc, field, "{}")
     # Lists nest at most two deep: a deeper list is a leaf, and no number.
     rows = value if isinstance(value, list) else [value]
     leaves = [v for row in rows for v in (row if isinstance(row, list) else [row])]

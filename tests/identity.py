@@ -21,7 +21,8 @@ on either side of the byte frames' row threshold and pass size (200,
 reach the float text kernel's ``repr`` fallback: negative values and
 zero, and values below 2**-13; and ``predict`` on edited copies of the
 README's model.json, one for each message kind of the model loader.  A
-fault that escapes ``main`` prints its type on the exit line.
+fault that escapes ``main`` prints its type on the exit line, so every
+line still prints, and the script then shows its traceback and exits 1.
 
 An artifact's last bits depend on the BLAS kernel and on numpy's SIMD
 dispatch, so compare only outputs of one machine and configuration.
@@ -41,6 +42,7 @@ import os
 import platform
 import sys
 import tempfile
+import traceback
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -56,6 +58,7 @@ SEEDS = (1, 2, 3)
 FRAME_ROWS = (200, 511, 512, 4095, 4096, 4097, 8193)
 SIMULATE = ["simulate", *workloads.README_SIMULATE[:-2]]  # the README's, without its --n
 DELETE = object()
+ESCAPED: list[str] = []  # the traceback of each call that raised out of cli.main
 
 
 def _openblas_core():
@@ -100,6 +103,7 @@ def run(label: str, argv: list[str], out: Path | None = None) -> list[str]:
             code = cli.main(argv)
         except Exception as exc:  # the CLI let it escape: a line that a diff shows
             code = f"raised {type(exc).__name__}"
+            ESCAPED.append(f"{label}:\n{traceback.format_exc()}")
     lines = []
     if out is not None and out.is_dir():
         lines += [f"{_sha(p.read_bytes())}  {label} {p.name}"
@@ -223,6 +227,8 @@ def main():
                 print("\n".join(run(label, argv, out)), flush=True)
         finally:
             os.chdir(home)
+    if ESCAPED:
+        sys.exit("calls that raised out of cli.main:\n" + "\n".join(ESCAPED))
 
 
 if __name__ == "__main__":
