@@ -17,12 +17,14 @@ as its baseline and SIMD loops both do.
 
 Only Ryū's common case runs here, for positive doubles from 2**-13 up
 to 2**53 whose exact scaled value is not an integer: the long float
-columns of the pipeline (fatigue, predictions, relative errors, grids)
-are positive and almost never fall below 2**-13.  The rest (negative
-doubles, doubles below 2**-13 with zeros, subnormals and all that
-``repr`` writes as ``d.ddde-XX``, powers of two, |x| >= 2**53, inf, nan,
-and short dyadics such as 0.5 or 3.0, Ryū's trailing-zero "general
-case") get the bytes of ``repr``, one at a time.
+columns of the pipeline (fatigue, predictions, grids) almost never fall
+below 2**-13.  The rest (negative doubles, doubles below 2**-13 with
+zeros, subnormals and all that ``repr`` writes as ``d.ddde-XX``, powers
+of two, |x| >= 2**53, inf, nan, and short dyadics such as 0.5 or 3.0,
+Ryū's trailing-zero "general case") get the bytes of ``repr``, one at a
+time.  ``dataset.csv_blocks`` hands the kernel magnitudes only and
+writes a sign byte in front, so signed columns (relative errors,
+loadings) take the common case too.
 """
 
 from __future__ import annotations

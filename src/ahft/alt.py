@@ -95,13 +95,17 @@ class FactorSpec:
     The names of the response and duration columns are reserved: a model
     of the response on itself, or a synthetic file with two columns of
     one name, is refused here, for the CLI, the library and saved models.
+    So is a name with no ASCII letter or digit, which no column can match.
     """
 
     name: str
     transform: str = "identity"
 
     def __post_init__(self):
-        object.__setattr__(self, "name", normalize_name(self.name))
+        name = normalize_name(self.name)
+        if not name:
+            raise InputError(f"factor name {self.name!r} has no ASCII letter or digit")
+        object.__setattr__(self, "name", name)
         if self.name in (FATIGUE, DURATION):
             raise InputError(
                 f"factor {self.name!r} is a reserved column name: "
@@ -686,7 +690,13 @@ def model_from_json(text: str) -> GllWeibullModel:
         where = f"factors[{i}].{{}}"
         name = _entry(entry, "name", where, (str,), "a string")
         transform = _entry(entry, "transform", where, (str,), "a string")
-        factors.append(FactorSpec(name, transform))
+        factor = FactorSpec(name, transform)
+        if factor in factors:
+            raise InputError(
+                f"model field {where.format('name')!r} repeats factor {factor.name!r} with "
+                f"the {factor.transform} transform of factors[{factors.index(factor)}]"
+            )
+        factors.append(factor)
     meta = _entry(doc, "fit_meta", "{}", (dict, type(None)), "an object or null")
     fit_meta = None if meta is None else FitMeta(*[
         _entry(meta, key, "fit_meta.{}", types, kind)

@@ -173,7 +173,7 @@ def cmd_pca(args) -> None:
         [("eigenvalue", "proportion", "cumulative"), *zip(*stats)], ["component"] + labels
     ))
     ds.write_artifact(out / "loadings.csv", ds.csv_blocks(
-        [result.column_names, *result.eigenvectors.T.tolist()], ["variable"] + labels
+        [result.column_names, *result.eigenvectors.T], ["variable"] + labels
     ))
     components = range(1, n + 1)
     ds.write_artifact(out / "scree.csv",

@@ -7,15 +7,15 @@ response in (0, 1).  Every reading covers a one-hour exposure: an
 optional ``duration_hours`` column is accepted only when every value is 1.
 A :class:`Dataset` stores one float64 array per column; CSV ingestion
 parses with numpy's C tokenizer and checks whole columns at once.  CSV
-emission formats blocks of rows with one ``%s`` template, or, for long
-tables of float arrays and ranges, lays each block out as one NUL-padded
-byte frame, each column's slot as wide as its longest text.  Only the
-frames pool: each distinct value of a few-valued float column is
-formatted once, the other float columns by the array kernel of
-``_floattext`` (positive doubles from 2**-13 up to 2**53; ``repr``
-writes the rest).  Every artifact of the package goes to disk
-through :func:`write_artifact`, which writes over an existing file
-instead of truncating it first.
+emission formats blocks of rows with one ``%s`` template, or, for tables
+of float arrays, ranges and str columns with many float cells, lays each
+block out as one NUL-padded byte frame, each column's slot as wide as
+its longest text.  Only the frames pool: each distinct value of a
+few-valued float column is formatted once, the other float columns by
+the array kernel of ``_floattext`` (magnitudes from 2**-13 up to 2**53,
+behind a sign byte; ``repr`` writes the rest).  Every artifact of the
+package goes to disk through :func:`write_artifact`, which writes over
+an existing file instead of truncating it first.
 
 Two reference datasets from a lathing-workshop case study ship with the
 package: :func:`builtin_table3` (15 fitting instances over 8 PSFs) and
@@ -34,7 +34,8 @@ import math
 import os
 import re
 from collections import namedtuple
-from functools import partial
+from functools import lru_cache, partial
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +54,7 @@ FATIGUE = "fatigue"
 DURATION = "duration_hours"
 
 
+@lru_cache(maxsize=1024)
 def normalize_name(name: str) -> str:
     """Normalize a column/factor name to lower_snake_case.
 
@@ -361,7 +363,7 @@ def _is_float_array(column) -> bool:
 
 # A float column of a byte frame whose first DISTINCT_PROBE_ROWS cells,
 # and then all of whose cells, hold at most half distinct bit patterns is
-# formatted once per distinct value (``_pool``); the other way is the
+# formatted once per distinct value (``_pools``); the other way is the
 # float kernel.  Break-even, csv_blocks of one 2e4-row column (one Xeon
 # core, fastest of 33, the two ways interleaved): a PSF column of catalog
 # levels takes 0.5-0.9 ms pooled against 9.0-13.8 ms by the kernel.  A
@@ -373,31 +375,45 @@ def _is_float_array(column) -> bool:
 DISTINCT_PROBE_ROWS = 256
 
 
-def _pool(column):
-    """``(values, index)`` for a float array with few distinct values, else None.
+def _pools(columns):
+    """Each float array's ``(values, index)`` if it has few distinct values, else None.
 
     ``values`` lists each distinct bit pattern as a float (so ``-0.0``
     stays apart from ``0.0``), and ``index`` says which of them each row
-    holds.
+    holds.  One sort probes the first ``DISTINCT_PROBE_ROWS`` cells of
+    all the ``columns``.
     """
-    bits = column.view(np.uint64)
-    if 2 * len(np.unique(bits[:DISTINCT_PROBE_ROWS])) > DISTINCT_PROBE_ROWS:
-        return None
-    keys, index = np.unique(bits, return_inverse=True)
-    if 2 * len(keys) > len(bits):
-        return None
-    return keys.view(np.float64).tolist(), index
+    if not columns:
+        return []
+    probe = np.stack([column[:DISTINCT_PROBE_ROWS] for column in columns]).view(np.uint64)
+    probe.sort(axis=1)
+    distinct = 1 + np.count_nonzero(probe[:, 1:] != probe[:, :-1], axis=1)
+    pools = []
+    for column, count in zip(columns, distinct.tolist()):
+        pool = None
+        if 2 * count <= probe.shape[1]:
+            keys, index = np.unique(column.view(np.uint64), return_inverse=True)
+            if 2 * len(keys) <= len(index):
+                pool = keys.view(np.float64).tolist(), index
+        pools.append(pool)
+    return pools
 
 
-# A table of at least FLOAT_TEXT_MIN_ROWS rows whose columns are all float
-# arrays and ranges is written as byte frames (``_frame_blocks``).
-# Break-even, csv_blocks of one column of uniform draws (one Xeon core,
-# numpy 2.4, fastest of 41, the two routes interleaved): by the template
-# 0.09 / 0.19 / 0.28 / 0.31 / 0.37 / 0.54 / 0.74 / 1.47 ms at 128 / 256 /
-# 384 / 448 / 512 / 768 / 1024 / 2000 rows, by the frame 0.22 / 0.25 /
-# 0.26 / 0.27 / 0.30 / 0.32 / 0.38 / 0.53 ms.  The narrower frames moved
-# the break-even little, to about 350 rows; 512 keeps the margin of the
-# measurement's noise, and no table of the pipeline lies between.
+# A table of float arrays, ranges and str columns whose float arrays and
+# ranges hold at least FLOAT_TEXT_MIN_ROWS cells (rows times such columns)
+# is written as byte frames (``_frame_blocks``); a table of one column
+# needs that many rows.  Break-even, csv_blocks of one column of uniform
+# draws (one Xeon core, numpy 2.4, fastest of 41, the two routes
+# interleaved): by the template 0.09 / 0.19 / 0.28 / 0.31 / 0.37 / 0.54 /
+# 0.74 / 1.47 ms at 128 / 256 / 384 / 448 / 512 / 768 / 1024 / 2000 rows,
+# by the frame 0.22 / 0.25 / 0.26 / 0.27 / 0.30 / 0.32 / 0.38 / 0.53 ms.
+# The narrower frames moved the break-even little, to about 350 rows; 512
+# keeps the margin of the measurement's noise.  Wider tables of normal
+# draws (fastest of 150), by the frame against the template: 2 and 8
+# columns at 512 cells 0.30 against 0.35 ms, 23 columns by 23 rows 0.34
+# against 0.38 ms, 30 by 17 0.36 against 0.37 ms, 60 by 9 0.42 against
+# 0.38 ms and 60 by 60, the loadings of a 60-column pca, 1.1 against
+# 2.5 ms: adjacent kernel columns share one slot, so a column adds little.
 FLOAT_TEXT_MIN_ROWS = 512
 
 
@@ -407,78 +423,136 @@ def _is_digit_range(column) -> bool:
             and min(column[0], column[-1]) >= 0 and max(column[0], column[-1]) < 10 ** 16)
 
 
-def _frame_slots(columns):
-    """Each column's slot of a frame row: ``(width, text)``.
+def _is_text(column) -> bool:
+    """Whether ``column`` is a list or tuple of ASCII str with no NUL."""
+    if not (isinstance(column, (list, tuple)) and set(map(type, column)) == {str}):
+        return False
+    text = "".join(column)
+    return text.isascii() and "\0" not in text
 
-    ``text(a, b)`` gives the slot bytes of rows [a, b) as a ``(b - a,
-    width)`` uint8 array: the cell's text, NUL bytes, and the separator
-    (a comma, or a newline after the last column) somewhere after the
-    text.  A pooled float column (:func:`_pool`) takes the rows of a byte
-    table of its distinct values, as wide as its longest entry.  Another
-    float column takes the rows of ``_floattext.float_rows`` up to byte
-    ``SEPARATOR``, and a range those of ``_floattext.digit_rows``, as
-    many bytes as its largest value has digits.
+
+def _frame_slots(columns):
+    """The slots of a frame row, left to right: ``(width, write)``.
+
+    ``write(frame, a, b)`` writes the slot bytes of rows [a, b) into
+    ``frame``, a ``(b - a, width)`` uint8 view of the frame's columns: the
+    cell's text, NUL bytes, and the separator (a comma, or a newline after
+    the last column) somewhere after the text.  A str column, and a pooled float column (:func:`_pools`), take
+    the rows of a byte table of their text, as wide as its longest entry.
+    Each run of adjacent other float columns is one slot
+    (:func:`_kernel_slot`).  A range takes the rows of
+    ``_floattext.digit_rows``, as many bytes as its largest value has
+    digits.
     """
     from . import _floattext as ft
     separators = [ord(",")] * (len(columns) - 1) + [ord("\n")]
+    floats = [j for j, c in enumerate(columns) if _is_float_array(c)]
+    pools = dict(zip(floats, _pools([columns[j] for j in floats])))
+    kernel = {j for j in floats if pools[j] is None}
     slots = []
-    for column, separator in zip(columns, separators):
-        pool = None if isinstance(column, range) else _pool(column)
-        if pool is not None:
-            values, index = pool
-            table = np.array([repr(v).encode("ascii") + bytes([separator]) for v in values])
-            table = table[:, None].view(np.uint8)  # NUL-padded to the column's longest entry
-            slots.append((table.shape[1], partial(_pooled_text, table, index)))
-        elif isinstance(column, range):
-            width = len(str(max(column[0], column[-1]))) + 1
-            slots.append((width, partial(_range_text, ft, column, width, separator)))
-        else:
-            slots.append((ft.SEPARATOR + 1, partial(_float_text, ft, column, separator)))
+    for in_run, run in groupby(range(len(columns)), kernel.__contains__):
+        run = list(run)
+        if in_run:
+            slots.append(_kernel_slot(ft, [columns[j] for j in run], [separators[j] for j in run]))
+            continue
+        for j in run:
+            column, separator = columns[j], separators[j]
+            if isinstance(column, range):
+                width = len(str(max(column[0], column[-1]))) + 1
+                slots.append((width, partial(_range_write, ft, column, separator)))
+            elif j not in pools:
+                slots.append(_table_slot(column, separator, None))
+            else:
+                values, index = pools[j]
+                slots.append(_table_slot([repr(v) for v in values], separator, index))
     return slots
 
 
-def _pooled_text(table, index, a, b):
-    return table.take(index[a:b], axis=0)
+def _table_slot(entries, separator, index):
+    """A slot of a byte table of ASCII str ``entries``: each one NUL-padded to
+    the longest, then the separator.  Row i of the column is entry
+    ``index[i]``, or entry i with no index."""
+    text = np.array(entries, dtype=bytes)
+    table = np.empty((len(text), text.itemsize + 1), dtype=np.uint8)
+    table[:, :-1] = text[:, None].view(np.uint8)
+    table[:, -1] = separator
+    return table.shape[1], partial(_table_write, table, index)
 
 
-def _float_text(ft, column, separator, a, b):
-    rows = ft.float_rows(column[a:b])
-    rows[:, ft.SEPARATOR] = separator
-    return rows[:, :ft.SEPARATOR + 1]
+def _table_write(table, index, frame, a, b):
+    _put(frame, table[a:b] if index is None else table.take(index[a:b], axis=0))
 
 
-def _range_text(ft, column, width, separator, a, b):
+def _put(frame, rows):
+    """Copy ``rows`` into ``frame``, a view of some columns of a frame.
+
+    Each row goes as one void item of the rows' width, which numpy copies
+    whole.
+    """
+    item = f"V{frame.shape[-1]}"
+    frame.view(item)[...] = rows.view(item)
+
+
+def _kernel_slot(ft, columns, separators):
+    """One slot for adjacent float columns that ``_floattext.float_rows`` writes.
+
+    Each cell takes the kernel's text up to byte ``SEPARATOR``, then the
+    column's separator.  If any of the columns holds a negative, the
+    kernel gets the magnitudes, and a sign byte comes before each cell:
+    ``-``, or NUL for a non-negative value or a NaN.  One kernel call
+    formats the cells of as many columns as fill a ``PASS`` (a column a
+    call once the table has a ``PASS`` of rows).
+    """
+    signed = int(any(np.signbit(column).any() for column in columns))  # the sign's bytes
+    cell = signed + ft.SEPARATOR + 1
+    size = max(1, ft.PASS // len(columns[0]))  # columns a float_rows call
+
+    def write(frame, a, b):
+        cells = frame.reshape(b - a, len(columns), cell)
+        cells[:, :, -1] = separators
+        for g in range(0, len(columns), size):
+            group = columns[g:g + size]
+            values = np.stack([c[a:b] for c in group]) if len(group) > 1 else group[0][None, a:b]
+            rows = ft.float_rows((np.abs(values) if signed else values).reshape(-1))
+            part = cells[:, g:g + size]
+            _put(part[:, :, signed:-1], rows.reshape(len(group), b - a, ft.ROW_BYTES)
+                 [:, :, :ft.SEPARATOR].transpose(1, 0, 2))
+            if signed:
+                negative = np.signbit(values) & ~np.isnan(values)
+                part[:, :, 0] = (negative.view(np.uint8) * np.uint8(ord("-"))).T
+
+    return len(columns) * cell, write
+
+
+def _range_write(ft, column, separator, frame, a, b):
     part = column[a:b]
-    rows = np.empty((len(part), width), dtype=np.uint8)
-    rows[:, :-1] = ft.digit_rows(np.arange(part.start, part.stop, part.step))[:, 17 - width:]
-    rows[:, -1] = separator
-    return rows
+    digits = ft.digit_rows(np.arange(part.start, part.stop, part.step))
+    _put(frame[:, :-1], digits[:, 17 - frame.shape[1]:])
+    frame[:, -1] = separator
 
 
 def _frame_blocks(columns, step):
-    """The rows of float arrays and digit ranges, one block a span.
+    """The rows of float arrays, digit ranges and str columns, one block a span.
 
     A span is the fewest whole ``_floattext.PASS`` rows that hold ``step``
-    rows, so each column runs its kernel once a block, in full passes but
-    the last.  A block is a ``(rows, width)`` uint8 frame of each row's
-    slots (:func:`_frame_slots`) side by side, ``width`` the sum of the
-    slot widths, and one ``bytearray.translate`` drops its NULs.
+    rows, so the kernels run once a block, in full passes but the last.
+    A block is a ``(rows, width)`` uint8 frame of each row's slots
+    (:func:`_frame_slots`) side by side, ``width`` the sum of the slot
+    widths, and one ``bytearray.translate`` drops its NULs.
     """
     from . import _floattext as ft
     n = len(columns[0])
     slots, width = [], 0
-    for size, text in _frame_slots(columns):
-        slots.append((width, size, text))
+    for size, write in _frame_slots(columns):
+        slots.append((width, size, write))
         width += size
     span = ft.PASS * -(-step // ft.PASS)
     for first in range(0, n, span):
         stop = min(n, first + span)
         buffer = bytearray((stop - first) * width)
         frame = np.frombuffer(buffer, dtype=np.uint8).reshape(-1, width)
-        for offset, size, text in slots:
-            # One item of ``size`` bytes a row: numpy copies it as a whole.
-            slot = frame[:, offset:offset + size].view(f"V{size}")
-            slot[...] = text(first, stop).view(f"V{size}")
+        for offset, size, write in slots:
+            write(frame[:, offset:offset + size], first, stop)
         yield buffer.translate(None, b"\0").decode("ascii")
 
 
@@ -492,13 +566,16 @@ def csv_blocks(columns, header=()):
     The reference route takes about ``CSV_BLOCK_CELLS`` cells a block,
     interleaves them into one list by strided slice assignment and formats
     them in one call by a ``%s`` row template repeated per row.  A table
-    of at least ``FLOAT_TEXT_MIN_ROWS`` rows of float arrays and ranges of
-    non-negative ints gives the same text by another route: each block is
-    the fewest whole kernel passes of rows that hold a reference block,
-    laid out as one NUL-padded byte frame (:func:`_frame_blocks`) in which
-    each column's slot is as wide as its longest text, a float column with
-    few distinct values formatted once per value and the others by the
-    array kernel of ``_floattext``, and no cell becomes a Python str.
+    of float arrays, ranges of non-negative ints and lists or tuples of
+    ASCII str, whose float arrays and ranges hold at least
+    ``FLOAT_TEXT_MIN_ROWS`` cells, gives the same text by another route:
+    each block is the fewest whole kernel passes of rows that hold a
+    reference block, laid out as one NUL-padded byte frame
+    (:func:`_frame_blocks`) in which each column's slot is as wide as its
+    longest text.  A float column with few distinct values, like a str
+    column, is formatted once per entry of a byte table; the others go
+    through the array kernel of ``_floattext`` together, negatives as a
+    sign byte and their magnitude; no cell becomes a Python str.
     """
     k = len(columns)
     template = ",".join(["%s"] * k) + "\n"
@@ -508,7 +585,9 @@ def csv_blocks(columns, header=()):
     if header:
         yield template % tuple(header)
     step = max(1, CSV_BLOCK_CELLS // k)
-    if n >= FLOAT_TEXT_MIN_ROWS and all(_is_float_array(c) or _is_digit_range(c) for c in columns):
+    kernels = [_is_float_array(c) or _is_digit_range(c) for c in columns]
+    if n * sum(kernels) >= FLOAT_TEXT_MIN_ROWS and all(
+            kernel or _is_text(c) for kernel, c in zip(kernels, columns)):
         yield from _frame_blocks(columns, step)
         return
     for start in range(0, n, step):
@@ -569,8 +648,11 @@ def serialize(dataset: Dataset) -> bytes:
     it is pooled, as a PSF column of a few levels is, and a long column of
     distinct values (the fatigue of a synthetic dataset, say) is formatted
     by the float text kernel.  A shorter one takes the ``%s`` template,
-    ``duration_hours`` as str cells, which the template copies without a
-    ``repr`` each.
+    its columns as lists and ``duration_hours`` as str cells, which the
+    template copies without a ``repr`` each.  The frames would take a
+    table of a few hundred rows too, as they count cells, but there the
+    few-level columns cost more than the template's short cells: 0.28
+    against 0.20 ms for the README's 200 rows (one Xeon core).
     """
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerow(
@@ -579,7 +661,11 @@ def serialize(dataset: Dataset) -> bytes:
     stored = dataset.columns
     columns = [stored[c] for c in dataset.psf_names + (FATIGUE,)]
     n = dataset.n_rows
-    out.writelines(csv_blocks(columns + [np.ones(n) if n >= FLOAT_TEXT_MIN_ROWS else ["1.0"] * n]))
+    if n >= FLOAT_TEXT_MIN_ROWS:
+        columns.append(np.ones(n))
+    else:
+        columns = [column.tolist() for column in columns] + [["1.0"] * n]
+    out.writelines(csv_blocks(columns))
     return out.getvalue().encode("utf-8")
 
 
@@ -657,12 +743,14 @@ def standardize(dataset: Dataset, columns: list[str] | tuple[str, ...]) -> np.nd
     The divisor is n-1 (sample standard deviation).  Raises
     :class:`InputError` naming the first column whose mean or sample
     standard deviation overflows, :class:`ZeroVarianceColumn` naming the
-    first constant column, and :class:`TooFewRows` when fewer than two
-    rows are available.
+    first constant column, :class:`TooFewRows` when fewer than two rows
+    are available, and :class:`InputError` when no column is named.
     """
     n = dataset.n_rows
     if n < 2:
         raise TooFewRows("standardization needs at least 2 rows")
+    if not columns:
+        raise InputError("standardization needs at least one column")
     values = [dataset.column(c) for c in columns]
     # Both column sums add each column left to right, as numpy's reduce over
     # axis 0 of the C-order (n, k) matrix does for k >= 2 (a single column

@@ -17,10 +17,12 @@ directory, then its stdout, stderr and exit code:
 The calls: the three benchmark workloads at seeds 1-3; the README
 walkthrough and its usage errors; ``simulate``, ``fit`` and ``validate``
 on either side of the byte frames' row threshold and pass size (200,
-511, 512, 4095, 4096, 4097 and 8193 rows); and two curves whose grids
-reach the float text kernel's ``repr`` fallback: negative values and
-zero, and values below 2**-13; and ``predict`` on edited copies of the
-README's model.json, one for each message kind of the model loader.  A
+511, 512, 4095, 4096, 4097 and 8193 rows); ``pca`` of simulated tables
+of 22 and 23 columns, whose loadings (484 and 529 cells) fall either
+side of the frames' cell threshold; two curves whose grids reach the
+float text kernel's ``repr`` fallback: negative values and zero, and
+values below 2**-13; and ``predict`` on edited copies of the README's
+model.json, one for each message kind of the model loader.  A
 fault that escapes ``main`` prints its type on the exit line, so every
 line still prints, and the script then shows its traceback and exits 1.
 
@@ -56,6 +58,7 @@ from ahft import cli  # noqa: E402
 
 SEEDS = (1, 2, 3)
 FRAME_ROWS = (200, 511, 512, 4095, 4096, 4097, 8193)
+PCA_COLUMNS = (22, 23)  # loadings of 484 and 529 cells
 SIMULATE = ["simulate", *workloads.README_SIMULATE[:-2]]  # the README's, without its --n
 DELETE = object()
 ESCAPED: list[str] = []  # the traceback of each call that raised out of cli.main
@@ -146,6 +149,8 @@ def model_edits(text: str):
         ("factor-name", edit(5, "factors", 1, "name")),
         ("factor-transform", edit("cube", "factors", 1, "transform")),
         ("factor-reserved", edit("fatigue", "factors", 1, "name")),
+        ("factor-no-letter", edit("!!!", "factors", 1, "name")),
+        ("factor-repeated", edit("Available Time", "factors", 1, "name")),
         ("fit-meta", edit(5, "fit_meta")),
         ("fit-meta-missing-key", edit(DELETE, "fit_meta", "iterations")),
         ("fit-meta-key", edit(1.5, "fit_meta", "iterations")),
@@ -206,6 +211,16 @@ def calls():
         edited.write_text(text)
         yield (f"model/{label}", ["predict", "--model", str(edited),
                                   "--at", "available_time=0.1,stress=5"], Path(f"model/{label}"))
+
+    catalog = workloads.ds.DEFAULT_CATALOG.definitions
+    for k in PCA_COLUMNS:
+        wide = Path(f"columns-{k}")
+        factors = [f"psf{j}" for j in range(k - 1)]
+        pools = [catalog[j % len(catalog)].multipliers for j in range(k - 1)]
+        yield (f"{wide}/simulate", workloads._simulate_argv(truth, factors, pools, 300, 7),
+               wide / "simulate")
+        yield (f"{wide}/pca", ["pca", "--input", str(wide / "simulate" / "synthetic.csv")],
+               wide / "pca")
 
     for n in FRAME_ROWS:
         rows = Path(f"rows-{n}")

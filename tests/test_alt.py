@@ -94,6 +94,15 @@ def test_factor_spec_rejects_reserved_names(name):
         parse_factor(f"{name}:log")
 
 
+@pytest.mark.parametrize("name", ["!!!", "-_-", "é"])
+def test_factor_spec_rejects_a_name_without_a_letter_or_digit(name):
+    message = re.escape(f"factor name {name!r} has no ASCII letter or digit")
+    with pytest.raises(InputError, match=f"^{message}$"):
+        FactorSpec(name)
+    with pytest.raises(InputError, match=f"^{message}$"):
+        parse_factor(f"{name}:log")
+
+
 def test_life_characteristic_intercept_only():
     assert life_characteristic(_model((), [0.0], 1.0), {}) == 1.0
 
@@ -482,6 +491,18 @@ def test_model_json_rejects_bad_documents(table3_model):
         doc["fit_meta"][key] = value
         with pytest.raises(InputError, match=rf"'fit_meta\.{key}'"):
             model_from_json(json.dumps(doc))
+
+
+def test_model_json_names_a_repeated_factor(table3_model):
+    doc = json.loads(model_to_json(table3_model))
+    doc["factors"][1]["name"] = "Available Time"
+    with pytest.raises(InputError, match=r"^model field 'factors\[1\]\.name' repeats factor "
+                                         r"'available_time' with the identity transform "
+                                         r"of factors\[0\]$"):
+        model_from_json(json.dumps(doc))
+    # Under another transform the name is a factor of its own, as fit allows.
+    doc["factors"][1]["transform"] = "log"
+    assert model_from_json(json.dumps(doc)).factors[1] == FactorSpec("available_time", "log")
 
 
 @pytest.mark.parametrize("field, value", [

@@ -441,6 +441,28 @@ def test_reserved_names_as_factors_exit_two(tmp_path, capsys, argv, name):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["fit", "--input", "builtin:table3", "--factors", "available_time,!!!"],
+    ["simulate", "--factors", "f1,!!!", "--alpha=-2,0.3,-0.1", "--shape", "3", "--n", "5"],
+])
+def test_a_factor_name_without_a_letter_or_digit_exits_two(tmp_path, capsys, argv):
+    assert main([*argv, "-o", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: factor name '!!!' has no ASCII letter or digit\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name, message", [
+    ("!!!", "factor name '!!!' has no ASCII letter or digit"),
+    ("Available Time", "model field 'factors[1].name' repeats factor 'available_time' "
+                       "with the identity transform of factors[0]"),
+])
+def test_model_with_a_factor_no_column_can_take_exits_two(tmp_path, capsys, model_doc,
+                                                          name, message):
+    model_doc["factors"][1]["name"] = name
+    assert _predict(tmp_path, model_doc, at="available_time=0.1") == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_model_with_a_reserved_factor_name_exits_two(tmp_path, capsys, model_doc):
     model_doc["factors"][1]["name"] = "Fatigue"
     assert _predict(tmp_path, model_doc, at="available_time=0.1,fatigue=5") == 2

@@ -24,7 +24,7 @@ import pytest
 from hypothesis import HealthCheck, Phase, example, given, settings, strategies as st
 
 import ahft
-from ahft import evaluate, load_csv, load_model, serialize, sweep_curve
+from ahft import dataset as dataset_module, evaluate, load_csv, load_model, serialize, sweep_curve
 from ahft._floattext import PASS, ROW_BYTES, SEPARATOR, _bounds, digit_rows, float_rows
 from ahft.alt import DEFAULT_CONFIDENCE, coef_ci, positive_param_ci, wald_stats
 from ahft.cli import main
@@ -587,9 +587,11 @@ def test_frame_width_is_the_sum_of_the_slot_widths(monkeypatch):
                np.resize([-1.2345678901234567e-100, 1.0], n), np.resize([2.0], n), range(n)]
     slots = _frame_slots(columns)
     assert [width for width, _ in slots] == [4, 5, SEPARATOR + 1, 25, 4, 4]
-    for width, text in slots:
-        assert text(100, 300).shape == (200, width)
-    frame = np.concatenate([text(0, n) for _, text in slots], axis=1)
+    frame = np.zeros((n, sum(width for width, _ in slots)), dtype=np.uint8)
+    offset = 0
+    for width, write in slots:
+        write(frame[:, offset:offset + width], 0, n)
+        offset += width
     expected = rowwise_csv_lines(_rows_of(columns)).encode("ascii")
     assert frame.tobytes().replace(b"\0", b"") == expected
     # csv_blocks lays the rows out in one frame of that width.
@@ -615,10 +617,83 @@ def test_tables_with_ranges_the_frames_do_not_take_match_rowwise_lines():
         _assert_frames_match_rowwise([column, np.arange(n) / 3.0], framed=False)
 
 
+# Short wide tables: the frames count the cells of float arrays and
+# ranges, so a table of a few rows and many columns takes them too, a str
+# column as a byte table.  A column with a negative cell goes through the
+# kernel as magnitudes behind a sign byte.
+SIGNED = (-0.0, -np.inf, np.copysign(np.nan, -1.0), np.nan, -5e-324, -1e-310, -2.0 ** -14,
+          -1.2345678901234567e-100, -1e-5, -0.5, -3.0, -2.0 ** 53, -1.7976931348623157e308)
+
+
+def _signed_columns(rows, width, seed):
+    """``width`` float arrays of ``rows`` mostly distinct cells, about half
+    negative, some below 2**-13, with the values of ``SIGNED`` spread over
+    every column."""
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((width, rows)) * 10.0 ** rng.integers(-8, 3, (width, rows))
+    flat = values.reshape(-1)
+    flat[::7] = np.resize(SIGNED, len(flat[::7]))
+    return list(values)
+
+
+def _frames_taken(monkeypatch):
+    """A list that gets one entry for each call of csv_blocks that takes the frames."""
+    calls = []
+    frame_blocks = dataset_module._frame_blocks
+    monkeypatch.setattr(dataset_module, "_frame_blocks",
+                        lambda *args: calls.append(len(args[0][0])) or frame_blocks(*args))
+    return calls
+
+
+@pytest.mark.parametrize("width", (1, 2, 7, 22, 23, 61))
+def test_short_wide_tables_take_the_frames_from_the_cell_threshold(monkeypatch, width):
+    framed = _frames_taken(monkeypatch)
+    least = -(-FLOAT_TEXT_MIN_ROWS // width)  # the fewest rows at the threshold
+    for rows in (least - 1, least):
+        names = tuple(f"v{i}" for i in range(rows))
+        columns = [names, *_signed_columns(rows, width, seed=rows)]
+        header = ["name"] + [f"c{j}" for j in range(width)]
+        expected = rowwise_csv_lines([header, *_rows_of(columns)])
+        assert _first_difference("".join(csv_blocks(columns, header)), expected) is None
+    assert framed == [least]
+
+
+def test_str_columns_take_a_byte_table_and_the_rest_the_template(monkeypatch):
+    framed = _frames_taken(monkeypatch)
+    n = FLOAT_TEXT_MIN_ROWS + 3
+    floats = _signed_columns(n, 2, seed=1)
+    words = ["", "a", "longer text, with a comma", '"quoted"', "1.0", " "]
+    texts = [tuple(words[i % len(words)] for i in range(n)), ["1.0"] * n,
+             [words[i % 3] for i in range(n)]]
+    columns = [texts[0], floats[0], texts[1], range(n), texts[2], floats[1]]
+    assert _first_difference("".join(csv_blocks(columns)),
+                             rowwise_csv_lines(_rows_of(columns))) is None
+    assert framed == [n]
+    # Not ASCII, a NUL, or not all str: the template writes them.
+    for odd in (["é"] * n, ["a\0"] * n, ["x"] * (n - 1) + [1.5], ("x",) * (n - 1) + (None,)):
+        columns = [odd, floats[0]]
+        assert _first_difference("".join(csv_blocks(columns)),
+                                 rowwise_csv_lines(_rows_of(columns))) is None
+    assert framed == [n]
+
+
+@pytest.mark.parametrize("rows", (1, 9, 60, PASS - 1, PASS + 1))
+def test_frames_write_signs_of_zeros_infinities_nans_and_tiny_negatives(monkeypatch, rows):
+    framed = _frames_taken(monkeypatch)
+    columns = _signed_columns(rows, -(-FLOAT_TEXT_MIN_ROWS // rows), seed=rows)
+    columns += [np.resize(SIGNED, rows), -np.abs(columns[0]) * 2.0 ** -20, np.abs(columns[0])]
+    # A run of kernel columns with no negative, then a pooled column, then a signed run.
+    split = [np.abs(c) for c in columns[:2]] + [np.resize([0.5, 1.5], rows)] + columns[2:]
+    for table in (columns, columns[::-1], split):
+        expected = rowwise_csv_lines(_rows_of(table))
+        assert _first_difference("".join(csv_blocks(table)), expected) is None
+    assert framed == [rows, rows, rows]
+
+
 def test_cli_import_and_short_columns_leave_the_kernel_unloaded():
     code = ("import sys, numpy, ahft.cli\n"
             "from ahft.dataset import FLOAT_TEXT_MIN_ROWS, csv_blocks\n"
-            "short = numpy.arange(FLOAT_TEXT_MIN_ROWS - 1) / 7.0\n"
+            "short = numpy.arange((FLOAT_TEXT_MIN_ROWS - 1) // 2) / 7.0\n"
             "''.join(csv_blocks([short, short]))\n"
             "print('ahft._floattext' in sys.modules)\n")
     env = dict(os.environ, PYTHONPATH=str(Path(ahft.__file__).parent.parent))

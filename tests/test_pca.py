@@ -257,6 +257,17 @@ def test_eigen_bits_match_reference_on_table3_a_wide_screen_and_no_columns(table
     _assert_same_bits(np.zeros((0, 0)))
 
 
+@pytest.mark.parametrize("n", [3, 8, 61])
+def test_eigen_pair_free_steps_turn_a_negative_zero_as_the_reference_does(n):
+    # Every step but the one that rotates (0, 1) is pair-free.  Run, such a
+    # step turns the -0.0 to +0.0 where it meets a +0.0 in its pair, so the
+    # solver may not leave it pending.
+    m = np.eye(n)
+    m[0, 1] = m[1, 0] = 0.5
+    m[2, 2] = -0.0
+    _assert_same_bits(m)
+
+
 @pytest.mark.parametrize("max_sweeps", [0, 1, 2])
 @pytest.mark.parametrize("n", [2, 5, 9, 30])
 def test_eigen_budget_diagnostics_match_reference(n, max_sweeps):
