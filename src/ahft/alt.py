@@ -50,7 +50,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 
 import numpy as np
 
@@ -77,8 +76,6 @@ GRADIENT_TOL = 1e-8
 # it is (1 + |r|) / (1 - |r|), so 1e6 means |r| > 1 - 2e-6: the data pin a
 # combination of the coefficients, not the coefficients.
 CONDITION_WARN = 1e6
-
-_NORMAL = NormalDist()
 
 TRANSFORMS = ("identity", "log", "reciprocal")
 _TRANSFORM_ALIASES = {
@@ -434,9 +431,83 @@ def fit_mle(dataset: Dataset, factors, max_iterations: int = 200) -> GllWeibullM
 # ---------------------------------------------------------------------------
 
 def _z_quantile(level: float) -> float:
+    """The standard normal quantile at (1 + level) / 2, for a central interval."""
     if not (0.0 < level < 1.0):
         raise InputError(f"confidence level must lie in (0, 1), got {level!r}")
-    return _NORMAL.inv_cdf((1.0 + level) / 2.0)
+    p = (1.0 + level) / 2.0
+    if p == 1.0:
+        raise InputError(f"confidence level {level!r} is too close to 1 for a finite interval")
+    return _normal_quantile(p)
+
+
+def _normal_quantile(p: float) -> float:
+    """The standard normal quantile of ``p`` in (0, 1): Wichura's AS241 (PPND16).
+
+    Wichura, "Algorithm AS241: The Percentage Points of the Normal
+    Distribution", Applied Statistics 37(3), 1988.  The rational functions
+    and their evaluation order are those of ``statistics.NormalDist.inv_cdf``,
+    so the result is its bits; importing ``statistics`` costs a one-shot
+    process 3 to 5 ms, since it loads ``fractions`` and ``decimal``.
+    """
+    q = p - 0.5
+    if abs(q) <= 0.425:
+        r = 0.180625 - q * q
+        num = (((((((2.5090809287301226727e+3 * r +
+                     3.3430575583588128105e+4) * r +
+                     6.7265770927008700853e+4) * r +
+                     4.5921953931549871457e+4) * r +
+                     1.3731693765509461125e+4) * r +
+                     1.9715909503065514427e+3) * r +
+                     1.3314166789178437745e+2) * r +
+                     3.3871328727963666080e+0) * q
+        den = (((((((5.2264952788528545610e+3 * r +
+                     2.8729085735721942674e+4) * r +
+                     3.9307895800092710610e+4) * r +
+                     2.1213794301586595867e+4) * r +
+                     5.3941960214247511077e+3) * r +
+                     6.8718700749205790830e+2) * r +
+                     4.2313330701600911252e+1) * r +
+                     1.0)
+        return num / den
+    r = math.sqrt(-math.log(p if q <= 0.0 else 1.0 - p))
+    if r <= 5.0:
+        r = r - 1.6
+        num = (((((((7.74545014278341407640e-4 * r +
+                     2.27238449892691845833e-2) * r +
+                     2.41780725177450611770e-1) * r +
+                     1.27045825245236838258e+0) * r +
+                     3.64784832476320460504e+0) * r +
+                     5.76949722146069140550e+0) * r +
+                     4.63033784615654529590e+0) * r +
+                     1.42343711074968357734e+0)
+        den = (((((((1.05075007164441684324e-9 * r +
+                     5.47593808499534494600e-4) * r +
+                     1.51986665636164571966e-2) * r +
+                     1.48103976427480074590e-1) * r +
+                     6.89767334985100004550e-1) * r +
+                     1.67638483018380384940e+0) * r +
+                     2.05319162663775882187e+0) * r +
+                     1.0)
+    else:
+        r = r - 5.0
+        num = (((((((2.01033439929228813265e-7 * r +
+                     2.71155556874348757815e-5) * r +
+                     1.24266094738807843860e-3) * r +
+                     2.65321895265761230930e-2) * r +
+                     2.96560571828504891230e-1) * r +
+                     1.78482653991729133580e+0) * r +
+                     5.46378491116411436990e+0) * r +
+                     6.65790464350110377720e+0)
+        den = (((((((2.04426310338993978564e-15 * r +
+                     1.42151175831644588870e-7) * r +
+                     1.84631831751005468180e-5) * r +
+                     7.86869131145613259100e-4) * r +
+                     1.48753612908506148525e-2) * r +
+                     1.36929880922735805310e-1) * r +
+                     5.99832206555887937690e-1) * r +
+                     1.0)
+    x = num / den
+    return -x if q < 0.0 else x
 
 
 def correlation_condition(covariance: np.ndarray) -> float:
@@ -690,7 +761,12 @@ def model_from_json(text: str) -> GllWeibullModel:
         where = f"factors[{i}].{{}}"
         name = _entry(entry, "name", where, (str,), "a string")
         transform = _entry(entry, "transform", where, (str,), "a string")
-        factor = FactorSpec(name, transform)
+        # FactorSpec checks the name before the transform.
+        for field, spec in (("name", (name,)), ("transform", (name, transform))):
+            try:
+                factor = FactorSpec(*spec)
+            except InputError as exc:
+                raise InputError(f"model field {where.format(field)!r}: {exc}") from None
         if factor in factors:
             raise InputError(
                 f"model field {where.format('name')!r} repeats factor {factor.name!r} with "

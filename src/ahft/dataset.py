@@ -37,6 +37,7 @@ from collections import namedtuple
 from functools import lru_cache, partial
 from itertools import groupby
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -372,27 +373,73 @@ def _is_float_array(column) -> bool:
 # Fresh values scattered through a few-level pool pass the probe: pooled
 # 3.7 against 10.4 ms at 10% of the cells, 9.0 against 9.3 ms at 35% and
 # 11.0 against 8.5 ms at 45%, a loss that no workload's column reaches.
+# A column that passes the probe is indexed by a hash of its cells on the
+# probe's distinct keys (``_hash_index``); only a cell that is no key of
+# the probe, or a collision under every multiplier, costs the sort of
+# ``np.unique``.  _pools of the 4 columns of a cohort synthetic.csv
+# (2e4 rows) took 1.0 ms by np.unique and 0.25 ms by the hash, of the 61
+# columns of a 2000-row screen-wide table 2.2 against 1.5 ms (one Xeon
+# core, fastest of 200).
 DISTINCT_PROBE_ROWS = 256
+
+# The pool index's multipliers, tried in turn: the odd constants of
+# SplitMix64, the first 2**64 over the golden ratio, Knuth's multiplier
+# for multiplicative hashing (TAOCP vol. 3, section 6.4).
+_HASH_MULTIPLIERS = tuple(np.uint64(c) for c in (
+    0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB))
+
+
+def _hash_index(keys, bits):
+    """The position of each of ``bits`` among the ascending distinct ``keys``, or None.
+
+    A cell goes to slot ``(bits * C) >> (64 - b)`` of a table of
+    ``2**b >= 2 * m * m`` slots for m keys, C the first multiplier that
+    gives each key a slot of its own; the slot holds the key's position.
+    None if every multiplier collides, or a cell is no key.  Otherwise
+    the index is ``np.unique(bits, return_inverse=True)[1]`` whenever
+    ``keys`` are exactly the distinct values of ``bits``.
+    """
+    m = len(keys)
+    shift = np.uint64(64 - (2 * m * m - 1).bit_length())
+    positions = np.arange(m)
+    for c in _HASH_MULTIPLIERS:
+        slots = (keys * c) >> shift
+        table = np.zeros(1 << (64 - int(shift)), dtype=np.intp)
+        table[slots] = positions
+        if (table[slots] == positions).all():
+            hashed = np.multiply(bits, c)
+            index = table.take(np.right_shift(hashed, shift, out=hashed))
+            return index if (keys.take(index) == bits).all() else None
+    return None
 
 
 def _pools(columns):
     """Each float array's ``(values, index)`` if it has few distinct values, else None.
 
     ``values`` lists each distinct bit pattern as a float (so ``-0.0``
-    stays apart from ``0.0``), and ``index`` says which of them each row
-    holds.  One sort probes the first ``DISTINCT_PROBE_ROWS`` cells of
-    all the ``columns``.
+    stays apart from ``0.0``), ascending by bit pattern, and ``index``
+    says which of them each row holds, as ``np.unique`` of the bit
+    patterns gives them.  One sort probes the first
+    ``DISTINCT_PROBE_ROWS`` cells of all the ``columns``; a column whose
+    probe passes is indexed by a hash on the probe's distinct keys
+    (:func:`_hash_index`), or by ``np.unique`` if the hash fails.
     """
     if not columns:
         return []
     probe = np.stack([column[:DISTINCT_PROBE_ROWS] for column in columns]).view(np.uint64)
     probe.sort(axis=1)
-    distinct = 1 + np.count_nonzero(probe[:, 1:] != probe[:, :-1], axis=1)
+    first = np.ones(probe.shape, dtype=bool)  # where each key starts in its sorted row
+    np.not_equal(probe[:, 1:], probe[:, :-1], out=first[:, 1:])
     pools = []
-    for column, count in zip(columns, distinct.tolist()):
+    for column, row, starts, count in zip(columns, probe, first,
+                                          np.count_nonzero(first, axis=1).tolist()):
         pool = None
         if 2 * count <= probe.shape[1]:
-            keys, index = np.unique(column.view(np.uint64), return_inverse=True)
+            bits = column.view(np.uint64)
+            keys = row[starts]
+            index = _hash_index(keys, bits)
+            if index is None:
+                keys, index = np.unique(bits, return_inverse=True)
             if 2 * len(keys) <= len(index):
                 pool = keys.view(np.float64).tolist(), index
         pools.append(pool)
@@ -538,7 +585,8 @@ def _frame_blocks(columns, step):
     rows, so the kernels run once a block, in full passes but the last.
     A block is a ``(rows, width)`` uint8 frame of each row's slots
     (:func:`_frame_slots`) side by side, ``width`` the sum of the slot
-    widths, and one ``bytearray.translate`` drops its NULs.
+    widths, and one ``bytearray.translate`` drops its NULs: the block is
+    that ``bytearray``.
     """
     from . import _floattext as ft
     n = len(columns[0])
@@ -553,29 +601,31 @@ def _frame_blocks(columns, step):
         frame = np.frombuffer(buffer, dtype=np.uint8).reshape(-1, width)
         for offset, size, write in slots:
             write(frame[:, offset:offset + size], first, stop)
-        yield buffer.translate(None, b"\0").decode("ascii")
+        yield buffer.translate(None, b"\0")
 
 
 def csv_blocks(columns, header=()):
-    """CSV text of a ``header`` row, if given, then the rows of ``columns``.
+    """CSV bytes of a ``header`` row, if given, then the rows of ``columns``.
 
     ``columns`` are equally long lists, tuples, ranges or float arrays,
     as many as the header has cells (``ValueError`` otherwise).  A cell is
     a str, int or Python float and is written as ``str`` of it, so a float
-    in its shortest exact form.  The text comes in blocks of whole rows.
+    in its shortest exact form.  The text comes as UTF-8 ``bytes`` or
+    ``bytearray`` blocks of whole rows, the header a block of its own.
     The reference route takes about ``CSV_BLOCK_CELLS`` cells a block,
-    interleaves them into one list by strided slice assignment and formats
-    them in one call by a ``%s`` row template repeated per row.  A table
-    of float arrays, ranges of non-negative ints and lists or tuples of
-    ASCII str, whose float arrays and ranges hold at least
-    ``FLOAT_TEXT_MIN_ROWS`` cells, gives the same text by another route:
-    each block is the fewest whole kernel passes of rows that hold a
-    reference block, laid out as one NUL-padded byte frame
+    interleaves them into one list by strided slice assignment, formats
+    them in one call by a ``%s`` row template repeated per row and
+    encodes the text.  A table of float arrays, ranges of non-negative
+    ints and lists or tuples of ASCII str, whose float arrays and ranges
+    hold at least ``FLOAT_TEXT_MIN_ROWS`` cells, gives the same text by
+    another route: each block is the fewest whole kernel passes of rows
+    that hold a reference block, laid out as one NUL-padded byte frame
     (:func:`_frame_blocks`) in which each column's slot is as wide as its
     longest text.  A float column with few distinct values, like a str
     column, is formatted once per entry of a byte table; the others go
     through the array kernel of ``_floattext`` together, negatives as a
-    sign byte and their magnitude; no cell becomes a Python str.
+    sign byte and their magnitude; no cell becomes a Python str, and the
+    frame's ASCII bytes are the block.
     """
     k = len(columns)
     template = ",".join(["%s"] * k) + "\n"
@@ -583,7 +633,7 @@ def csv_blocks(columns, header=()):
     if any(len(column) != n for column in columns):
         raise ValueError(f"columns of unequal length: {[len(c) for c in columns]}")
     if header:
-        yield template % tuple(header)
+        yield (template % tuple(header)).encode("utf-8")
     step = max(1, CSV_BLOCK_CELLS // k)
     kernels = [_is_float_array(c) or _is_digit_range(c) for c in columns]
     if n * sum(kernels) >= FLOAT_TEXT_MIN_ROWS and all(
@@ -596,7 +646,7 @@ def csv_blocks(columns, header=()):
         for j, column in enumerate(columns):
             part = column[start:start + m]
             cells[j::k] = part.tolist() if isinstance(part, np.ndarray) else part
-        yield template * m % tuple(cells)
+        yield (template * m % tuple(cells)).encode("utf-8")
 
 
 # No O_TRUNC: an existing file is written over, then cut to length.
@@ -605,7 +655,7 @@ _WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
 
 def write_artifact(path, data) -> None:
     """Write ``data`` to ``path``: a str, bytes, or an iterable of str or
-    bytes blocks, written as they come; str is encoded as UTF-8.
+    bytes-like blocks, written as they come; str is encoded as UTF-8.
 
     A missing parent directory is created.  A new file gets the mode bits
     ``open(path, "wb")`` would give it.  An existing file is not truncated
@@ -637,25 +687,31 @@ def write_artifact(path, data) -> None:
                 os.ftruncate(fd, end)
 
 
+# A csv.writer target whose write encodes a line; writerow returns what
+# write returns, so the line's bytes.
+_LINE_BYTES = SimpleNamespace(write=partial(str.encode, encoding="utf-8"))
+
+
 def serialize(dataset: Dataset) -> bytes:
     """Emit a dataset as CSV bytes; ``load_csv`` round-trips it exactly.
 
     Floats are written in their shortest exact form (``repr``), so values
     survive the round trip bit-for-bit.  Every row ends with the
-    ``duration_hours`` cell ``1.0``.  The rows are formatted by
-    :func:`csv_blocks`.  A dataset of at least ``FLOAT_TEXT_MIN_ROWS`` rows
-    takes its byte frames, ``duration_hours`` as a float column of ones:
-    it is pooled, as a PSF column of a few levels is, and a long column of
-    distinct values (the fatigue of a synthetic dataset, say) is formatted
-    by the float text kernel.  A shorter one takes the ``%s`` template,
-    its columns as lists and ``duration_hours`` as str cells, which the
-    template copies without a ``repr`` each.  The frames would take a
-    table of a few hundred rows too, as they count cells, but there the
-    few-level columns cost more than the template's short cells: 0.28
-    against 0.20 ms for the README's 200 rows (one Xeon core).
+    ``duration_hours`` cell ``1.0``.  The csv module writes the header
+    row (so a column name that needs quotes gets them), and
+    :func:`csv_blocks` the rows; the result joins their bytes.  A dataset
+    of at least ``FLOAT_TEXT_MIN_ROWS`` rows takes its byte frames,
+    ``duration_hours`` as a float column of ones: it is pooled, as a PSF
+    column of a few levels is, and a long column of distinct values (the
+    fatigue of a synthetic dataset, say) is formatted by the float text
+    kernel.  A shorter one takes the ``%s`` template, its columns as lists
+    and ``duration_hours`` as str cells, which the template copies without
+    a ``repr`` each.  The frames would take a table of a few hundred rows
+    too, as they count cells, but there the few-level columns cost more
+    than the template's short cells: 0.28 against 0.20 ms for the README's
+    200 rows (one Xeon core).
     """
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerow(
+    header = csv.writer(_LINE_BYTES, lineterminator="\n").writerow(
         list(dataset.psf_names) + [FATIGUE, DURATION]
     )
     stored = dataset.columns
@@ -665,8 +721,7 @@ def serialize(dataset: Dataset) -> bytes:
         columns.append(np.ones(n))
     else:
         columns = [column.tolist() for column in columns] + [["1.0"] * n]
-    out.writelines(csv_blocks(columns))
-    return out.getvalue().encode("utf-8")
+    return b"".join([header, *csv_blocks(columns)])
 
 
 # ---------------------------------------------------------------------------

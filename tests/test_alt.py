@@ -8,13 +8,18 @@ parametric-bootstrap value.
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
+import ahft
 from ahft import (
     Dataset,
     FactorSpec,
@@ -36,7 +41,15 @@ from ahft import (
     weibull_cdf,
     weibull_quantile,
 )
-from ahft.alt import _derivatives, _design, _loglik, _response, parse_factor
+from ahft.alt import (
+    _derivatives,
+    _design,
+    _loglik,
+    _normal_quantile,
+    _response,
+    _z_quantile,
+    parse_factor,
+)
 from ahft.errors import (
     DegenerateFactor,
     InputError,
@@ -339,6 +352,54 @@ def test_positive_param_ci_zero_se_collapses():
     assert positive_param_ci(0.4, 0.0, 0.99) == (0.4, 0.4)
 
 
+def _bits(values):
+    return np.array(values, dtype=float).view(np.uint64).tolist()
+
+
+def test_normal_quantile_is_the_bits_of_statistics_normal_dist():
+    # A dense grid, random levels, both tails down to the least double, and
+    # either side of AS241's branch cuts at |p - 1/2| = 0.425 and
+    # sqrt(-ln p) = 5 (p = exp(-25)).
+    from statistics import NormalDist
+    rng = np.random.default_rng(28)
+    cuts = np.array([0.075, 0.925, math.exp(-25.0), -math.expm1(-25.0)])
+    levels = np.concatenate([
+        np.arange(1, 200_000) / 200_000, rng.random(50_000),
+        10.0 ** -rng.uniform(1.0, 307.0, 20_000), 1.0 - 10.0 ** -rng.uniform(1.0, 16.0, 20_000),
+        cuts, np.nextafter(cuts, 0.0), np.nextafter(cuts, 1.0), [5e-324, 1.0 - 2.0 ** -53],
+    ]).tolist()
+    inv_cdf = NormalDist().inv_cdf
+    assert _bits([_normal_quantile(p) for p in levels]) == _bits([inv_cdf(p) for p in levels])
+
+
+def test_a_level_whose_quantile_is_infinite_is_an_input_error():
+    # (1 + level) / 2 rounds to 1 at the double next below 1, and not one below that.
+    with pytest.raises(InputError, match="confidence level 0.9999999999999999 is too close to 1"):
+        coef_ci(1.0, 0.5, 1.0 - 2.0 ** -53)
+    assert _z_quantile(1.0 - 2.0 ** -52) == pytest.approx(8.2095, abs=1e-4)
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "--input", "builtin:table3", "--factors", "available_time,stress"],
+    ["predict", "--model", "model.json", "--at", "available_time=0.1,stress=5"],
+    ["validate", "--model", "model.json", "--holdout", "builtin:table8"],
+    ["curves", "--model", "model.json", "--factor", "stress", "--grid", "1:5:9",
+     "--fixed", "available_time=0.1"],
+])
+def test_one_shot_processes_leave_statistics_unloaded(tmp_path, table3_model, argv):
+    # statistics loads fractions and decimal, 3 to 5 ms of a one-shot process.
+    save_model(table3_model, tmp_path / "model.json")
+    code = ("import runpy, sys\n"
+            "try:\n"
+            "    runpy.run_module('ahft.cli', run_name='__main__', alter_sys=True)\n"
+            "finally:\n"
+            "    print('statistics' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(ahft.__file__).parent.parent))
+    run = subprocess.run([sys.executable, "-c", code, *argv, "-o", "out"],
+                         capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert (run.returncode, run.stderr, run.stdout.splitlines()[-1]) == (0, "", "False")
+
+
 def test_positive_param_ci_validation():
     with pytest.raises(NonPositiveValue):
         positive_param_ci(0.0, 0.1, 0.99)
@@ -503,6 +564,21 @@ def test_model_json_names_a_repeated_factor(table3_model):
     # Under another transform the name is a factor of its own, as fit allows.
     doc["factors"][1]["transform"] = "log"
     assert model_from_json(json.dumps(doc)).factors[1] == FactorSpec("available_time", "log")
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("name", "Fatigue", "factor 'fatigue' is a reserved column name: 'fatigue' is the response "
+                        "and 'duration_hours' the reading duration"),
+    ("name", "!!!", "factor name '!!!' has no ASCII letter or digit"),
+    ("transform", "cube", "unknown transform 'cube' for factor 'stress'; "
+                          "choose one of ('identity', 'log', 'reciprocal')"),
+])
+def test_model_json_names_the_field_a_factor_check_refuses(table3_model, field, value, message):
+    doc = json.loads(model_to_json(table3_model))
+    doc["factors"][1][field] = value
+    with pytest.raises(InputError) as raised:
+        model_from_json(json.dumps(doc))
+    assert str(raised.value) == f"model field 'factors[1].{field}': {message}"
 
 
 @pytest.mark.parametrize("field, value", [

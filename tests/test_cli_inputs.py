@@ -332,6 +332,11 @@ def test_pca_threshold_one_keeps_every_component(tmp_path):
       "--percentile", "1"], "percentile"),
     (["curves", "--model", "MODEL", "--factor", "stress", "--grid", "1:5:9",
       "--fixed", "available_time=0.1", "--percentile=-1"], "percentile"),
+    # (1 + level) / 2 rounds to 1 at the double next below 1.
+    (["fit", "--input", "builtin:table3", "--factors", "available_time,stress",
+      "--confidence", "0.9999999999999999"], "confidence level"),
+    (["predict", "--model", "MODEL", "--at", "available_time=0.1,stress=5",
+      "--confidence", "0.9999999999999999"], "confidence level"),
 ])
 def test_out_of_range_option_exits_two_and_writes_nothing(tmp_path, capsys, model_doc,
                                                           argv, quantity):
@@ -460,13 +465,17 @@ def test_model_with_a_factor_no_column_can_take_exits_two(tmp_path, capsys, mode
                                                           name, message):
     model_doc["factors"][1]["name"] = name
     assert _predict(tmp_path, model_doc, at="available_time=0.1") == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    # Every message names the field; FactorSpec's own follows a colon.
+    field = "model field 'factors[1].name'"
+    expected = message if message.startswith(field) else f"{field}: {message}"
+    assert capsys.readouterr().err == f"error: {expected}\n"
 
 
 def test_model_with_a_reserved_factor_name_exits_two(tmp_path, capsys, model_doc):
     model_doc["factors"][1]["name"] = "Fatigue"
     assert _predict(tmp_path, model_doc, at="available_time=0.1,fatigue=5") == 2
-    assert "factor 'fatigue' is a reserved column name" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(
+        "error: model field 'factors[1].name': factor 'fatigue' is a reserved column name")
 
 
 @pytest.mark.parametrize("text", ["fatigue\n0.2\n0.5\n0.7\n",

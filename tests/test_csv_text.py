@@ -35,6 +35,8 @@ from ahft.dataset import (
     Dataset,
     _frame_slots,
     _has_long_line,
+    _hash_index,
+    _pools,
     _tokenized_columns,
     csv_blocks,
 )
@@ -185,6 +187,13 @@ def _first_difference(got, expected):
     return i, got[i:i + 1], expected[i:i + 1]
 
 
+def _text(blocks):
+    """The text of ``csv_blocks`` output, each of whose blocks must be bytes."""
+    blocks = list(blocks)
+    assert all(isinstance(block, (bytes, bytearray)) for block in blocks), blocks[:1]
+    return b"".join(blocks).decode("utf-8")
+
+
 def _around_block(width):
     """Row counts one below, at and one above the rows of a block of ``width`` cells."""
     rows = CSV_BLOCK_CELLS // width
@@ -201,8 +210,8 @@ def test_csv_blocks_match_rowwise_lines(n):
     columns = [range(n), _cycle(n), np.array(_cycle(n, 3), dtype=float),
                ["" if i % 3 else v for i, v in enumerate(_cycle(n, 5))]]
     rows = [header, *zip(range(n), _cycle(n), map(float, _cycle(n, 3)), columns[3])]
-    assert _first_difference("".join(csv_blocks(columns, header)), rowwise_csv_lines(rows)) is None
-    assert _first_difference("".join(csv_blocks(columns)), rowwise_csv_lines(rows[1:])) is None
+    assert _first_difference(_text(csv_blocks(columns, header)), rowwise_csv_lines(rows)) is None
+    assert _first_difference(_text(csv_blocks(columns)), rowwise_csv_lines(rows[1:])) is None
     with pytest.raises(ValueError):
         list(csv_blocks([range(n), range(n - 1)]))
 
@@ -271,7 +280,7 @@ def mixed_columns(draw):
 @given(columns=mixed_columns())
 def test_csv_blocks_with_pooled_columns_match_rowwise_lines(columns):
     rows = list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns)))
-    assert _first_difference("".join(csv_blocks(columns)), rowwise_csv_lines(rows)) is None
+    assert _first_difference(_text(csv_blocks(columns)), rowwise_csv_lines(rows)) is None
 
 
 @EMIT
@@ -292,13 +301,105 @@ def test_csv_blocks_keep_each_bit_pattern_of_a_pool_apart(n):
     pool = np.array([0.0, -0.0, 5e-324, 1e16, 1e-5, 1e308])
     column = pool[np.arange(n) % len(pool)]
     expected = rowwise_csv_lines([(v,) for v in column.tolist()])
-    assert _first_difference("".join(csv_blocks([column])), expected) is None
+    assert _first_difference(_text(csv_blocks([column])), expected) is None
     blocks = list(csv_blocks([range(n), column, column.tolist()]))
     expected = rowwise_csv_lines(zip(range(n), column.tolist(), column.tolist()))
-    assert _first_difference("".join(blocks), expected) is None
+    assert _first_difference(_text(blocks), expected) is None
     assert len(blocks) == -(-n // (CSV_BLOCK_CELLS // 3))
     with pytest.raises(ValueError):
         list(csv_blocks([range(n), column[:-1]]))
+
+
+# Pool index: a float column whose probe passes is indexed by a hash on
+# the probe's distinct keys, or by np.unique when the hash fails; either
+# way ``_pools`` gives what np.unique of the bit patterns gives.
+def _assert_pool_is_unique(column, hashed):
+    """``_pools`` gives np.unique's keys and index for ``column``, by the hash
+    if ``hashed`` else by np.unique, and csv_blocks the row-wise text."""
+    bits = column.view(np.uint64)
+    keys, index = np.unique(bits, return_inverse=True)
+    probe_keys = np.unique(bits[:DISTINCT_PROBE_ROWS])
+    assert (_hash_index(probe_keys, bits) is not None) == hashed
+    [(values, got)] = _pools([column])
+    assert np.array(values).view(np.uint64).tolist() == keys.tolist()
+    assert got.tolist() == index.tolist()
+    n = len(column)
+    expected = rowwise_csv_lines(zip(range(n), column.tolist()))
+    assert _first_difference(_text(csv_blocks([range(n), column])), expected) is None
+
+
+def _colliding(first, collides):
+    """The least whole double from 2 whose slot among two keys is ``first``'s
+    under the multipliers of the pool index's hash for which ``collides``
+    is true, and under no other."""
+    shift = np.uint64(64 - (2 * 2 * 2 - 1).bit_length())
+    candidates = np.arange(2.0, 20000.0).view(np.uint64)
+    base = np.array([first]).view(np.uint64)
+    match = np.ones(len(candidates), dtype=bool)
+    for c, collide in zip(dataset_module._HASH_MULTIPLIERS, collides):
+        match &= ((candidates * c) >> shift == (base * c) >> shift) == collide
+    return candidates[match][:1].view(np.float64)[0]
+
+
+@pytest.mark.parametrize("n", (FLOAT_TEXT_MIN_ROWS, 2 * PASS + 1))
+def test_pool_index_falls_back_for_a_value_after_the_probe(n):
+    column = np.resize([0.5, 2.0, 5.0], n)
+    column[DISTINCT_PROBE_ROWS + 7] = 0.25  # in no probe cell
+    _assert_pool_is_unique(column, hashed=False)
+
+
+@pytest.mark.parametrize("n", (DISTINCT_PROBE_ROWS - 1, FLOAT_TEXT_MIN_ROWS, 2 * PASS + 1))
+@pytest.mark.parametrize("collides", ((True, False, False), (True, True, False), (True, True, True)))
+def test_pool_index_tries_each_multiplier_then_falls_back(n, collides):
+    other = _colliding(0.5, collides)
+    _assert_pool_is_unique(np.resize([other, 0.5], n), hashed=not all(collides))
+
+
+@pytest.mark.parametrize("n", (DISTINCT_PROBE_ROWS, FLOAT_TEXT_MIN_ROWS, 2 * PASS + 1))
+def test_pool_index_keeps_signed_zeros_and_nan_payloads_apart(n):
+    nans = (np.array([0x7FF8000000000001, 0x7FF8000000000002, 0xFFF8000000000003],
+                     dtype=np.uint64).view(np.float64))
+    pool = np.concatenate([[0.0, -0.0, 1.5], nans])
+    column = pool[np.arange(n) * 5 % len(pool)]
+    _assert_pool_is_unique(column, hashed=True)
+    assert len(_pools([column])[0][0]) == 6
+
+
+@pytest.mark.parametrize("n", (2, 3, DISTINCT_PROBE_ROWS, FLOAT_TEXT_MIN_ROWS, 2 * PASS + 1))
+def test_pool_index_of_a_one_key_column(n):
+    _assert_pool_is_unique(np.ones(n), hashed=True)  # such as duration_hours
+    assert _pools([np.ones(n)])[0][0] == [1.0]
+
+
+@pytest.mark.parametrize("n", (DISTINCT_PROBE_ROWS, FLOAT_TEXT_MIN_ROWS, 2 * PASS + 1))
+def test_pool_index_of_a_probe_with_half_its_cells_distinct(n):
+    values = 1.0 + np.arange(DISTINCT_PROBE_ROWS // 2) * 0.37
+    column = np.resize(values, n)
+    _assert_pool_is_unique(column, hashed=True)
+    # One key more, and the probe fails: the column is no pool.
+    wider = np.resize(np.append(values, -1.0), n)
+    assert _pools([column, wider])[1] is None
+
+
+@pytest.mark.parametrize("n", (8, 17, 100, DISTINCT_PROBE_ROWS - 1))
+def test_pool_index_of_columns_shorter_than_the_probe(n):
+    _assert_pool_is_unique(np.resize([10.0, 1.0, 0.1, 0.01], n), hashed=True)
+    pools = _pools([np.resize([5.0, 2.0], n), np.arange(n) / 3.0])
+    assert pools[0][0] == [2.0, 5.0] and pools[1] is None
+
+
+@EMIT
+@given(data=st.data(), n=st.sampled_from(_lengths(2)))
+def test_pools_equal_np_unique(data, n):
+    columns = [data.draw(pooled_arrays(n)) for _ in range(3)]
+    for column, pool in zip(columns, _pools(columns)):
+        keys, index = np.unique(column.view(np.uint64), return_inverse=True)
+        probe = len(np.unique(column[:DISTINCT_PROBE_ROWS].view(np.uint64)))
+        if 2 * probe > min(n, DISTINCT_PROBE_ROWS) or 2 * len(keys) > n:
+            assert pool is None
+        else:
+            assert np.array(pool[0]).view(np.uint64).tolist() == keys.tolist()
+            assert pool[1].tolist() == index.tolist()
 
 
 # Float text kernel: ``_floattext.float_rows`` must write ``repr`` of every
@@ -493,7 +594,7 @@ def kernel_tables(draw, width, fixed=0, others=("pooled", "range")):
 def test_csv_blocks_with_kernel_columns_match_rowwise_lines(data, width):
     columns = data.draw(kernel_tables(width))
     rows = list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns)))
-    assert _first_difference("".join(csv_blocks(columns)), rowwise_csv_lines(rows)) is None
+    assert _first_difference(_text(csv_blocks(columns)), rowwise_csv_lines(rows)) is None
 
 
 @EMIT
@@ -521,7 +622,7 @@ def _rows_of(columns):
 
 def _assert_frames_match_rowwise(columns, framed=True):
     blocks = list(csv_blocks(columns))
-    assert _first_difference("".join(blocks), rowwise_csv_lines(_rows_of(columns))) is None
+    assert _first_difference(_text(blocks), rowwise_csv_lines(_rows_of(columns))) is None
     rows = _span(len(columns)) if framed else max(1, CSV_BLOCK_CELLS // len(columns))
     assert len(blocks) == -(-len(columns[0]) // rows)
 
@@ -598,7 +699,7 @@ def test_frame_width_is_the_sum_of_the_slot_widths(monkeypatch):
     frames, frombuffer = [], np.frombuffer
     monkeypatch.setattr(np, "frombuffer", lambda buffer, **kw: frames.append(len(buffer))
                         or frombuffer(buffer, **kw))
-    assert "".join(csv_blocks(columns)).encode("ascii") == expected
+    assert b"".join(csv_blocks(columns)) == expected
     assert frames == [n * sum(width for width, _ in slots)] == [n * 67]
 
 
@@ -654,7 +755,7 @@ def test_short_wide_tables_take_the_frames_from_the_cell_threshold(monkeypatch, 
         columns = [names, *_signed_columns(rows, width, seed=rows)]
         header = ["name"] + [f"c{j}" for j in range(width)]
         expected = rowwise_csv_lines([header, *_rows_of(columns)])
-        assert _first_difference("".join(csv_blocks(columns, header)), expected) is None
+        assert _first_difference(_text(csv_blocks(columns, header)), expected) is None
     assert framed == [least]
 
 
@@ -666,13 +767,13 @@ def test_str_columns_take_a_byte_table_and_the_rest_the_template(monkeypatch):
     texts = [tuple(words[i % len(words)] for i in range(n)), ["1.0"] * n,
              [words[i % 3] for i in range(n)]]
     columns = [texts[0], floats[0], texts[1], range(n), texts[2], floats[1]]
-    assert _first_difference("".join(csv_blocks(columns)),
+    assert _first_difference(_text(csv_blocks(columns)),
                              rowwise_csv_lines(_rows_of(columns))) is None
     assert framed == [n]
     # Not ASCII, a NUL, or not all str: the template writes them.
     for odd in (["é"] * n, ["a\0"] * n, ["x"] * (n - 1) + [1.5], ("x",) * (n - 1) + (None,)):
         columns = [odd, floats[0]]
-        assert _first_difference("".join(csv_blocks(columns)),
+        assert _first_difference(_text(csv_blocks(columns)),
                                  rowwise_csv_lines(_rows_of(columns))) is None
     assert framed == [n]
 
@@ -686,7 +787,7 @@ def test_frames_write_signs_of_zeros_infinities_nans_and_tiny_negatives(monkeypa
     split = [np.abs(c) for c in columns[:2]] + [np.resize([0.5, 1.5], rows)] + columns[2:]
     for table in (columns, columns[::-1], split):
         expected = rowwise_csv_lines(_rows_of(table))
-        assert _first_difference("".join(csv_blocks(table)), expected) is None
+        assert _first_difference(_text(csv_blocks(table)), expected) is None
     assert framed == [rows, rows, rows]
 
 
@@ -694,7 +795,7 @@ def test_cli_import_and_short_columns_leave_the_kernel_unloaded():
     code = ("import sys, numpy, ahft.cli\n"
             "from ahft.dataset import FLOAT_TEXT_MIN_ROWS, csv_blocks\n"
             "short = numpy.arange((FLOAT_TEXT_MIN_ROWS - 1) // 2) / 7.0\n"
-            "''.join(csv_blocks([short, short]))\n"
+            "b''.join(csv_blocks([short, short]))\n"
             "print('ahft._floattext' in sys.modules)\n")
     env = dict(os.environ, PYTHONPATH=str(Path(ahft.__file__).parent.parent))
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
