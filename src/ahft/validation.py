@@ -173,7 +173,8 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     for f, pool, draw in zip(spec.factors, spec.factor_value_pools, draws.T):
         columns[f.name] = np.array([float(v) for v in pool])[draw % np.uint64(len(pool))]
     u = _uniform(draws[:, -1])
-    log_eta = _log_eta(_design(columns, spec.factors), np.asarray(spec.true_alpha, dtype=float))
+    log_eta = _log_eta(_design(columns, spec.factors, spec.n),
+                       np.asarray(spec.true_alpha, dtype=float))
     # math, not numpy: numpy's vectorized exp, log1p and power may differ
     # from the C library in the last bit, and the stream is defined by
     # weibull_quantile's scalar arithmetic.
@@ -202,7 +203,8 @@ def redraw_below_one(spec: SyntheticSpec, data: Dataset) -> Dataset:
     columns = data.columns
     u = _uniform(_splitmix64_stream(spec.seed, len(rows), skip=spec.n * (len(spec.factors) + 1)))
     factors = {f.name: columns[f.name][rows] for f in spec.factors}
-    log_eta = _log_eta(_design(factors, spec.factors), np.asarray(spec.true_alpha, dtype=float))
+    log_eta = _log_eta(_design(factors, spec.factors, len(rows)),
+                       np.asarray(spec.true_alpha, dtype=float))
     # Scalar math, as in generate_synthetic.  A row drew t >= 1, so
     # eta**-beta <= -ln(1 - u) <= 54 ln 2 and the inner exp cannot overflow.
     shape = spec.true_shape

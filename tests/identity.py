@@ -21,10 +21,13 @@ on either side of the byte frames' row threshold and pass size (200,
 of 22 and 23 columns, whose loadings (484 and 529 cells) fall either
 side of the frames' cell threshold; two curves whose grids reach the
 float text kernel's ``repr`` fallback: negative values and zero, and
-values below 2**-13; and ``predict`` on edited copies of the README's
-model.json, one for each message kind of the model loader.  A
-fault that escapes ``main`` prints its type on the exit line, so every
-line still prints, and the script then shows its traceback and exits 1.
+values below 2**-13; ``fit`` and ``predict`` at ``--confidence`` 0.5,
+0.9 and 0.999999999999, whose normal quantiles fall in each of AS241's
+three regions (|p - 1/2| <= 0.425, r <= 5 and r > 5); and ``predict`` on
+edited copies of the README's model.json, one for each message kind of
+the model loader.  A fault that escapes ``main`` prints its type on the
+exit line, so every line still prints, and the script then shows its
+traceback and exits 1.
 
 An artifact's last bits depend on the BLAS kernel and on numpy's SIMD
 dispatch, so compare only outputs of one machine and configuration.
@@ -59,6 +62,7 @@ from ahft import cli  # noqa: E402
 SEEDS = (1, 2, 3)
 FRAME_ROWS = (200, 511, 512, 4095, 4096, 4097, 8193)
 PCA_COLUMNS = (22, 23)  # loadings of 484 and 529 cells
+CONFIDENCES = ("0.5", "0.9", "0.999999999999")  # one level in each region of AS241
 SIMULATE = ["simulate", *workloads.README_SIMULATE[:-2]]  # the README's, without its --n
 DELETE = object()
 ESCAPED: list[str] = []  # the traceback of each call that raised out of cli.main
@@ -204,6 +208,14 @@ def calls():
         ("grid/tiny", ["curves", "--model", model, "--factor", "available_time",
                        "--grid", "1e-5:1e-4:600", "--fixed", "stress=5"], Path("grid/tiny")),
     ]
+
+    for level in CONFIDENCES:
+        out = Path(f"confidence-{level}")
+        yield (f"{out}/fit", ["fit", "--input", "builtin:table3", "--factors",
+                              "available_time,stress", "--confidence", level], out / "fit")
+        yield (f"{out}/predict", ["predict", "--model", model, "--at",
+                                  "available_time=0.1,stress=5", "--confidence", level],
+               out / "predict")
 
     for label, text in model_edits(Path(model).read_text()):
         edited = Path(f"model/{label}.json")

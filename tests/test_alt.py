@@ -356,20 +356,52 @@ def _bits(values):
     return np.array(values, dtype=float).view(np.uint64).tolist()
 
 
-def test_normal_quantile_is_the_bits_of_statistics_normal_dist():
+DENSE_LEVELS = np.arange(1, 200_000) / 200_000
+
+
+def _quantile_levels():
     # A dense grid, random levels, both tails down to the least double, and
     # either side of AS241's branch cuts at |p - 1/2| = 0.425 and
     # sqrt(-ln p) = 5 (p = exp(-25)).
-    from statistics import NormalDist
     rng = np.random.default_rng(28)
     cuts = np.array([0.075, 0.925, math.exp(-25.0), -math.expm1(-25.0)])
-    levels = np.concatenate([
-        np.arange(1, 200_000) / 200_000, rng.random(50_000),
+    return np.concatenate([
+        DENSE_LEVELS, rng.random(50_000),
         10.0 ** -rng.uniform(1.0, 307.0, 20_000), 1.0 - 10.0 ** -rng.uniform(1.0, 16.0, 20_000),
         cuts, np.nextafter(cuts, 0.0), np.nextafter(cuts, 1.0), [5e-324, 1.0 - 2.0 ** -53],
     ]).tolist()
+
+
+def test_normal_quantile_is_the_bits_of_statistics_normal_dist():
+    from statistics import NormalDist
+    levels = _quantile_levels()
     inv_cdf = NormalDist().inv_cdf
     assert _bits([_normal_quantile(p) for p in levels]) == _bits([inv_cdf(p) for p in levels])
+
+
+def test_the_python_fallback_of_the_normal_quantile_gives_the_same_bits():
+    # Where CPython's C module _statistics is missing, alt takes the Python
+    # routine that statistics then binds; here the C one is that binding.
+    import statistics
+    assert ahft.alt._normal_dist_inv_cdf is statistics._normal_dist_inv_cdf
+    levels = _quantile_levels()
+    code = ("import sys, types\n"
+            "sys.modules['_statistics'] = None\n"
+            "import numpy as np\n"
+            "from ahft import alt\n"
+            "assert type(alt._normal_dist_inv_cdf) is types.FunctionType\n"
+            "levels = np.frombuffer(sys.stdin.buffer.read()).tolist()\n"
+            f"dense = levels[:{len(DENSE_LEVELS)}]\n"
+            "out = [alt._normal_quantile(p) for p in levels]\n"
+            "out += [alt._z_quantile(level) for level in dense]\n"
+            "sys.stdout.buffer.write(np.array(out).tobytes())\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(ahft.__file__).parent.parent))
+    run = subprocess.run([sys.executable, "-c", code], input=np.array(levels).tobytes(),
+                         capture_output=True, env=env)
+    assert (run.returncode, run.stderr) == (0, b"")
+    here = [_normal_quantile(p) for p in levels]
+    here += [_z_quantile(level) for level in DENSE_LEVELS.tolist()]
+    assert np.frombuffer(run.stdout, dtype=np.uint64).tolist() == _bits(here)
 
 
 def test_a_level_whose_quantile_is_infinite_is_an_input_error():
@@ -501,6 +533,15 @@ def test_sweep_curve_matches_pointwise_prediction(table3_model):
         assert value == predict_percentile(
             table3_model, {"available_time": 1.0, "stress": g}, 0.5
         )
+
+
+def test_a_key_that_names_no_factor_is_not_read(table3_model):
+    x = {"available_time": 0.1, "stress": 5.0}
+    assert (predict_with_interval(table3_model, {**x, "note": "x"})
+            == predict_with_interval(table3_model, x))
+    fixed = {"available_time": 0.1}
+    curve = sweep_curve(table3_model, "stress", [1.0, 2.0], {**fixed, "junk": [1, 2, 3]})
+    assert _bits(curve) == _bits(sweep_curve(table3_model, "stress", [1.0, 2.0], fixed))
 
 
 def test_sweep_curve_grid_validation(table3_model):

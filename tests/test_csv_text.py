@@ -805,7 +805,7 @@ def test_cli_import_and_short_columns_leave_the_kernel_unloaded():
 # What ``import ahft.cli`` leaves for the subcommands to import when they run.
 CLI_DEFERRED = ("ahft.alt", "ahft.dataset", "ahft.pca", "ahft.svg", "ahft.validation",
                 "ahft.fatigue", "ahft._floattext", "argparse", "json", "csv", "statistics",
-                "dataclasses")
+                "_statistics", "dataclasses")
 
 
 def test_cli_import_loads_numpy_and_none_of_the_subcommands_modules():

@@ -195,6 +195,20 @@ def test_generate_follows_documented_stream():
         assert fatigue == pytest.approx(weibull_quantile(eta, 2.5, u), rel=1e-12)
 
 
+def test_a_spec_without_factors_draws_n_rows():
+    # With no factor column, the design takes its row count from n.
+    spec = SyntheticSpec((0.5,), 3.0, (), (), n=200, seed=1)
+    data = generate_synthetic(spec)
+    rng = SplitMix64(1)
+    assert data.column("fatigue").tolist() == pytest.approx(
+        [weibull_quantile(math.exp(0.5), 3.0, rng.uniform()) for _ in range(200)], rel=1e-12)
+    redrawn = redraw_below_one(spec, data)
+    assert redrawn.n_rows == 200 and redrawn.column("fatigue").max() < 1.0
+    summary = recovery_check(spec)
+    assert summary.parameter_names == ("intercept", "shape")
+    assert summary.max_abs_z < 3.0
+
+
 def test_generate_scale_doubling_is_exact():
     base = generate_synthetic(_canonical_spec(60, seed=314))
     doubled_truth = (CANONICAL_TRUTH[0] + math.log(2.0),) + CANONICAL_TRUTH[1:]
