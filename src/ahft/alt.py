@@ -194,21 +194,34 @@ def _design(data, factors: tuple[FactorSpec, ...], n: int = 1) -> np.ndarray:
     """The design matrix z = [1, g_1(x_1), ...], one row per point.
 
     ``data`` is a :class:`Dataset` or a mapping from factor name to one
-    value or to an array of values; other keys are not read.  Names are
-    matched after :func:`normalize_name`.  Single values broadcast against
-    arrays; with no factor array z has ``n`` rows, or the Dataset's.  A
-    factor without values raises :class:`MissingFactor`.
+    value or to an array of values; other keys, and keys that are not
+    str, are not read.  Names are matched after :func:`normalize_name`.
+    Single values broadcast against arrays; with no factor array z has
+    ``n`` rows, or the Dataset's.  A factor without values raises
+    :class:`MissingFactor`; values that are no numbers, or arrays that are
+    not of one length and one dimension, raise :class:`InputError`.
     """
     if isinstance(data, Dataset):
         data, n = data.columns, data.n_rows
-    values = {normalize_name(k): v for k, v in data.items()}
+    values = {normalize_name(k): v for k, v in data.items() if isinstance(k, str)}
     columns = []
     for f in factors:
         if f.name not in values:
             raise MissingFactor(f"no value supplied for factor {f.name!r}")
-        columns.append(f.apply(values[f.name]))
-    shape = np.broadcast_shapes(*(c.shape for c in columns))
-    z = np.empty((shape[0] if shape else n, len(factors) + 1))
+        try:
+            column = np.asarray(values[f.name], dtype=float)
+        except (TypeError, ValueError):
+            raise InputError(
+                f"factor {f.name!r} needs numbers, got {values[f.name]!r}") from None
+        columns.append(f.apply(column))
+    try:  # a shape that does not broadcast, or has more than one axis
+        (rows,) = np.broadcast_shapes(*(c.shape for c in columns)) or (n,)
+    except ValueError:
+        shapes = ", ".join(f"{f.name!r} {c.shape}" for f, c in zip(factors, columns))
+        raise InputError(
+            f"factor values must be single numbers or 1-D arrays of one length, "
+            f"got shapes {shapes}") from None
+    z = np.empty((rows, len(factors) + 1))
     z[:, 0] = 1.0
     for j, column in enumerate(columns, start=1):
         z[:, j] = column
@@ -600,6 +613,8 @@ def predict_with_interval(
     variance is that gradient contracted with the model covariance.
     """
     z = _design(x, model.factors)
+    if len(z) != 1:
+        raise InputError(f"a prediction point takes one value per factor, got {len(z)} rows")
     value = float(_percentiles(model, z, p)[0])
     w = -math.log1p(-p)
     grad = value * np.concatenate([z[0], [-math.log(w) / model.shape]])

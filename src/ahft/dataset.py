@@ -37,7 +37,6 @@ from collections import namedtuple
 from functools import lru_cache, partial
 from itertools import groupby
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -104,24 +103,30 @@ class Dataset:
 
     ``Dataset(column_names, columns)`` takes a mapping from every PSF name
     and ``fatigue`` to equally long value sequences and stores one
-    read-only float64 array per column.  PSF values must be finite and
-    the response positive and finite (it acts as a lifetime; measured
-    fatigue additionally lies in (0, 1), which CSV ingestion enforces,
-    while synthetic lifetimes may exceed 1).  A violation raises for the
-    first offending row, checking its PSFs in column order before its
-    response.
+    read-only float64 array per column, under its name after
+    :func:`normalize_name`; two names that normalize alike raise
+    :class:`InputError`, as in a CSV header.  PSF values must be finite
+    and the response positive and finite (it acts as a lifetime;
+    measured fatigue additionally lies in (0, 1), which CSV ingestion
+    enforces, while synthetic lifetimes may exceed 1).  A violation
+    raises for the first offending row, checking its PSFs in column order
+    before its response.
     """
 
     __slots__ = ("column_names", "_columns")
 
     def __init__(self, column_names, columns):
-        column_names = tuple(column_names)
+        given = tuple(column_names)
+        column_names = tuple(map(normalize_name, given))
+        if len(set(column_names)) != len(column_names):
+            raise InputError(f"duplicate column names after normalization: {list(column_names)}")
+        keys = {FATIGUE: FATIGUE, **dict(zip(column_names, given))}  # each column's key in columns
         psf_names = tuple(c for c in column_names if c != FATIGUE)
         for name in psf_names + (FATIGUE,):
-            if name not in columns:
-                raise MissingColumn(f"no values given for column {name!r}")
-        arrays = {c: np.array(columns[c], dtype=float) for c in psf_names}
-        fatigue = arrays[FATIGUE] = np.array(columns[FATIGUE], dtype=float)
+            if keys[name] not in columns:
+                raise MissingColumn(f"no values given for column {keys[name]!r}")
+        arrays = {c: np.array(columns[keys[c]], dtype=float) for c in psf_names}
+        fatigue = arrays[FATIGUE] = np.array(columns[keys[FATIGUE]], dtype=float)
         if fatigue.ndim != 1 or any(a.shape != fatigue.shape for a in arrays.values()):
             raise InputError("dataset columns must be one-dimensional and of equal length")
         bad = ~((fatigue > 0.0) & np.isfinite(fatigue))
@@ -547,26 +552,21 @@ def _kernel_slot(ft, columns, separators):
     column's separator.  If any of the columns holds a negative, the
     kernel gets the magnitudes, and a sign byte comes before each cell:
     ``-``, or NUL for a non-negative value or a NaN.  One kernel call
-    formats the cells of as many columns as fill a ``PASS`` (a column a
-    call once the table has a ``PASS`` of rows).
+    formats the cells of all the columns in rows [a, b), stacked.
     """
     signed = int(any(np.signbit(column).any() for column in columns))  # the sign's bytes
     cell = signed + ft.SEPARATOR + 1
-    size = max(1, ft.PASS // len(columns[0]))  # columns a float_rows call
 
     def write(frame, a, b):
         cells = frame.reshape(b - a, len(columns), cell)
         cells[:, :, -1] = separators
-        for g in range(0, len(columns), size):
-            group = columns[g:g + size]
-            values = np.stack([c[a:b] for c in group]) if len(group) > 1 else group[0][None, a:b]
-            rows = ft.float_rows((np.abs(values) if signed else values).reshape(-1))
-            part = cells[:, g:g + size]
-            _put(part[:, :, signed:-1], rows.reshape(len(group), b - a, ft.ROW_BYTES)
-                 [:, :, :ft.SEPARATOR].transpose(1, 0, 2))
-            if signed:
-                negative = np.signbit(values) & ~np.isnan(values)
-                part[:, :, 0] = (negative.view(np.uint8) * np.uint8(ord("-"))).T
+        values = np.stack([c[a:b] for c in columns])
+        rows = ft.float_rows((np.abs(values) if signed else values).reshape(-1))
+        _put(cells[:, :, signed:-1], rows.reshape(len(columns), b - a, ft.ROW_BYTES)
+             [:, :, :ft.SEPARATOR].transpose(1, 0, 2))
+        if signed:
+            negative = np.signbit(values) & ~np.isnan(values)
+            cells[:, :, 0] = (negative.view(np.uint8) * np.uint8(ord("-"))).T
 
     return len(columns) * cell, write
 
@@ -687,33 +687,26 @@ def write_artifact(path, data) -> None:
                 os.ftruncate(fd, end)
 
 
-# A csv.writer target whose write encodes a line; writerow returns what
-# write returns, so the line's bytes.
-_LINE_BYTES = SimpleNamespace(write=partial(str.encode, encoding="utf-8"))
-
-
 def serialize(dataset: Dataset) -> bytes:
     """Emit a dataset as CSV bytes; ``load_csv`` round-trips it exactly.
 
     Floats are written in their shortest exact form (``repr``), so values
     survive the round trip bit-for-bit.  Every row ends with the
-    ``duration_hours`` cell ``1.0``.  The csv module writes the header
-    row (so a column name that needs quotes gets them), and
-    :func:`csv_blocks` the rows; the result joins their bytes.  A dataset
-    of at least ``FLOAT_TEXT_MIN_ROWS`` rows takes its byte frames,
-    ``duration_hours`` as a float column of ones: it is pooled, as a PSF
-    column of a few levels is, and a long column of distinct values (the
-    fatigue of a synthetic dataset, say) is formatted by the float text
-    kernel.  A shorter one takes the ``%s`` template, its columns as lists
-    and ``duration_hours`` as str cells, which the template copies without
-    a ``repr`` each.  The frames would take a table of a few hundred rows
-    too, as they count cells, but there the few-level columns cost more
-    than the template's short cells: 0.28 against 0.20 ms for the README's
-    200 rows (one Xeon core).
+    ``duration_hours`` cell ``1.0``.  The header row joins the column
+    names, which :class:`Dataset` has normalized, so none needs quotes;
+    :func:`csv_blocks` writes the rows, and the result joins their bytes.
+    A dataset of at least ``FLOAT_TEXT_MIN_ROWS`` rows takes its byte
+    frames, ``duration_hours`` as a float column of ones: it is pooled, as
+    a PSF column of a few levels is, and a long column of distinct values
+    (the fatigue of a synthetic dataset, say) is formatted by the float
+    text kernel.  A shorter one takes the ``%s`` template, its columns as
+    lists and ``duration_hours`` as str cells, which the template copies
+    without a ``repr`` each.  The frames would take a table of a few
+    hundred rows too, as they count cells, but there the few-level columns
+    cost more than the template's short cells: 0.28 against 0.20 ms for
+    the README's 200 rows (one Xeon core).
     """
-    header = csv.writer(_LINE_BYTES, lineterminator="\n").writerow(
-        list(dataset.psf_names) + [FATIGUE, DURATION]
-    )
+    header = (",".join(dataset.psf_names + (FATIGUE, DURATION)) + "\n").encode()
     stored = dataset.columns
     columns = [stored[c] for c in dataset.psf_names + (FATIGUE,)]
     n = dataset.n_rows

@@ -20,11 +20,13 @@ Its output is fixed to the bit, and three kinds of operation carry those
 bits: ``hypot`` and correctly rounded arithmetic for the rotation angles,
 two batched ``matmul`` calls per step that rotate the rows and then the
 columns, and closed-form writes of the rotated 2x2 blocks.  The rest of
-a step picks the pairs to skip and moves entries between buffers; a step
-that skips every pair is only such a move, and waits to be done at once
-with the steps after it.  The rotations are not written elementwise as
-``c*x - s*y``: BLAS kernels that fuse the multiply-add round once where
-that form rounds twice, so it would change last bits on such machines.
+a step picks the pairs to skip and moves entries between buffers.  A
+sweep ends early at a step that skips every pair once nothing is left to
+rotate anywhere (Golub & Van Loan, Matrix Computations, sec. 8.5): the
+rest of it would only move entries.  The rotations are not written
+elementwise as ``c*x - s*y``: BLAS kernels that fuse the multiply-add
+round once where that form rounds twice, so it would change last bits
+on such machines.
 """
 
 from __future__ import annotations
@@ -84,51 +86,6 @@ def _round_robin(size: int) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-@lru_cache(maxsize=32)
-def _lagged(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Where the buffer holds a step's entries while pair-free steps are pending.
-
-    A step whose pairs all lie at or below the threshold rotates by the
-    identity: it only moves rows and columns to the next layout and
-    transposes A.  The solver leaves such steps pending.  After ``k`` of
-    them, row i of [A | V'] is row ``s[i]`` of the buffer, and entry
-    (i, j) of A is at (s[i], s[j]), or at (s[j], s[i]) when k is odd;
-    ``s`` is the ``sigma`` of :func:`_round_robin` applied k times, so it
-    depends on ``k mod (size - 1)`` only.
-
-    Returns ``(moved, here)``: ``moved[k % (size - 1)]`` is ``s``, and
-    ``here[k % (size - 1), k % 2]`` holds the flat offsets of the current
-    step's (p, q), (q, p), (p, p) and (q, q) entries, as the ``here`` of
-    :func:`_round_robin` does with no step pending.
-    """
-    width = 2 * size
-    sigma = _round_robin(size)[1]
-    moved = [np.arange(size)]
-    for _ in range(size - 2):
-        moved.append(moved[-1][sigma])
-    moved = np.array(moved)
-    p, q = moved[:, 0::2] * width, moved[:, 1::2] * width
-    pq, qp = p + moved[:, 1::2], q + moved[:, 0::2]
-    diagonal = [p + moved[:, 0::2], q + moved[:, 1::2]]
-    here = np.stack((np.concatenate([pq, qp] + diagonal, axis=1),
-                     np.concatenate([qp, pq] + diagonal, axis=1)), axis=1)
-    for x in (moved, here):
-        x.flags.writeable = False
-    return moved, here
-
-
-def _caught_up(size: int, s: np.ndarray, odd: bool) -> np.ndarray:
-    """Flat offsets that take the buffer to the current layout (see :func:`_lagged`).
-
-    Entry (i, j) of the result is the offset in the buffer of entry
-    (i, j) of [A | V'] in the current layout.
-    """
-    width = 2 * size
-    rows = s[:, None] * width
-    a = s * width + s[:, None] if odd else rows + s
-    return np.concatenate((a, rows + np.arange(size, width)), axis=1)
-
-
 def eigen_symmetric(m: np.ndarray, max_sweeps: int = 60) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecompose a symmetric matrix by round-robin Jacobi rotations.
 
@@ -163,11 +120,12 @@ def eigen_symmetric(m: np.ndarray, max_sweeps: int = 60) -> tuple[np.ndarray, np
 
     A step with no pair above the threshold rotates by the identity,
     which returns every entry but -0.0 unchanged on fused and unfused
-    kernels alike.  While the buffer holds no -0.0, such steps are left
-    pending: the next steps read their pairs where the pending moves
-    left them (:func:`_lagged`), and one ``take`` applies the moves
-    before the next rotation and before the result is read.  The bits
-    are those of running every step.
+    kernels alike.  When no off-diagonal entry is above the threshold
+    either and the buffer holds no -0.0, the rest of the sweep would
+    only permute rows and columns and transpose A, and the next check of
+    the off-diagonal mass would end the solve; so the solve ends there,
+    and the result is read through that step's layout.  The bits are
+    those of running every step.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -196,8 +154,7 @@ def eigen_symmetric(m: np.ndarray, max_sweeps: int = 60) -> tuple[np.ndarray, np
     # never passes the threshold, so that step leaves it out.
     size = n + n % 2
     half, width = size // 2, 2 * size
-    layout, sigma, _, there = _round_robin(size)
-    moved, here = _lagged(size)
+    layout, sigma, here, there = _round_robin(size)
     padded = np.zeros((size, size))
     padded[:n, :n] = a
     # buf = [A | V'] in the current layout: row i of each belongs to index
@@ -223,12 +180,7 @@ def eigen_symmetric(m: np.ndarray, max_sweeps: int = 60) -> tuple[np.ndarray, np
     tau, h, c, scratch = work
     c_col = c.reshape(half, 1)
     skip = np.empty(half, dtype=bool)
-    pending = 0  # pair-free steps not yet applied to buf
-
-    def catch_up():
-        lagged = _caught_up(size, moved[pending % (size - 1)], pending % 2)
-        buf.take(lagged, out=row_flat, mode="clip")
-        np.copyto(buf, row_flat)
+    taken = 0  # steps of the sweep that ended early, if one did
 
     sweeps = 0
     # Only skipped pairs divide by zero or overflow, and their t is then
@@ -238,20 +190,19 @@ def eigen_symmetric(m: np.ndarray, max_sweeps: int = 60) -> tuple[np.ndarray, np
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         while sweeps < max_sweeps and max_offdiag(block) > threshold:
             sweeps += 1
-            for _ in range(size - 1):
-                buf.take(here[pending % (size - 1), pending % 2], out=pair_flat, mode="clip")
+            for step in range(size - 1):
+                buf.take(here, out=pair_flat, mode="clip")
                 np.abs(apq, out=scratch)
                 np.less_equal(scratch, threshold, out=skip)
                 # A pair-free step rotates by the identity, which keeps every
-                # entry but -0.0; without one in buf, it is left pending.
+                # entry but -0.0.  With nothing left to rotate and no -0.0 in
+                # buf, the rest of the sweep only moves entries, and the
+                # loop's next check ends the solve.
                 skipped = np.count_nonzero(skip)
-                if skipped == half and (
-                        pending or not np.any(buf.view(np.uint64) == _NEGATIVE_ZERO)):
-                    pending += 1
-                    continue
-                if pending:
-                    catch_up()
-                    pending = 0
+                if skipped == half and max_offdiag(block) <= threshold and not np.any(
+                        buf.view(np.uint64) == _NEGATIVE_ZERO):
+                    taken = step
+                    break
                 # Rotation angles annihilating each active a[p, q], by the
                 # numerically stable tangent formula
                 #   t = sign(tau) / (|tau| + hypot(1, tau))
@@ -293,8 +244,6 @@ def eigen_symmetric(m: np.ndarray, max_sweeps: int = 60) -> tuple[np.ndarray, np
                 np.add(aqq, scratch, out=written[3])
                 buf.put(there, written)
 
-    if pending:
-        catch_up()
     final_off = max_offdiag(block)
     if final_off > threshold:
         raise NoConvergence(
@@ -302,6 +251,8 @@ def eigen_symmetric(m: np.ndarray, max_sweeps: int = 60) -> tuple[np.ndarray, np
             diagnostics={"sweeps": sweeps, "max_offdiag": math.ldexp(final_off, shift)},
         )
 
+    for _ in range(taken):
+        layout = layout[sigma]
     place = np.argsort(layout)[:n]  # where each index ended up
     values = np.diag(block)[place]
     order = np.argsort(-values, kind="stable")

@@ -542,6 +542,26 @@ def test_a_key_that_names_no_factor_is_not_read(table3_model):
     fixed = {"available_time": 0.1}
     curve = sweep_curve(table3_model, "stress", [1.0, 2.0], {**fixed, "junk": [1, 2, 3]})
     assert _bits(curve) == _bits(sweep_curve(table3_model, "stress", [1.0, 2.0], fixed))
+    assert (predict_with_interval(table3_model, {**x, 3: "x", None: [1, 2]})
+            == predict_with_interval(table3_model, x))
+
+
+def test_a_point_that_is_not_one_row_of_numbers_is_an_input_error(table3_model):
+    def predict(**x):
+        return predict_with_interval(table3_model, x)
+
+    with pytest.raises(InputError, match="one value per factor, got 2 rows"):
+        predict(available_time=[0.1, 10.0], stress=[5, 1])
+    with pytest.raises(InputError, match="got 0 rows"):
+        predict(available_time=[], stress=5)
+    with pytest.raises(InputError, match="factor 'stress' needs numbers, got 'x'"):
+        predict(available_time=0.1, stress="x")
+    with pytest.raises(InputError, match=r"'available_time' \(2,\), 'stress' \(3,\)"):
+        predict(available_time=[0.1, 10.0], stress=[5, 1, 2])
+    with pytest.raises(InputError, match=r"'available_time' \(3,\), 'stress' \(2,\)"):
+        sweep_curve(table3_model, "stress", [1.0, 2.0], {"available_time": [0.1, 1.0, 10.0]})
+    with pytest.raises(InputError, match=r"'available_time' \(1, 2\), 'stress' \(\)"):
+        predict(available_time=[[0.1, 10.0]], stress=5)
 
 
 def test_sweep_curve_grid_validation(table3_model):

@@ -166,6 +166,8 @@ def test_curves_that_cannot_be_charted_exit_two_and_write_nothing(tmp_path, caps
     ("--alpha", "-2,inf,-0.1", ("--alpha", "'inf'", "not a finite number")),
     ("--pool", "f1=0.5|nan", ("--pool", "'nan'", "not a finite number")),
     ("--pool", "f1=0.5|x", ("--pool", "cannot parse 'x'")),
+    # Finite options whose responses exp(800) * ... overflow.
+    ("--alpha", "800,0,0", ("synthetic responses overflow: lower true_alpha or raise true_shape",)),
 ])
 def test_simulate_rejects_non_finite_options(tmp_path, capsys, option, value, words):
     options = {"--shape": "3", "--alpha": "-2,0.3,-0.1", "--pool": "f1=0.5|1|2|5"}

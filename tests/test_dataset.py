@@ -16,6 +16,7 @@ from ahft import (
     correlation_matrix,
     load_csv,
     normalize_name,
+    run_pca,
     serialize,
     standardize,
 )
@@ -163,6 +164,17 @@ def test_dataset_rejects_mapping_without_named_column():
         Dataset(("x", "y", "fatigue"), {"x": [1.0], "fatigue": [0.5]})
     with pytest.raises(InputError, match="'fatigue'"):
         Dataset(("x", "fatigue"), {"x": [1.0]})
+
+
+def test_dataset_normalizes_column_names_and_round_trips_them():
+    data = Dataset(("Stress", "a,b", "Fatigue"),
+                   {"Stress": [1.0, 5.0], "a,b": [2.0, 3.0], "Fatigue": [0.2, 0.3]})
+    assert data.column_names == ("stress", "a_b", "fatigue")
+    assert data.column("Stress").tolist() == [1.0, 5.0]
+    assert run_pca(data).column_names == ("stress", "a_b", "fatigue")
+    assert load_csv(serialize(data)) == data
+    with pytest.raises(InputError, match="duplicate column names after normalization"):
+        Dataset(("x", "X", "fatigue"), {"x": [1.0], "X": [2.0], "fatigue": [0.5]})
 
 
 def test_dataset_column_missing():

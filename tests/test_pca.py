@@ -261,11 +261,28 @@ def test_eigen_bits_match_reference_on_table3_a_wide_screen_and_no_columns(table
 def test_eigen_pair_free_steps_turn_a_negative_zero_as_the_reference_does(n):
     # Every step but the one that rotates (0, 1) is pair-free.  Run, such a
     # step turns the -0.0 to +0.0 where it meets a +0.0 in its pair, so the
-    # solver may not leave it pending.
+    # solver may not end the sweep before it.
     m = np.eye(n)
     m[0, 1] = m[1, 0] = 0.5
     m[2, 2] = -0.0
     _assert_same_bits(m)
+
+
+@pytest.mark.parametrize("max_sweeps", [1, 2, 60])
+@pytest.mark.parametrize("negative_zeros", [False, True])
+@pytest.mark.parametrize("n", range(2, 65))
+def test_eigen_sweep_ends_where_the_reference_does_at_every_step(n, negative_zeros, max_sweeps):
+    # The one active pair (0, n - 1) rotates at a step that moves with n;
+    # the next step has nothing left to rotate, and the solve may end there
+    # unless a -0.0 keeps every step running.  Run, a pair-free step turns
+    # a -0.0 diagonal entry to +0.0 where its pair's entry is -0.0.
+    m = np.eye(n)
+    m[0, n - 1] = m[n - 1, 0] = 0.5
+    if negative_zeros:
+        i, j = np.indices((n, n))
+        m[(m == 0.0) & ((i + j) % 2 == 1)] = -0.0
+        m[n // 2, n // 2] = -0.0
+    _assert_same_bits(m, max_sweeps=max_sweeps)
 
 
 @pytest.mark.parametrize("max_sweeps", [0, 1, 2])

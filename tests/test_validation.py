@@ -281,6 +281,8 @@ def test_synthetic_spec_validation():
         SyntheticSpec((0.0, 1.0), -2.0, f, ((1.0,),), n=5, seed=0)
     with pytest.raises(InputError):
         SyntheticSpec((0.0, 1.0), 1.0, f, ("ab",), n=5, seed=0)
+    with pytest.raises(InputError, match="value pools must be nonempty numeric sequences"):
+        SyntheticSpec((0.0, 1.0), 1.0, f, ((1.0, "x"),), n=5, seed=0)
 
 
 @pytest.mark.parametrize("n", (2**62, 10**20))
