@@ -43,12 +43,16 @@ One workspace per fit holds the n-vectors, which every step writes
 with ``out=``.  The product ``z * e`` is not kept in a ``(k, n)`` layout,
 although that would fill faster: ``zet @ z`` calls BLAS with other
 transpose flags, whose kernel may round the last bit differently.
+The line search's O(k) likelihood bound carries no bits: it only skips
+trials whose O(n) evaluation would be rejected, and every accepted
+trial is still evaluated in full.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +80,7 @@ GRADIENT_TOL = 1e-8
 # it is (1 + |r|) / (1 - |r|), so 1e6 means |r| > 1 - 2e-6: the data pin a
 # combination of the coefficients, not the coefficients.
 CONDITION_WARN = 1e6
+_LOG_MAX = math.log(sys.float_info.max)  # exp overflows above it
 
 TRANSFORMS = ("identity", "log", "reciprocal")
 _TRANSFORM_ALIASES = {
@@ -246,13 +251,13 @@ class _Workspace:
     its own exp, which warns on overflow.
     """
 
-    __slots__ = ("z", "logt", "u", "bu", "e", "s1", "s2", "ze", "key")
+    __slots__ = ("z", "logt", "u", "bu", "e", "s1", "s2", "ze", "key", "sums")
 
     def __init__(self, z: np.ndarray, logt: np.ndarray):
         self.z, self.logt = z, logt
         self.u, self.bu, self.e, self.s1, self.s2 = np.empty((5, len(logt)))
         self.ze = np.empty(z.shape)
-        self.key = None
+        self.key = self.sums = None
 
     def _terms(self, theta: np.ndarray, beta: float) -> None:
         """u = ln t - z.alpha and bu = beta * u into their buffers."""
@@ -277,6 +282,44 @@ class _Workspace:
             return -math.inf
         self.key = theta.tobytes()
         return total
+
+    def upper_bound(self, theta: np.ndarray) -> float:
+        """A float that :meth:`loglik` at ``theta`` never exceeds, from O(k) work.
+
+        Jensen's inequality sum exp(b_i) >= n*exp(B/n), with b_i = beta*u_i and
+        B = sum b_i = beta*(S - alpha.Z) (S = sum ln t_i, Z = sum z_i), gives
+        l <= n*phi + B - S - n*exp(B/n).  Rounding, with u = 2**-53, S1 and Z1
+        the sums of |ln t_i| and |z_i|, D = beta*(S1 + |alpha|.Z1) and exp
+        taken to err by 4 ulp: B misses the sum of the evaluated b_i by
+        (n+2k+6)u*D, and loglik's total misses the exact one over those b_i by
+        (n+2)u*(n|phi| + D + S1 + sum exp(b_i)).  tol = 16(n+k+8)u covers each
+        share with room left for this expression's own rounding: B enters the
+        exp lowered by tol*D, the exp term shrinks by 1 - tol*(1+|m|) (3u|m|
+        of it for the rounded argument m), and tol*(n|phi| + S1 + 2D) is
+        added.  An underflow errs by far less than tol*(D + n|phi|).
+        """
+        phi = float(theta[-1])
+        if phi > 700.0:
+            return -math.inf  # as loglik
+        if self.sums is None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                self.sums = (float(np.sum(self.logt)), float(np.sum(np.abs(self.logt))),
+                             self.z.sum(axis=0).tolist(), np.abs(self.z).sum(axis=0).tolist())
+        s, s1, z_sum, z1 = self.sums
+        alpha, n = theta[:-1].tolist(), len(self.logt)
+        beta = math.exp(phi)
+        a = sum(abs(x) * y for x, y in zip(alpha, z1))
+        d = beta * (s1 + a)
+        if not d + a < 1e300:  # loglik's products might overflow and warn
+            return math.inf
+        tol = (n + len(alpha) + 8) * 2.0**-49
+        b = beta * (s - sum(x * y for x, y in zip(alpha, z_sum)))
+        m = (b - tol * d) / n  # at most the mean evaluated b_i
+        if m > _LOG_MAX:  # the largest b_i's exp is inf, so loglik is -inf
+            return -math.inf
+        # capped: n*exp(m) past the largest float would give -inf, and loglik may be finite
+        e = min((1.0 - tol * (1.0 + abs(m))) * n * math.exp(m), sys.float_info.max)
+        return n * phi + b - s + tol * (n * abs(phi) + s1 + 2.0 * d) - e
 
     def derivatives(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Gradient and Hessian of the log-likelihood from one exp(beta*u)."""
@@ -387,20 +430,20 @@ def fit_mle(dataset: Dataset, factors, max_iterations: int = 200) -> GllWeibullM
             # Hessian unusable here; fall back to a scaled ascent step.
             step = g / max(1.0, grad_norm)
         scale = 1.0
-        improved = False
         # Ties are accepted: near the optimum the Newton step improves the
         # objective by less than one ulp, and rejecting it would strand the
         # gradient just above tolerance.
-        tie_tol = 1e-12 * max(1.0, abs(ll))
+        floor = ll - 1e-12 * max(1.0, abs(ll))
         for _ in range(60):
             trial = theta + scale * step
-            ll_trial = work.loglik(trial)
-            if math.isfinite(ll_trial) and ll_trial >= ll - tie_tol:
-                theta, ll = trial, ll_trial
-                improved = True
-                break
+            # A trial whose O(k) bound is below the floor skips the O(n) pass.
+            if not work.upper_bound(trial) < floor:
+                ll_trial = work.loglik(trial)
+                if math.isfinite(ll_trial) and ll_trial >= floor:
+                    theta, ll = trial, ll_trial
+                    break
             scale *= 0.5
-        if not improved:
+        else:
             break  # no ascent direction left; final gradient check decides
     else:
         # The budget ran out after a step moved theta: evaluate the end point.

@@ -343,7 +343,8 @@ def cmd_simulate(args) -> None:
     missing = [f.name for f in factors if f.name not in pools]
     if missing:
         raise InputError(f"no --pool given for factor(s): {', '.join(missing)}")
-    unused = [name for name in pools if name not in {f.name for f in factors}]
+    names = {f.name for f in factors}
+    unused = [name for name in pools if name not in names]
     if unused:
         raise InputError(f"--pool names {unused[0]!r}, which --factors does not")
 

@@ -60,8 +60,10 @@ def normalize_name(name: str) -> str:
 
     Case-, space- and punctuation-insensitive, so CLI arguments like
     ``Available Time`` or ``available-time`` match the CSV header
-    ``available_time``.
+    ``available_time``.  A name that is not a str raises :class:`InputError`.
     """
+    if not isinstance(name, str):
+        raise InputError(f"a column or factor name must be a string, got {name!r}")
     cleaned = re.sub(r"[^0-9a-zA-Z]+", "_", name.strip()).strip("_")
     return cleaned.lower()
 

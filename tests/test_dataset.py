@@ -166,6 +166,11 @@ def test_dataset_rejects_mapping_without_named_column():
         Dataset(("x", "fatigue"), {"x": [1.0]})
 
 
+def test_dataset_rejects_a_column_name_that_is_not_a_string():
+    with pytest.raises(InputError, match="must be a string, got 1$"):
+        Dataset((1, "fatigue"), {1: [1.0, 2.0], "fatigue": [0.1, 0.2]})
+
+
 def test_dataset_normalizes_column_names_and_round_trips_them():
     data = Dataset(("Stress", "a,b", "Fatigue"),
                    {"Stress": [1.0, 5.0], "a,b": [2.0, 3.0], "Fatigue": [0.2, 0.3]})

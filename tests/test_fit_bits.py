@@ -109,6 +109,70 @@ def test_kernels_match_reference(data):
     assert _outcome(_derivatives, b, z, logt) == _outcome(derivatives_reference, b, z, logt)
 
 
+@st.composite
+def bound_problems(draw):
+    """A workspace of 3-2000 rows and eight thetas to bound its log-likelihood at.
+
+    Columns are pooled or continuous, at scales from 1e-3 to 1e3.  A third
+    of the designs give every row the same beta*u, Jensen's equality case,
+    across the whole range of exp: from underflow past its overflow.
+    """
+    n = draw(st.sampled_from(range(3, 13)) | st.integers(13, 2000))
+    k = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** rng.uniform(-3.0, 3.0, size=k)
+    z = np.ones((n, k))
+    for j in range(1, k):
+        if draw(st.booleans()):
+            z[:, j] = rng.choice(rng.uniform(-1.0, 1.0, size=4), size=n) * scale[j]
+        else:
+            z[:, j] = rng.normal(size=n) * scale[j]
+    equal = draw(st.sampled_from([False, False, True]))
+    logt = np.full(n, rng.normal(0.0, 3.0)) if equal else rng.normal(-1.0, 2.0, size=n)
+    points = []
+    for _ in range(8):
+        phi = draw(st.sampled_from(["plain", "plain", "large", "cut"]))
+        phi = {"plain": rng.uniform(-3.0, 3.0), "large": rng.uniform(3.0, 700.0),
+               "cut": draw(st.sampled_from([np.nextafter(700.0, 0.0), 700.0,
+                                            np.nextafter(700.0, 800.0)]))}[phi]
+        if equal:  # every b_i = beta * (ln t - alpha_0), from -800 to 712
+            alpha = np.zeros(k)
+            alpha[0] = logt[0] - rng.uniform(-800.0, 712.0) / math.exp(phi)
+        else:
+            alpha = rng.normal(0.0, 1.0, size=k) / scale * 10.0 ** rng.uniform(-4.0, 0.0)
+        points.append(np.concatenate([alpha, [phi]]))
+    return _Workspace(z, logt), points
+
+
+@given(problem=bound_problems())
+@settings(BITS, max_examples=300)
+def test_loglik_never_exceeds_its_bound(problem):
+    """The line search skips a trial whose bound is below the floor, so the
+    evaluated log-likelihood must never be above the bound, rounding and all;
+    and the bound must raise no warning, or a fit would gain one."""
+    work, points = problem
+    for theta in points:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bound = work.upper_bound(theta)
+        assert work.loglik(theta) <= bound, theta.tolist()
+
+
+def test_line_search_evaluates_fewer_trials(cohort):
+    """The table3 and cohort fits evaluate 31 and 92 trials without the bound."""
+    specs = (FactorSpec("available_time"), FactorSpec("stress"))
+    calls = []
+    loglik = _Workspace.loglik
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Workspace, "loglik", lambda work, theta: calls.append(theta) or
+                      loglik(work, theta))
+        fit_mle(builtin_table3(), specs)
+        assert len(calls) == 15
+        calls.clear()
+        fit_mle(cohort, specs)
+        assert len(calls) == 35
+
+
 def test_theta_changed_in_place_is_recomputed():
     """The cache keys on theta's bytes, not on the array object."""
     table3 = builtin_table3()

@@ -231,9 +231,9 @@ def jacobi_matrices(draw):
         count = draw(st.integers(0, 4))
         i = rng.integers(0, n, size=count)
         j = (i + rng.integers(1, n, size=count)) % n
-        picks = [draw(st.sampled_from(edges)) * draw(st.sampled_from([1.0, -1.0]))
-                 for _ in range(count)]
-        a[i, j] = a[j, i] = picks
+        # one value per unordered pair, or (p, q) and (q, p) would differ
+        for p, q in sorted({(min(p, q), max(p, q)) for p, q in zip(i.tolist(), j.tolist())}):
+            a[p, q] = a[q, p] = draw(st.sampled_from(edges)) * draw(st.sampled_from([1.0, -1.0]))
     return a
 
 
