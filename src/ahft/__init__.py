@@ -22,7 +22,7 @@ _HOME = {
                      "load_csv", "normalize_name", "serialize", "standardize"), "dataset"),
     **dict.fromkeys(("fatigue_at", "rate_from_fatigue"), "fatigue"),
     **dict.fromkeys(("PcaResult", "SelectionResult", "eigen_symmetric", "run_pca",
-                     "select_factors", "variance_proportions"), "pca"),
+                     "select_factors"), "pca"),
     **dict.fromkeys(("DEFAULT_CONFIDENCE", "DEFAULT_PERCENTILE", "FactorSpec",
                      "GllWeibullModel", "Prediction", "coef_ci", "fit_mle", "load_model",
                      "log_likelihood", "model_from_json", "model_to_json",

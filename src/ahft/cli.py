@@ -163,7 +163,7 @@ def cmd_pca(args) -> None:
     out = _out_dir(args)
 
     result = pca_mod.run_pca(data)
-    selection = pca_mod.select_factors(result, args.threshold, ds.FATIGUE)
+    selection = pca_mod.select_factors(result, args.threshold)
 
     n = len(result.eigenvalues)
     labels = [f"PC{i + 1}" for i in range(n)]
@@ -383,11 +383,6 @@ def cmd_simulate(args) -> None:
 # Parser and entry point
 # ---------------------------------------------------------------------------
 
-def _parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first call and reused by later ones."""
-    return _parsers()[0]
-
-
 @functools.cache
 def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The top-level parser and each subcommand's parser by name, built once."""
@@ -468,7 +463,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """``_parser().parse_args(argv)``, with one subparser's pass where that suffices.
+    """``_parsers()[0].parse_args(argv)``, with one subparser's pass where that suffices.
 
     A known subcommand without leftover arguments parses to the same
     namespace through its own parser alone.  Everything else goes through

@@ -68,6 +68,17 @@ def normalize_name(name: str) -> str:
     return cleaned.lower()
 
 
+def _column_names(given, what: str) -> list[str]:
+    """``given`` normalized; :class:`InputError` for an empty name, then for a repeat."""
+    names = [normalize_name(g) for g in given]
+    if "" in names:
+        i = names.index("")
+        raise InputError(f"{what} {i + 1} ({given[i]!r}) has no ASCII letter or digit")
+    if len(set(names)) != len(names):
+        raise InputError(f"duplicate column names after normalization: {names}")
+    return names
+
+
 # ---------------------------------------------------------------------------
 # PSF catalog (reference data)
 # ---------------------------------------------------------------------------
@@ -106,22 +117,20 @@ class Dataset:
     ``Dataset(column_names, columns)`` takes a mapping from every PSF name
     and ``fatigue`` to equally long value sequences and stores one
     read-only float64 array per column, under its name after
-    :func:`normalize_name`; two names that normalize alike raise
-    :class:`InputError`, as in a CSV header.  PSF values must be finite
-    and the response positive and finite (it acts as a lifetime;
-    measured fatigue additionally lies in (0, 1), which CSV ingestion
-    enforces, while synthetic lifetimes may exceed 1).  A violation
-    raises for the first offending row, checking its PSFs in column order
-    before its response.
+    :func:`normalize_name`; a name with no ASCII letter or digit, or two
+    that normalize alike, raise :class:`InputError`, as in a CSV header.
+    PSF values must be finite and the response positive and finite (it
+    acts as a lifetime; measured fatigue additionally lies in (0, 1),
+    which CSV ingestion enforces, while synthetic lifetimes may exceed
+    1).  A violation raises for the first offending row, checking its
+    PSFs in column order before its response.
     """
 
     __slots__ = ("column_names", "_columns")
 
     def __init__(self, column_names, columns):
         given = tuple(column_names)
-        column_names = tuple(map(normalize_name, given))
-        if len(set(column_names)) != len(column_names):
-            raise InputError(f"duplicate column names after normalization: {list(column_names)}")
+        column_names = tuple(_column_names(given, "column name"))
         keys = {FATIGUE: FATIGUE, **dict(zip(column_names, given))}  # each column's key in columns
         psf_names = tuple(c for c in column_names if c != FATIGUE)
         for name in psf_names + (FATIGUE,):
@@ -266,7 +275,7 @@ def _tokenized_columns(text: str):
         names = [normalize_name(h) for h in next(csv.reader([head]))]
     except csv.Error:
         return None
-    if len(set(names)) != len(names) or FATIGUE not in names:
+    if "" in names or len(set(names)) != len(names) or FATIGUE not in names:
         return None
     try:
         # loadtxt reads a file object line by line, which makes a StringIO
@@ -301,9 +310,7 @@ def _csv_columns(text: str):
     if not records:
         raise EmptyDataset("input has no header row")
 
-    names = [normalize_name(h) for h in records[0]]
-    if len(set(names)) != len(names):
-        raise InputError(f"duplicate column names after normalization: {names}")
+    names = _column_names(records[0], "header cell")
     if FATIGUE not in names:
         raise MissingColumn("required column 'fatigue' is absent")
 
@@ -404,18 +411,21 @@ def _hash_index(keys, bits):
     gives each key a slot of its own; the slot holds the key's position.
     None if every multiplier collides, or a cell is no key.  Otherwise
     the index is ``np.unique(bits, return_inverse=True)[1]`` whenever
-    ``keys`` are exactly the distinct values of ``bits``.
+    ``keys`` are exactly the distinct values of ``bits``.  A pooled probe
+    has at most 128 keys, so the table holds uint8 positions (32 KB at
+    most); the index is written over the slots, read as intp.
     """
     m = len(keys)
     shift = np.uint64(64 - (2 * m * m - 1).bit_length())
-    positions = np.arange(m)
+    positions = np.arange(m, dtype=np.uint8)
     for c in _HASH_MULTIPLIERS:
         slots = (keys * c) >> shift
-        table = np.zeros(1 << (64 - int(shift)), dtype=np.intp)
+        table = np.zeros(1 << (64 - int(shift)), dtype=np.uint8)
         table[slots] = positions
         if (table[slots] == positions).all():
             hashed = np.multiply(bits, c)
-            index = table.take(np.right_shift(hashed, shift, out=hashed))
+            index = np.right_shift(hashed, shift, out=hashed).view(np.intp)
+            index[...] = table.take(index)
             return index if (keys.take(index) == bits).all() else None
     return None
 

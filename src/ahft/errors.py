@@ -70,10 +70,6 @@ class NotSymmetric(InputError):
     """Matrix handed to the eigensolver is not symmetric."""
 
 
-class AllZeroSpectrum(InputError):
-    """Every eigenvalue is zero; variance proportions are undefined."""
-
-
 # -- alt --------------------------------------------------------------------
 
 class MissingFactor(InputError):

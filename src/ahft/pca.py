@@ -1,14 +1,14 @@
 """Principal component analysis of the PSF correlation matrix.
 
-Pipeline: standardize the selected columns (the fatigue response is kept
-in by default, giving a 9-variable analysis on the bundled case study),
-form the Pearson correlation matrix, and eigendecompose it with Jacobi
-rotations in the round-robin order of Brent & Luk (SIAM J. Sci. Stat.
-Comput. 6(1), 1985), which rotates disjoint index pairs together.
-Variance proportions come from the spectrum (lambda_i / sum(lambda));
-factor selection keeps the smallest leading block of components that
-explains the requested variance share and ranks the PSFs inside it by
-eigenvalue-weighted absolute loading.
+Pipeline: standardize every column of the dataset, the fatigue response
+included (a 9-variable analysis on the bundled case study), form the
+Pearson correlation matrix, and eigendecompose it with Jacobi rotations
+in the round-robin order of Brent & Luk (SIAM J. Sci. Stat. Comput.
+6(1), 1985), which rotates disjoint index pairs together.  Variance
+proportions come from the spectrum (lambda_i / sum(lambda)); factor
+selection keeps the smallest leading block of components that explains
+the requested variance share and ranks every column but fatigue inside
+it by eigenvalue-weighted absolute loading.
 
 The Jacobi solver is written out here rather than delegated to a LAPACK
 wrapper because the surrounding contract is part of the package API:
@@ -37,8 +37,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dataset import Dataset, correlation_matrix, normalize_name
-from .errors import AllZeroSpectrum, InputError, NoConvergence, NotSymmetric
+from .dataset import FATIGUE, Dataset, correlation_matrix
+from .errors import InputError, NoConvergence, NotSymmetric
 
 SYMMETRY_TOL = 1e-10
 EIGENVALUE_TIE_TOL = 1e-10
@@ -307,70 +307,47 @@ class SelectionResult:
 _THRESHOLD_EPS = 1e-9
 
 
-def variance_proportions(eigenvalues) -> tuple[np.ndarray, np.ndarray]:
-    """Per-component share of total variance, and its running sum.
+def run_pca(dataset: Dataset) -> PcaResult:
+    """PCA of the correlation matrix of every dataset column.
 
-    proportions[i] = lambda_i / sum(lambda); cumulative[i] is the sum of
-    the first i+1 proportions.  Eigenvalues must be nonnegative and not
-    all zero.
+    Fatigue is one of the columns: its loadings show how strongly each
+    component carries the response.
     """
-    values = np.asarray(eigenvalues, dtype=float)
-    if values.size == 0 or np.any(values < 0):
-        raise InputError("eigenvalues must be a nonempty, nonnegative sequence")
-    total = float(values.sum())
-    if total <= 0.0:
-        raise AllZeroSpectrum("all eigenvalues are zero")
-    proportions = values / total
-    return proportions, np.cumsum(proportions)
-
-
-def run_pca(dataset: Dataset, columns=None) -> PcaResult:
-    """PCA of the correlation matrix of the selected columns.
-
-    ``columns`` defaults to every dataset column, fatigue included —
-    the response rides along so its loadings show how strongly each
-    component carries it.  Pass an explicit list to opt out.
-    """
-    if columns is None:
-        columns = list(dataset.column_names)
-    columns = [normalize_name(c) for c in columns]
-    r = correlation_matrix(dataset, columns)
+    r = correlation_matrix(dataset, dataset.column_names)
     values, vectors = eigen_symmetric(r)
     if np.any(values < -NEGATIVE_CLAMP_TOL):
         raise InputError(
             f"correlation matrix has eigenvalue {values.min():.3e} < -1e-10"
         )
     values = np.where(values < 0.0, 0.0, values)
-    proportions, cumulative = variance_proportions(values)
+    # A correlation spectrum sums to the column count, so no share divides by zero.
+    proportions = values / float(values.sum())
     has_ties = bool(np.any(np.abs(np.diff(values)) <= EIGENVALUE_TIE_TOL))
     return PcaResult(
-        column_names=tuple(columns),
+        column_names=dataset.column_names,
         eigenvalues=values,
         eigenvectors=vectors,
         proportions=proportions,
-        cumulative=cumulative,
+        cumulative=np.cumsum(proportions),
         has_ties=has_ties,
     )
 
 
-def select_factors(pca: PcaResult, threshold: float, response: str) -> SelectionResult:
+def select_factors(pca: PcaResult, threshold: float) -> SelectionResult:
     """Retain leading components, then rank the PSFs they weight.
 
     The smallest k with cumulative explained variance >= ``threshold``
-    is retained.  Each non-response column is scored by
+    is retained.  Each column but fatigue is scored by
     sum over retained components c of lambda_c * |loading|, and the
     columns are returned in descending score order (ties keep the
-    original column order).  An analysis with no column besides the
-    response has nothing to rank and raises :class:`InputError`.
+    original column order).  An analysis with no column besides fatigue
+    has nothing to rank and raises :class:`InputError`.
     """
     if not (0.0 < threshold <= 1.0):
         raise InputError(f"threshold must lie in (0, 1], got {threshold!r}")
-    response = normalize_name(response)
-    if response not in pca.column_names:
-        raise InputError(f"response column {response!r} not in the analysis")
-    rows = [i for i, c in enumerate(pca.column_names) if c != response]
+    rows = [i for i, c in enumerate(pca.column_names) if c != FATIGUE]
     if not rows:
-        raise InputError(f"the analysis has no column besides the response {response!r}")
+        raise InputError(f"the analysis has no column besides the response {FATIGUE!r}")
 
     k = int(np.searchsorted(pca.cumulative, threshold - _THRESHOLD_EPS, side="left")) + 1
     k = min(k, len(pca.cumulative))

@@ -422,7 +422,8 @@ def rowwise_load_csv(text: str) -> Dataset:
 
     The reference for ``load_csv``: the same Dataset for every file it
     accepts, and the same error class and message for the first fault
-    of every file it rejects.  Per row: cell count, then fatigue, then
+    of every file it rejects.  A header cell that names no column comes
+    before duplicate names.  Per row: cell count, then fatigue, then
     ``duration_hours``, then the PSFs in column order; blank rows are
     skipped but counted.
     """
@@ -433,6 +434,9 @@ def rowwise_load_csv(text: str) -> Dataset:
     if not records:
         raise EmptyDataset("input has no header row")
     names = [normalize_name(h) for h in records[0]]
+    for i, (cell, name) in enumerate(zip(records[0], names), start=1):
+        if not name:
+            raise InputError(f"header cell {i} ({cell!r}) has no ASCII letter or digit")
     if len(set(names)) != len(names):
         raise InputError(f"duplicate column names after normalization: {names}")
     if "fatigue" not in names:

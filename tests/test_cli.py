@@ -298,7 +298,7 @@ def test_artifacts_byte_identical_across_runs(tmp_path):
 def test_parser_is_reused_across_calls_in_one_process(tmp_path, capsys):
     assert main(["fit", "--input", "builtin:table3"]) == 2  # --factors missing
     assert "--factors" in capsys.readouterr().err
-    assert cli._parser() is cli._parser()
+    assert cli._parsers() is cli._parsers()
     runs = []
     for name in ("one", "two"):
         out = tmp_path / name
@@ -364,7 +364,7 @@ def test_main_answers_as_the_top_level_parser(argv, capsys, monkeypatch):
 
     change = run("change")
     from_sys_argv = run("sys_argv", use_sys_argv=True)
-    monkeypatch.setattr(cli, "_parse", lambda argv: cli._parser().parse_args(argv))
+    monkeypatch.setattr(cli, "_parse", lambda argv: cli._parsers()[0].parse_args(argv))
     reference = run("reference")
     assert change == reference
     assert from_sys_argv == reference
@@ -374,7 +374,7 @@ def test_main_answers_as_the_top_level_parser(argv, capsys, monkeypatch):
                                   "abbreviated-option"])
 def test_parse_gives_the_top_level_namespace(name):
     argv = PARSE_CASES[name]
-    assert cli._parse(argv) == cli._parser().parse_args(argv)
+    assert cli._parse(argv) == cli._parsers()[0].parse_args(argv)
 
 
 def test_parser_defaults_are_the_library_defaults():
@@ -389,7 +389,7 @@ def test_parser_defaults_are_the_library_defaults():
 def test_readme_names_exactly_the_flags_the_parser_accepts():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
-    subparsers = cli._parser()._subparsers._group_actions[0].choices
+    subparsers = cli._parsers()[0]._subparsers._group_actions[0].choices
     for name, sub in subparsers.items():
         accepted = {flag for action in sub._actions for flag in action.option_strings
                     if flag.startswith("--") and flag != "--help"}

@@ -480,6 +480,22 @@ def test_model_with_a_reserved_factor_name_exits_two(tmp_path, capsys, model_doc
         "error: model field 'factors[1].name': factor 'fatigue' is a reserved column name")
 
 
+@pytest.mark.parametrize("command", [["pca"], ["fit", "--factors", "x"]])
+@pytest.mark.parametrize("header, cell", [
+    ("x,,fatigue", "header cell 2 ('')"),
+    ("x,é,fatigue", "header cell 2 ('é')"),
+    ("温度,x,fatigue", "header cell 1 ('温度')"),
+    ('"x","é",fatigue', "header cell 2 ('é')"),
+])
+def test_a_header_cell_that_names_no_column_exits_two(tmp_path, capsys, command, header, cell):
+    source = tmp_path / "unnamed.csv"
+    source.write_text(header + "\n1,2,0.2\n3,5,0.5\n4,1,0.7\n", encoding="utf-8")
+    argv = [command[0], "--input", str(source), *command[1:], "-o", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {cell} has no ASCII letter or digit\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("text", ["fatigue\n0.2\n0.5\n0.7\n",
                                   "duration_hours,fatigue\n1,0.2\n1,0.5\n1,0.7\n"])
 def test_pca_without_a_psf_column_exits_two(tmp_path, capsys, text):

@@ -143,6 +143,10 @@ def test_load_csv_matches_rowwise_reference(text):
     "fatigue\n0.5",
     "x,duration_hours,fatigue\n1,1,0.5\n2,8,0.25\n",
     "x,X,fatigue\n1,2,0.5\n",
+    "x,,fatigue\n1,2,0.5\n",
+    "é,fatigue\n1,0.5\n",
+    '"温度",fatigue\n1,0.5\n',
+    "x,X,!,fatigue\n1,2,3,0.5\n",
     "x,y\n1,2\n",
     "",
     "\n",
@@ -371,7 +375,9 @@ def test_pool_index_of_a_one_key_column(n):
     assert _pools([np.ones(n)])[0][0] == [1.0]
 
 
-@pytest.mark.parametrize("n", (DISTINCT_PROBE_ROWS, FLOAT_TEXT_MIN_ROWS, 2 * PASS + 1))
+# 128 keys, the most a pooled probe holds, put positions up to 127 in the
+# hash table; 20000 rows is a cohort table.
+@pytest.mark.parametrize("n", (DISTINCT_PROBE_ROWS, FLOAT_TEXT_MIN_ROWS, 2 * PASS + 1, 20000))
 def test_pool_index_of_a_probe_with_half_its_cells_distinct(n):
     values = 1.0 + np.arange(DISTINCT_PROBE_ROWS // 2) * 0.37
     column = np.resize(values, n)

@@ -152,6 +152,25 @@ def test_load_csv_duplicate_columns_rejected():
         load_csv("x,X,fatigue\n1,2,0.5\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("x,,fatigue\n1,2,0.5\n", "header cell 2 ('') has no ASCII letter or digit"),
+    ("é,fatigue\n1,0.5\n", "header cell 1 ('é') has no ASCII letter or digit"),
+    ("x, 温度 ,fatigue\n1,2,0.5\n", "header cell 2 (' 温度 ') has no ASCII letter or digit"),
+    # Before the duplicate x and X, on the quoted cells' route too.
+    ('x,X,"é",fatigue\n"1",2,3,0.5\n', "header cell 3 ('é') has no ASCII letter or digit"),
+])
+def test_load_csv_rejects_a_header_cell_that_names_no_column(text, message):
+    with pytest.raises(InputError) as caught:
+        load_csv(text)
+    assert str(caught.value) == message
+
+
+def test_dataset_rejects_a_name_with_no_ascii_letter_or_digit():
+    with pytest.raises(InputError) as caught:
+        Dataset(("x", "X", "é", "fatigue"), {"x": [1.0], "X": [2.0], "é": [3.0], "fatigue": [0.5]})
+    assert str(caught.value) == "column name 3 ('é') has no ASCII letter or digit"
+
+
 def test_serialize_round_trip(table3):
     again = load_csv(serialize(table3))
     assert again == table3

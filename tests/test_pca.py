@@ -21,9 +21,8 @@ from ahft import (
     eigen_symmetric,
     run_pca,
     select_factors,
-    variance_proportions,
 )
-from ahft.errors import AllZeroSpectrum, InputError, NoConvergence, NotSymmetric
+from ahft.errors import InputError, NoConvergence, NotSymmetric
 from ahft.pca import JACOBI_TOL, PcaResult, _round_robin
 from oracles import charpoly_eigenvalues, jacobi_reference
 
@@ -350,39 +349,15 @@ def test_round_robin_pairs_every_two_indices_once_per_sweep(size):
 
 
 # ---------------------------------------------------------------------------
-# variance_proportions
-# ---------------------------------------------------------------------------
-
-def test_variance_proportions_uniform():
-    proportions, cumulative = variance_proportions([1.0, 1.0, 1.0, 1.0])
-    assert_allclose(proportions, [0.25] * 4)
-    assert cumulative[-1] == pytest.approx(1.0, rel=1e-15)
-
-
-def test_variance_proportions_three_to_one():
-    proportions, cumulative = variance_proportions([3.0, 1.0])
-    assert_allclose(proportions, [0.75, 0.25])
-    assert_allclose(cumulative, [0.75, 1.0])
-
-
-def test_variance_proportions_rejects_degenerate():
-    with pytest.raises(AllZeroSpectrum):
-        variance_proportions([0.0, 0.0])
-    with pytest.raises(InputError):
-        variance_proportions([1.0, -0.5])
-    with pytest.raises(InputError):
-        variance_proportions([])
-
-
-# ---------------------------------------------------------------------------
 # run_pca
 # ---------------------------------------------------------------------------
 
 def test_run_pca_perfectly_correlated_pair():
-    data = _dataset(a=[1.0, 2.0, 3.0, 4.0], b=[2.0, 4.0, 6.0, 8.0])
-    result = run_pca(data, ["a", "b"])
-    assert_allclose(result.eigenvalues, [2.0, 0.0], atol=1e-12)
-    assert_allclose(result.proportions, [1.0, 0.0], atol=1e-12)
+    # fatigue is uncorrelated with the pair, so it is a component of its own.
+    data = _dataset(a=[1.0, 2.0, 3.0, 4.0], b=[2.0, 4.0, 6.0, 8.0], fatigue=[0.2, 0.4, 0.4, 0.2])
+    result = run_pca(data)
+    assert_allclose(result.eigenvalues, [2.0, 1.0, 0.0], atol=1e-12)
+    assert_allclose(result.proportions, [2 / 3, 1 / 3, 0.0], atol=1e-12)
 
 
 def test_run_pca_workshop_spectrum_sanity(table3):
@@ -413,8 +388,12 @@ def test_run_pca_row_order_invariance(table3):
 
 def test_run_pca_column_permutation_invariance(table3):
     cols = ["available_time", "stress", "complexity", "fatigue"]
-    base = run_pca(table3, cols)
-    permuted = run_pca(table3, [cols[2], cols[0], cols[1], cols[3]])
+
+    def pca_of(names):
+        return run_pca(Dataset(names, {c: table3.column(c) for c in names}))
+
+    base = pca_of(cols)
+    permuted = pca_of([cols[3], cols[2], cols[0], cols[1]])
     assert_allclose(permuted.eigenvalues, base.eigenvalues, atol=1e-10)
     for name in cols:
         i, j = base.column_names.index(name), permuted.column_names.index(name)
@@ -427,19 +406,19 @@ def test_run_pca_column_permutation_invariance(table3):
 
 def test_select_threshold_one_keeps_all_components(table3):
     result = run_pca(table3)
-    selection = select_factors(result, 1.0, "fatigue")
+    selection = select_factors(result, 1.0)
     assert selection.retained_components == 9
     assert set(selection.names) == set(table3.psf_names)
 
 
 def test_select_workshop_retains_three(table3):
-    selection = select_factors(run_pca(table3), 0.65, "fatigue")
+    selection = select_factors(run_pca(table3), 0.65)
     assert selection.retained_components == 3
 
 
 def test_select_scores_match_direct_recomputation(table3):
     result = run_pca(table3)
-    selection = select_factors(result, 0.65, "fatigue")
+    selection = select_factors(result, 0.65)
     k = selection.retained_components
     for name, score in selection.selected_factors:
         i = result.column_names.index(name)
@@ -472,7 +451,7 @@ def test_select_scores_match_per_name_sums_bit_for_bit(n, seed):
     names = tuple(rng.permutation(names).tolist())
     pca = PcaResult(names, values, vectors, proportions, np.cumsum(proportions), False)
     for threshold in (0.3, 0.65, 0.9, 0.99, 1.0):
-        selection = select_factors(pca, threshold, "fatigue")
+        selection = select_factors(pca, threshold)
         expected = _per_name_ranking(pca, selection.retained_components, "fatigue")
         assert selection.selected_factors == expected
         assert all(type(score) is float for _, score in selection.selected_factors)
@@ -480,7 +459,7 @@ def test_select_scores_match_per_name_sums_bit_for_bit(n, seed):
 
 def test_select_without_a_psf_column_is_an_input_error():
     with pytest.raises(InputError, match="no column besides the response 'fatigue'"):
-        select_factors(run_pca(_dataset(fatigue=[0.2, 0.5, 0.7])), 0.65, "fatigue")
+        select_factors(run_pca(_dataset(fatigue=[0.2, 0.5, 0.7])), 0.65)
 
 
 def test_select_ranks_response_copy_first():
@@ -492,14 +471,14 @@ def test_select_ranks_response_copy_first():
         noise_b=rng.normal(size=24).tolist(),
         fatigue=y.tolist(),
     )
-    selection = select_factors(run_pca(data), 0.65, "fatigue")
+    selection = select_factors(run_pca(data), 0.65)
     assert selection.names[0] == "copy"
 
 
 def test_select_monotone_in_threshold(table3):
     result = run_pca(table3)
     retained = [
-        select_factors(result, t, "fatigue").retained_components
+        select_factors(result, t).retained_components
         for t in (0.2, 0.4, 0.65, 0.8, 0.95, 1.0)
     ]
     assert all(a <= b for a, b in zip(retained, retained[1:]))
@@ -509,6 +488,4 @@ def test_select_threshold_validation(table3):
     result = run_pca(table3)
     for bad in (0.0, -0.1, 1.5):
         with pytest.raises(InputError):
-            select_factors(result, bad, "fatigue")
-    with pytest.raises(InputError):
-        select_factors(result, 0.65, "not_a_column")
+            select_factors(result, bad)

@@ -20,8 +20,6 @@ from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
 from ahft import dataset as dataset_module
 from ahft.dataset import Dataset, correlation_matrix, standardize
-from ahft.errors import InputError
-from ahft.pca import run_pca
 from oracles import standardize_reference
 
 # No shrink or explain phase: a failure is reported as first found.
@@ -123,8 +121,6 @@ def test_a_table_with_no_columns_is_an_input_error():
     message = "standardization needs at least one column"
     assert _outcome(standardize, data, []) == (("InputError", message), [])
     assert _outcome(correlation_matrix, data, []) == (("InputError", message), [])
-    with pytest.raises(InputError, match=message):
-        run_pca(data, [])
 
 
 @pytest.mark.parametrize("k", range(1, 10))
