@@ -276,12 +276,9 @@ def cmd_validate(args) -> None:
     out = _out_dir(args)
 
     report = validation.evaluate(model, holdout, args.percentile)
-    psf_names = list(holdout.psf_names)
-    columns = holdout.columns
     n = holdout.n_rows
-    header = ["instance"] + psf_names + ["fatigue", "predicted_fatigue", "relative_error"]
-    body = [range(1, n + 1), *(columns[c] for c in psf_names),
-            report.observed, report.predicted, report.relative_error]
+    header = ["instance", *holdout.column_names, "predicted_fatigue", "relative_error"]
+    body = [range(1, n + 1), *holdout.columns.values(), report.predicted, report.relative_error]
     trailer = [("mean_relative_error", "max_relative_error"),
                (report.mean_relative_error, report.max_relative_error)]
     ds.write_artifact(out / "validation.csv",
@@ -364,17 +361,6 @@ def cmd_simulate(args) -> None:
         data = validation.redraw_below_one(spec, validation.generate_synthetic(spec))
     except MemoryError as exc:
         raise InputError(f"--n {args.n} is too large: {exc}") from None
-    # Fitting data is fatigue in (0, 1) and the redraw keeps every response
-    # below 1; should rounding still reach 1, refuse to write a file that
-    # fit would refuse to read.
-    fatigue = data.column(ds.FATIGUE)
-    high = fatigue >= 1.0
-    if high.any():
-        i = int(high.argmax())
-        raise InputError(
-            f"row {i + 1}: drew fatigue {float(fatigue[i])!r}, but fatigue must lie "
-            f"strictly in (0, 1); lower the --alpha intercept"
-        )
     ds.write_artifact(_out_dir(args) / "synthetic.csv", ds.serialize(data))
     print(f"simulate: {args.n} rows (seed {args.seed}) written to synthetic.csv")
 

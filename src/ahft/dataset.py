@@ -119,6 +119,9 @@ class Dataset:
     read-only float64 array per column, under its name after
     :func:`normalize_name`; a name with no ASCII letter or digit, or two
     that normalize alike, raise :class:`InputError`, as in a CSV header.
+    ``column_names`` lists the PSFs in the order given, then ``fatigue``,
+    wherever the caller listed it and whether it did at all, so
+    ``psf_names`` is ``column_names[:-1]``.
     PSF values must be finite and the response positive and finite (it
     acts as a lifetime; measured fatigue additionally lies in (0, 1),
     which CSV ingestion enforces, while synthetic lifetimes may exceed
@@ -130,14 +133,15 @@ class Dataset:
 
     def __init__(self, column_names, columns):
         given = tuple(column_names)
-        column_names = tuple(_column_names(given, "column name"))
-        keys = {FATIGUE: FATIGUE, **dict(zip(column_names, given))}  # each column's key in columns
-        psf_names = tuple(c for c in column_names if c != FATIGUE)
-        for name in psf_names + (FATIGUE,):
+        names = _column_names(given, "column name")
+        keys = {FATIGUE: FATIGUE, **dict(zip(names, given))}  # each column's key in columns
+        column_names = tuple(c for c in names if c != FATIGUE) + (FATIGUE,)
+        psf_names = column_names[:-1]
+        for name in column_names:
             if keys[name] not in columns:
                 raise MissingColumn(f"no values given for column {keys[name]!r}")
-        arrays = {c: np.array(columns[keys[c]], dtype=float) for c in psf_names}
-        fatigue = arrays[FATIGUE] = np.array(columns[keys[FATIGUE]], dtype=float)
+        arrays = {c: np.array(columns[keys[c]], dtype=float) for c in column_names}
+        fatigue = arrays[FATIGUE]
         if fatigue.ndim != 1 or any(a.shape != fatigue.shape for a in arrays.values()):
             raise InputError("dataset columns must be one-dimensional and of equal length")
         bad = ~((fatigue > 0.0) & np.isfinite(fatigue))
@@ -160,7 +164,7 @@ class Dataset:
 
     @property
     def psf_names(self) -> tuple[str, ...]:
-        return tuple(c for c in self.column_names if c != FATIGUE)
+        return self.column_names[:-1]
 
     @property
     def n_rows(self) -> int:
@@ -168,13 +172,13 @@ class Dataset:
 
     @property
     def columns(self):
-        """Every column name (``fatigue`` included) mapped to its read-only array."""
+        """Every column name mapped to its read-only array, in ``column_names`` order."""
         return dict(self._columns)
 
     def column(self, name: str) -> np.ndarray:
-        """Return one column as a read-only float array (``fatigue`` included)."""
+        """Return one column as a read-only float array."""
         key = normalize_name(name)
-        if key != FATIGUE and key not in self.column_names:
+        if key not in self._columns:
             raise MissingColumn(f"no column named {name!r}")
         return self._columns[key]
 
@@ -365,8 +369,7 @@ def load_csv(source) -> Dataset:
     """
     text = _decode(source)
     names, columns = _tokenized_columns(text) or _csv_columns(text)
-    psf_cols = [n for n in names if n not in (FATIGUE, DURATION)]
-    return Dataset(tuple(psf_cols) + (FATIGUE,), columns)
+    return Dataset([n for n in names if n != DURATION], columns)
 
 
 CSV_BLOCK_CELLS = 16384
@@ -389,45 +392,43 @@ def _is_float_array(column) -> bool:
 # 11.0 against 8.5 ms at 45%, a loss that no workload's column reaches.
 # A column that passes the probe is indexed by a hash of its cells on the
 # probe's distinct keys (``_hash_index``); only a cell that is no key of
-# the probe, or a collision under every multiplier, costs the sort of
+# the probe, or two keys that share a slot, cost the sort of
 # ``np.unique``.  _pools of the 4 columns of a cohort synthetic.csv
 # (2e4 rows) took 1.0 ms by np.unique and 0.25 ms by the hash, of the 61
 # columns of a 2000-row screen-wide table 2.2 against 1.5 ms (one Xeon
 # core, fastest of 200).
 DISTINCT_PROBE_ROWS = 256
 
-# The pool index's multipliers, tried in turn: the odd constants of
-# SplitMix64, the first 2**64 over the golden ratio, Knuth's multiplier
-# for multiplicative hashing (TAOCP vol. 3, section 6.4).
-_HASH_MULTIPLIERS = tuple(np.uint64(c) for c in (
-    0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB))
+# The pool index's multiplier: 2**64 over the golden ratio, SplitMix64's
+# increment, Knuth's multiplier for multiplicative hashing (TAOCP vol. 3,
+# section 6.4).  Keys that share a slot under it fall back to np.unique.
+_HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 
 
 def _hash_index(keys, bits):
     """The position of each of ``bits`` among the ascending distinct ``keys``, or None.
 
     A cell goes to slot ``(bits * C) >> (64 - b)`` of a table of
-    ``2**b >= 2 * m * m`` slots for m keys, C the first multiplier that
-    gives each key a slot of its own; the slot holds the key's position.
-    None if every multiplier collides, or a cell is no key.  Otherwise
-    the index is ``np.unique(bits, return_inverse=True)[1]`` whenever
-    ``keys`` are exactly the distinct values of ``bits``.  A pooled probe
-    has at most 128 keys, so the table holds uint8 positions (32 KB at
-    most); the index is written over the slots, read as intp.
+    ``2**b >= 2 * m * m`` slots for m keys, C ``_HASH_MULTIPLIER``; the
+    slot holds the key's position.  None if two keys share a slot, or a
+    cell is no key.  Otherwise the index is
+    ``np.unique(bits, return_inverse=True)[1]`` whenever ``keys`` are
+    exactly the distinct values of ``bits``.  A pooled probe has at most
+    128 keys, so the table holds uint8 positions (32 KB at most); the
+    index is written over the slots, read as intp.
     """
     m = len(keys)
     shift = np.uint64(64 - (2 * m * m - 1).bit_length())
     positions = np.arange(m, dtype=np.uint8)
-    for c in _HASH_MULTIPLIERS:
-        slots = (keys * c) >> shift
-        table = np.zeros(1 << (64 - int(shift)), dtype=np.uint8)
-        table[slots] = positions
-        if (table[slots] == positions).all():
-            hashed = np.multiply(bits, c)
-            index = np.right_shift(hashed, shift, out=hashed).view(np.intp)
-            index[...] = table.take(index)
-            return index if (keys.take(index) == bits).all() else None
-    return None
+    slots = (keys * _HASH_MULTIPLIER) >> shift
+    table = np.zeros(1 << (64 - int(shift)), dtype=np.uint8)
+    table[slots] = positions
+    if not (table[slots] == positions).all():
+        return None
+    hashed = np.multiply(bits, _HASH_MULTIPLIER)
+    index = np.right_shift(hashed, shift, out=hashed).view(np.intp)
+    index[...] = table.take(index)
+    return index if (keys.take(index) == bits).all() else None
 
 
 def _pools(columns):
@@ -704,9 +705,10 @@ def serialize(dataset: Dataset) -> bytes:
 
     Floats are written in their shortest exact form (``repr``), so values
     survive the round trip bit-for-bit.  Every row ends with the
-    ``duration_hours`` cell ``1.0``.  The header row joins the column
-    names, which :class:`Dataset` has normalized, so none needs quotes;
-    :func:`csv_blocks` writes the rows, and the result joins their bytes.
+    ``duration_hours`` cell ``1.0``.  The header row is the column names,
+    which :class:`Dataset` has normalized, so none needs quotes or holds a
+    ``%``, then ``duration_hours``; :func:`csv_blocks` writes it and the
+    rows, and the result joins their bytes.
     A dataset of at least ``FLOAT_TEXT_MIN_ROWS`` rows takes its byte
     frames, ``duration_hours`` as a float column of ones: it is pooled, as
     a PSF column of a few levels is, and a long column of distinct values
@@ -718,15 +720,13 @@ def serialize(dataset: Dataset) -> bytes:
     cost more than the template's short cells: 0.28 against 0.20 ms for
     the README's 200 rows (one Xeon core).
     """
-    header = (",".join(dataset.psf_names + (FATIGUE, DURATION)) + "\n").encode()
-    stored = dataset.columns
-    columns = [stored[c] for c in dataset.psf_names + (FATIGUE,)]
+    columns = list(dataset.columns.values())
     n = dataset.n_rows
     if n >= FLOAT_TEXT_MIN_ROWS:
         columns.append(np.ones(n))
     else:
         columns = [column.tolist() for column in columns] + [["1.0"] * n]
-    return b"".join([header, *csv_blocks(columns)])
+    return b"".join(csv_blocks(columns, dataset.column_names + (DURATION,)))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,9 @@ fits in a paragraph and can be re-implemented exactly in any language:
   z = state; z ^= z >> 30; z *= 0xBF58476D1CE4E5B9 (mod 2**64);
   z ^= z >> 27; z *= 0x94D049BB133111EB (mod 2**64); z ^= z >> 31;
   return z;
-* uniform(0,1): ((next() >> 11) + 0.5) * 2**-53 — strictly inside (0,1);
+* uniform(0,1): ((next() >> 11) + 0.5) * 2**-53, except that the top
+  value (next() >> 11 == 2**53 - 1), which rounds to 1, gives 1 - 2**-53:
+  strictly inside (0,1);
 * pool draw: pool[next() mod len(pool)].
 
 Per generated row, the draws happen in a fixed order: one pool draw per
@@ -28,7 +30,8 @@ t < 1 (:func:`redraw_below_one`): the j-th row (from 0) that drew t >= 1
 takes the next draw after the dataset's last, n(F+1) + j + 1, through the
 inverse CDF of its Weibull truncated at 1,
 t = eta * (-ln(1 - u*F(1)))**(1/beta) with F(1) = 1 - exp(-eta**-beta).
-A dataset with no draw >= 1 is left as it is.
+A redrawn t that rounds to 1 is 1 - 2**-53, so every redrawn response is
+below 1.  A dataset with no draw >= 1 is left as it is.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+_BELOW_ONE = 1.0 - 2.0 ** -53  # the largest double below 1
 
 
 def _splitmix64_stream(seed: int, count: int, skip: int = 0) -> np.ndarray:
@@ -77,8 +81,13 @@ def _splitmix64_stream(seed: int, count: int, skip: int = 0) -> np.ndarray:
 
 
 def _uniform(draws: np.ndarray) -> np.ndarray:
-    """uniform(0,1) of each draw: ((draw >> 11) + 0.5) * 2**-53."""
-    return ((draws >> np.uint64(11)).astype(float) + 0.5) * 2.0 ** -53
+    """uniform(0,1) of each draw: ((draw >> 11) + 0.5) * 2**-53, at most 1 - 2**-53.
+
+    Only the top value, ``draw >> 11 == 2**53 - 1``, rounds to 1; the cap
+    maps it to 1 - 2**-53 and leaves every other draw's bits as they are.
+    """
+    u = ((draws >> np.uint64(11)).astype(float) + 0.5) * 2.0 ** -53
+    return np.minimum(u, _BELOW_ONE, out=u)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +194,7 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     except OverflowError:
         raise InputError("synthetic responses overflow: lower true_alpha or raise true_shape") from None
     columns[FATIGUE] = fatigue
-    return Dataset(tuple(f.name for f in spec.factors) + (FATIGUE,), columns)
+    return Dataset([f.name for f in spec.factors], columns)
 
 
 def redraw_below_one(spec: SyntheticSpec, data: Dataset) -> Dataset:
@@ -193,8 +202,9 @@ def redraw_below_one(spec: SyntheticSpec, data: Dataset) -> Dataset:
 
     Each such row gets an exact draw from its Weibull conditioned on
     t < 1, from the stream's draws after the dataset's last (see the
-    module docstring); its factors stay as they are.  With no response
-    >= 1, ``data`` itself is returned.
+    module docstring), capped at 1 - 2**-53 where it rounds to 1; its
+    factors stay as they are.  With no response >= 1, ``data`` itself is
+    returned.
     """
     fatigue = data.column(FATIGUE)
     rows = np.flatnonzero(fatigue >= 1.0)
@@ -217,7 +227,7 @@ def redraw_below_one(spec: SyntheticSpec, data: Dataset) -> Dataset:
                 f"row {i + 1}: ln(eta) = {s!r} puts fatigue below 1 out of floating-point "
                 f"reach; lower true_alpha"
             )
-        redrawn[i] = t
+        redrawn[i] = min(t, _BELOW_ONE)
     columns[FATIGUE] = redrawn
     return Dataset(data.column_names, columns)
 

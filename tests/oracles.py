@@ -57,8 +57,28 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def uniform(self) -> float:
-        """A float strictly inside (0, 1), from the top 53 bits."""
-        return ((self.next_u64() >> 11) + 0.5) * 2.0 ** -53
+        """A float strictly inside (0, 1), from the top 53 bits.
+
+        ((draw >> 11) + 0.5) * 2**-53 rounds to 1 for the top value
+        alone, which gives 1 - 2**-53 instead.
+        """
+        return min(((self.next_u64() >> 11) + 0.5) * 2.0 ** -53, 1.0 - 2.0 ** -53)
+
+    @classmethod
+    def seed_for(cls, output: int, index: int) -> int:
+        """The seed whose draw ``index`` (from 1) is ``output``.
+
+        Each step of the output mix is invertible: a xorshift by s is
+        undone by applying it ceil(64 / s) times to the running result,
+        and a multiply by the inverse of its odd constant mod 2**64.
+        """
+        z = output
+        for shift, mix in ((31, 0x94D049BB133111EB), (27, 0xBF58476D1CE4E5B9), (30, None)):
+            x = z
+            for _ in range(-(-64 // shift)):
+                x = z ^ (x >> shift)
+            z = x if mix is None else x * pow(mix, -1, 1 << 64) & cls.MASK
+        return (z - index * 0x9E3779B97F4A7C15) & cls.MASK
 
     def choice_index(self, n: int) -> int:
         return self.next_u64() % n

@@ -23,6 +23,7 @@ from ahft import (
 from ahft import alt, cli
 from ahft.cli import main
 from ahft.validation import redraw_below_one
+from oracles import SplitMix64
 
 CONSTANT_FACTOR_CSV = "a,b,fatigue\n2,1,0.2\n2,2,0.3\n2,3,0.25\n2,1,0.4\n2,5,0.35\n"
 
@@ -254,6 +255,29 @@ def test_simulate_readme_parameters_exit_zero_where_a_draw_reaches_one(tmp_path,
     out = tmp_path / "sim"
     assert main([*README_SIMULATE, "--n", "200", "--seed", str(seed), "--output-dir", str(out)]) == 0
     assert load_csv((out / "synthetic.csv").read_bytes()).n_rows == 200
+
+
+def test_simulate_reads_back_where_a_response_takes_the_top_draw(tmp_path):
+    # Draw 3, the first row's response, has all of its top 53 bits set: its
+    # uniform is 1 - 2**-53, not 1.0, whose log1p(-1) has no value.
+    seed = SplitMix64.seed_for((2**53 - 1) << 11, 3)
+    assert seed == 13330440679483723533
+    out = tmp_path / "sim"
+    assert main([*README_SIMULATE, "--n", "5", "--seed", str(seed), "--output-dir", str(out)]) == 0
+    assert main(["fit", "--input", str(out / "synthetic.csv"), "--factors", "f1",
+                 "--output-dir", str(tmp_path / "fit")]) == 0
+
+
+def test_simulate_exits_zero_where_a_redraw_takes_the_top_draw(tmp_path):
+    # Nine rows draw draws 1-18; draw 19, the first row redrawn below 1,
+    # has all of its top 53 bits set, and its t rounds to 1 before the cap.
+    seed = SplitMix64.seed_for((2**53 - 1) << 11, 19)
+    assert seed == 15386444307408063933
+    out = tmp_path / "sim"
+    assert main(["simulate", "--factors", "f1", "--alpha=0,0", "--shape", "3", "--pool", "f1=1",
+                 "--n", "9", "--seed", str(seed), "--output-dir", str(out)]) == 0
+    fatigue = load_csv((out / "synthetic.csv").read_bytes()).column("fatigue")
+    assert len(fatigue) == 9 and fatigue.max() < 1.0
 
 
 def test_simulate_exits_two_when_no_draw_below_one_is_representable(tmp_path, capsys):

@@ -332,17 +332,14 @@ def _assert_pool_is_unique(column, hashed):
     assert _first_difference(_text(csv_blocks([range(n), column])), expected) is None
 
 
-def _colliding(first, collides):
+def _colliding(first):
     """The least whole double from 2 whose slot among two keys is ``first``'s
-    under the multipliers of the pool index's hash for which ``collides``
-    is true, and under no other."""
+    under the pool index's multiplier."""
     shift = np.uint64(64 - (2 * 2 * 2 - 1).bit_length())
     candidates = np.arange(2.0, 20000.0).view(np.uint64)
     base = np.array([first]).view(np.uint64)
-    match = np.ones(len(candidates), dtype=bool)
-    for c, collide in zip(dataset_module._HASH_MULTIPLIERS, collides):
-        match &= ((candidates * c) >> shift == (base * c) >> shift) == collide
-    return candidates[match][:1].view(np.float64)[0]
+    c = dataset_module._HASH_MULTIPLIER
+    return candidates[(candidates * c) >> shift == (base * c) >> shift][:1].view(np.float64)[0]
 
 
 @pytest.mark.parametrize("n", (FLOAT_TEXT_MIN_ROWS, 2 * PASS + 1))
@@ -353,10 +350,8 @@ def test_pool_index_falls_back_for_a_value_after_the_probe(n):
 
 
 @pytest.mark.parametrize("n", (DISTINCT_PROBE_ROWS - 1, FLOAT_TEXT_MIN_ROWS, 2 * PASS + 1))
-@pytest.mark.parametrize("collides", ((True, False, False), (True, True, False), (True, True, True)))
-def test_pool_index_tries_each_multiplier_then_falls_back(n, collides):
-    other = _colliding(0.5, collides)
-    _assert_pool_is_unique(np.resize([other, 0.5], n), hashed=not all(collides))
+def test_pool_index_falls_back_when_two_keys_share_a_slot(n):
+    _assert_pool_is_unique(np.resize([_colliding(0.5), 0.5], n), hashed=False)
 
 
 @pytest.mark.parametrize("n", (DISTINCT_PROBE_ROWS, FLOAT_TEXT_MIN_ROWS, 2 * PASS + 1))

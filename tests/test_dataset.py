@@ -201,6 +201,15 @@ def test_dataset_normalizes_column_names_and_round_trips_them():
         Dataset(("x", "X", "fatigue"), {"x": [1.0], "X": [2.0], "fatigue": [0.5]})
 
 
+@pytest.mark.parametrize("names", [("x", "y"), ("fatigue", "x", "y")])
+def test_dataset_lists_fatigue_last_wherever_it_is_given(names):
+    data = Dataset(names, {"x": [1.0, 2.0, 4.0], "y": [3.0, 1.0, 2.0], "fatigue": [0.2, 0.5, 0.3]})
+    assert data.column_names == ("x", "y", "fatigue")
+    assert data.psf_names == ("x", "y")
+    assert load_csv(serialize(data)) == data
+    assert run_pca(data).column_names[-1] == "fatigue"
+
+
 def test_dataset_column_missing():
     data = _dataset(x=[1, 2, 3])
     with pytest.raises(MissingColumn):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from ahft import (
     Dataset,
@@ -19,7 +19,7 @@ from ahft import (
     weibull_quantile,
 )
 from ahft.errors import DegenerateFactor, InputError, MissingFactor
-from ahft.validation import _splitmix64_stream, redraw_below_one
+from ahft.validation import _splitmix64_stream, _uniform, redraw_below_one
 from oracles import NonPositiveObserved, SplitMix64, ks_statistic, relative_error
 
 CANONICAL_FACTORS = (FactorSpec("f1"), FactorSpec("f2"))
@@ -154,12 +154,23 @@ def test_splitmix64_is_deterministic_per_seed():
     assert a != [SplitMix64(124).uniform() for _ in range(5)]
 
 
+TOP_DRAW = (2**53 - 1) << 11  # the least draw whose top 53 bits are all ones
+
+
 @given(seed=st.integers(min_value=0, max_value=2**64 - 1))
+@example(seed=SplitMix64.seed_for(TOP_DRAW, 2))
 def test_splitmix64_uniform_strictly_inside_unit_interval(seed):
     rng = SplitMix64(seed)
     for _ in range(4):
         u = rng.uniform()
         assert 0.0 < u < 1.0
+
+
+def test_uniform_maps_the_top_draw_below_one_and_keeps_every_other():
+    draws = np.array([TOP_DRAW, TOP_DRAW | 0x7FF, (2**53 - 2) << 11, 0], dtype=np.uint64)
+    assert _uniform(draws).tolist() == [1 - 2**-53, 1 - 2**-53, 1 - 2**-52, 2**-54]
+    rng = SplitMix64(SplitMix64.seed_for(TOP_DRAW, 1))
+    assert rng.uniform() == 1 - 2**-53
 
 
 def test_splitmix64_choice_index_bounds():
@@ -265,6 +276,18 @@ def test_redraw_below_one_matches_the_truncated_cdf():
     below_one = weibull_cdf(1.0, 1.0, 1.7)
     assert draws.max() < 1.0
     assert ks_statistic(draws, lambda t: weibull_cdf(t, 1.0, 1.7) / below_one) < 0.02
+
+
+def test_redraw_below_one_caps_a_redraw_that_rounds_to_one():
+    # eta = 1, so a third of the rows draw t >= 1; the first redraw (draw
+    # 19) is the top draw, whose t = (-ln(1 - u*F(1)))**(1/3) rounds to 1.
+    spec = SyntheticSpec((0.0, 0.0), 3.0, (FactorSpec("f1"),), ((1.0,),), n=9,
+                         seed=SplitMix64.seed_for(TOP_DRAW, 19))
+    data = generate_synthetic(spec)
+    first = int(np.flatnonzero(data.column("fatigue") >= 1.0)[0])
+    redrawn = redraw_below_one(spec, data).column("fatigue")
+    assert redrawn[first] == 1 - 2**-53
+    assert redrawn.max() < 1.0
 
 
 def test_synthetic_spec_validation():
