@@ -332,14 +332,21 @@ def _assert_pool_is_unique(column, hashed):
     assert _first_difference(_text(csv_blocks([range(n), column])), expected) is None
 
 
-def _colliding(first):
-    """The least whole double from 2 whose slot among two keys is ``first``'s
-    under the pool index's multiplier."""
-    shift = np.uint64(64 - (2 * 2 * 2 - 1).bit_length())
-    candidates = np.arange(2.0, 20000.0).view(np.uint64)
-    base = np.array([first]).view(np.uint64)
-    c = dataset_module._HASH_MULTIPLIER
-    return candidates[(candidates * c) >> shift == (base * c) >> shift][:1].view(np.float64)[0]
+def _beside(first, collides):
+    """Whole doubles from 2, one for each flag of ``collides``: in the pool
+    index's table for them and ``first``, a flagged one takes ``first``'s
+    slot and any other a slot of its own."""
+    shift = np.uint64(64 - (2 * (len(collides) + 1) ** 2 - 1).bit_length())
+    candidates = np.arange(2.0, 20000.0)
+    slots = ((candidates.view(np.uint64) * dataset_module._HASH_MULTIPLIER) >> shift).tolist()
+    taken = [int((np.array(first).view(np.uint64) * dataset_module._HASH_MULTIPLIER) >> shift)]
+    keys = []
+    for collide in collides:
+        i = next(i for i, slot in enumerate(slots)
+                 if candidates[i] not in keys and (slot == taken[0] if collide else slot not in taken))
+        keys.append(candidates[i])
+        taken.append(slots[i])
+    return keys
 
 
 @pytest.mark.parametrize("n", (FLOAT_TEXT_MIN_ROWS, 2 * PASS + 1))
@@ -349,9 +356,12 @@ def test_pool_index_falls_back_for_a_value_after_the_probe(n):
     _assert_pool_is_unique(column, hashed=False)
 
 
+# The index tries its one multiplier, and falls back to np.unique when
+# any key shares 0.5's slot.
 @pytest.mark.parametrize("n", (DISTINCT_PROBE_ROWS - 1, FLOAT_TEXT_MIN_ROWS, 2 * PASS + 1))
-def test_pool_index_falls_back_when_two_keys_share_a_slot(n):
-    _assert_pool_is_unique(np.resize([_colliding(0.5), 0.5], n), hashed=False)
+@pytest.mark.parametrize("collides", ((False, False, False), (True, False, False), (True, True, True)))
+def test_pool_index_tries_each_multiplier_then_falls_back(n, collides):
+    _assert_pool_is_unique(np.resize([*_beside(0.5, collides), 0.5], n), hashed=not any(collides))
 
 
 @pytest.mark.parametrize("n", (DISTINCT_PROBE_ROWS, FLOAT_TEXT_MIN_ROWS, 2 * PASS + 1))
